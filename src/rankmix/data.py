@@ -10,6 +10,7 @@ is kept so raw-scale coefficients can be reported back.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,6 +205,14 @@ class IngestResult:
     n_rejected: int
 
 
+def _rank_cell(text: str) -> int:
+    """A rank or order cell as an int; "2" and "2.0" pass, "2.5" and "inf" do not."""
+    value = float(text)
+    if not (math.isfinite(value) and value.is_integer() and abs(value) < 2.0**63):
+        raise ValueError(f"rank cell {text.strip()!r} is not an integer rank")
+    return int(value)
+
+
 def read_ranking_csv(
     path,
     space: PatternSpace,
@@ -247,7 +256,7 @@ def read_ranking_csv(
                 n_rejected += 1
                 continue
             try:
-                values = np.array([int(float(v)) for v in raw], dtype=np.int64)
+                values = np.array([_rank_cell(v) for v in raw], dtype=np.int64)
             except ValueError as exc:
                 raise RankingValidationError(f"line {lineno}: {exc}") from exc
             try:

@@ -11,6 +11,14 @@ always match the expected counts and the multinomial likelihood is
 maximized exactly. Monotone log-likelihood ascent is enforced by step
 halving inside the scoring loop.
 
+Because the pattern model is log-linear in the net-win score vector s,
+each scoring step needs only per-block moments of s. A (set, class) block
+with expected total n, observed score total t and pattern probabilities p
+contributes A' (t - n E[s]) to the score and n A' Cov[s] A to the
+information, with Cov[s] = E[s s'] - E[s] E[s]'. E[s] is one matrix
+product of p with the score matrix, and E[s s'] one with the per-pattern
+table of score products s_i s_j.
+
 Several independent chains are run from random starts; the chain with the
 best final likelihood wins. Chains that collapse a class (vanishing mass
 or runaway offsets) are flagged degenerate and excluded from selection
@@ -30,9 +38,11 @@ from .model import (
     Design,
     ModelSpec,
     Parameters,
+    _mixture_loglik,
+    _posteriors,
     bic,
     count_parameters,
-    mixture_loglik,
+    mixture_loglik,  # unused here; perfbench/tracing.py patches this name
     posterior_weights,
 )
 
@@ -135,11 +145,35 @@ def e_step(params: Parameters, design: Design) -> np.ndarray:
     return posterior_weights(params, design)
 
 
-def _complete_data_deviance(m: np.ndarray, logp: np.ndarray, m_plus: np.ndarray):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sat = np.where(m > 0, m * np.log(m / m_plus[:, None, :]), 0.0).sum()
-    q_val = float(np.sum(m * logp))
-    return 2.0 * (sat - q_val), q_val
+# contraction order for sum_kr m_plus A' Cov[s] A: weight each block's
+# covariance by its total, contract one side with A, then the other
+_INFO_PATH = ["einsum_path", (0, 2), (0, 2), (0, 1)]
+
+
+def _block_rows(x: np.ndarray) -> np.ndarray:
+    """A (K, L, R) cell array as one row of L patterns per (set, class) block."""
+    K, L, R = x.shape
+    return x.transpose(0, 2, 1).reshape(K * R, L)
+
+
+def _moments_information(p: np.ndarray, design: Design, A: np.ndarray,
+                         m_plus: np.ndarray):
+    """Per-block score means E[s] (K, R, J) and the information over ``A``.
+
+    ``p`` holds the pattern probabilities (K, L, R). The information is
+    sum_kr m_plus[k, r] A_kr' Cov_kr[s] A_kr, where the block covariance
+    Cov[s] = E[s s'] - E[s] E[s]' takes its second moments from one product
+    with the design's score-product table.
+    """
+    K, _, R = p.shape
+    J = design.n_items
+    rows = _block_rows(p)
+    mean = (rows @ design.S).reshape(K, R, J)
+    cov = (rows @ design.score_products).reshape(K, R, J, J)
+    cov -= mean[:, :, :, None] * mean[:, :, None, :]
+    info = np.einsum("kr,ikrc,krij,jkrd->cd", m_plus, A, cov, A,
+                     optimize=_INFO_PATH)
+    return mean, info
 
 
 def _diagnose_rank(info: np.ndarray, names: list[str]):
@@ -168,6 +202,12 @@ def fit_structural(
     names coefficient indices constrained to zero (their columns leave the
     design); ``penalty`` adds a quadratic ridge on one coefficient, used
     to pin it near zero without dropping the column.
+
+    Each Newton step forms the information from the per-block covariance
+    of the net-win scores, Cov[s] = E[s s'] - E[s] E[s]', whose second
+    moments come from the design's score-product table; the observed
+    score totals and the saturated part of the deviance depend on ``m``
+    alone and are computed once per call.
     """
     fixed = np.zeros(design.n_coefficients, dtype=bool)
     fixed[list(fixed_zero)] = True
@@ -183,6 +223,10 @@ def fit_structural(
 
     m = np.asarray(m, dtype=np.float64)
     m_plus = m.sum(axis=1)  # (K, R)
+    K, _, R = m.shape
+    with np.errstate(divide="ignore", invalid="ignore"):
+        saturated = np.where(m > 0, m * np.log(m / m_plus[:, None, :]), 0.0).sum()
+    observed = (_block_rows(m) @ S).reshape(K, R, design.n_items)
 
     pen_pos = None
     strength = 0.0
@@ -193,7 +237,7 @@ def fit_structural(
         pen_pos = int(np.nonzero(free == idx)[0][0])
 
     def penalized_deviance(b, logp_b):
-        d, _ = _complete_data_deviance(m, logp_b, m_plus)
+        d = 2.0 * (saturated - float(np.sum(m * logp_b)))
         if pen_pos is not None:
             d += 2.0 * strength * b[free][pen_pos] ** 2
         return d
@@ -202,14 +246,8 @@ def fit_structural(
     dev = penalized_deviance(beta, logp)
 
     for iteration in range(1, max_iter + 1):
-        p = np.exp(logp)
-        resid = m - m_plus[:, None, :] * p
-        g_items = np.einsum("klr,lj->jkr", resid, S)
-        score = np.einsum("jkr,jkrc->c", g_items, A)
-        t_mat = np.einsum("klr,lj->krj", p, S)
-        u_mat = np.einsum("klr,li,lj->krij", p, S, S)
-        v_mat = u_mat - t_mat[:, :, :, None] * t_mat[:, :, None, :]
-        info = np.einsum("kr,ikrc,krij,jkrd->cd", m_plus, A, v_mat, A)
+        mean, info = _moments_information(np.exp(logp), design, A, m_plus)
+        score = np.einsum("krj,jkrc->c", observed - m_plus[:, :, None] * mean, A)
         if pen_pos is not None:
             score[pen_pos] -= 2.0 * strength * beta[free][pen_pos]
             info[pen_pos, pen_pos] += 2.0 * strength
@@ -254,13 +292,9 @@ def structural_information(
     fixed[list(fixed_zero)] = True
     free = np.nonzero(~fixed)[0]
     A = design.A[..., free]
-    m = np.asarray(m, dtype=np.float64)
-    m_plus = m.sum(axis=1)
+    m_plus = np.asarray(m, dtype=np.float64).sum(axis=1)
     p = np.exp(design.log_pattern_probs(coefficients))
-    t_mat = np.einsum("klr,lj->krj", p, design.S)
-    u_mat = np.einsum("klr,li,lj->krij", p, design.S, design.S)
-    v_mat = u_mat - t_mat[:, :, :, None] * t_mat[:, :, None, :]
-    return np.einsum("kr,ikrc,krij,jkrd->cd", m_plus, A, v_mat, A)
+    return _moments_information(p, design, A, m_plus)[1]
 
 
 def m_step(
@@ -331,14 +365,18 @@ def run_chain(
     from a converged fit.
     """
     params = start
-    loglik, dev = mixture_loglik(params, design, data)
+    # one normalizer per parameter point: it gives the log-likelihood and
+    # the next E step's posterior weights
+    logp = design.log_pattern_probs(params.coefficients)
+    loglik, dev = _mixture_loglik(logp, params.mixing, data)
     trace = [dev]
     converged = degenerate = False
     message = None
     n_iter = 0
     for iteration in range(1, config.max_iter + 1):
         w = initial_weights if (iteration == 1 and initial_weights is not None) \
-            else e_step(params, design)
+            else _posteriors(logp, params.mixing)
+        del logp  # unused by the M step; freeing it keeps its peak memory flat
         try:
             params = m_step(
                 w,
@@ -358,7 +396,8 @@ def run_chain(
             degenerate = True
             message = f"class offset reached {np.abs(offsets).max():.3g}"
             break
-        loglik, dev_new = mixture_loglik(params, design, data)
+        logp = design.log_pattern_probs(params.coefficients)
+        loglik, dev_new = _mixture_loglik(logp, params.mixing, data)
         n_iter = iteration
         trace.append(dev_new)
         if callback is not None:

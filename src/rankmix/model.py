@@ -24,7 +24,6 @@ import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import AggregatedData, DataError
 
@@ -104,8 +103,9 @@ class Parameters:
 class Design:
     """Resolved design linking a ModelSpec to an aggregated data set.
 
-    Builds the coefficient list and the (J, K, R, p) tensor mapping the
-    coefficient vector to per-(item, covariate set, class) effects.
+    Builds the coefficient list, the (J, K, R, p) tensor mapping the
+    coefficient vector to per-(item, covariate set, class) effects, and
+    the per-pattern table of net-win score products.
     """
 
     def __init__(self, spec: ModelSpec, data: AggregatedData):
@@ -116,6 +116,11 @@ class Design:
         self.spec = spec
         self.data = data
         self.S = data.space.score_matrix()  # (L, J)
+        # s_li * s_lj per pattern, (L, J * J): one product with the pattern
+        # probabilities gives every block's second score moments
+        self.score_products = (self.S[:, :, None] * self.S[:, None, :]).reshape(
+            self.S.shape[0], -1
+        )
         self.coefficients: list[Coefficient] = []
         J, K, R = spec.n_items, data.n_sets, spec.n_classes
         blocks: list[np.ndarray] = []
@@ -247,7 +252,7 @@ class Design:
     def log_pattern_probs(self, coefficients: np.ndarray) -> np.ndarray:
         """log P_lkr, normalized over patterns within each (k, r); (K, L, R)."""
         e = self.eta(coefficients)
-        return e - logsumexp(e, axis=1, keepdims=True)
+        return e - _logsumexp(e, axis=1)
 
     def pattern_probs(
         self, coefficients: np.ndarray, covariate_set: int, cls: int
@@ -286,17 +291,41 @@ def worths(item_effects) -> np.ndarray:
     return w / w.sum()
 
 
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along ``axis``, which is kept with length 1.
+
+    Shifting by the maximum keeps exp from overflowing. A slice whose
+    maximum is not finite (all -inf, or holding inf or nan) is not shifted,
+    so it gives -inf, inf or nan as the unshifted sum would.
+    """
+    shift = np.max(a, axis=axis, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True)) + shift
+
+
+def _log_mixture(logp: np.ndarray, mixing: np.ndarray) -> np.ndarray:
+    return _logsumexp(logp + np.log(mixing)[None, None, :], axis=2)[:, :, 0]
+
+
+def _posteriors(logp: np.ndarray, mixing: np.ndarray) -> np.ndarray:
+    joint = logp + np.log(mixing)[None, None, :]
+    return np.exp(joint - _logsumexp(joint, axis=2))
+
+
+def _mixture_loglik(logp: np.ndarray, mixing: np.ndarray, data: AggregatedData):
+    loglik = float(np.sum(data.counts * _log_mixture(logp, mixing)))
+    return loglik, 2.0 * (saturated_loglik(data) - loglik)
+
+
 def log_mixture_probs(params: Parameters, design: Design) -> np.ndarray:
     """log sum_r q_r P_lkr per cell, shaped (K, L)."""
-    logp = design.log_pattern_probs(params.coefficients)
-    return logsumexp(logp + np.log(params.mixing)[None, None, :], axis=2)
+    return _log_mixture(design.log_pattern_probs(params.coefficients), params.mixing)
 
 
 def posterior_weights(params: Parameters, design: Design) -> np.ndarray:
     """Posterior class probabilities per cell, shaped (K, L, R)."""
-    logp = design.log_pattern_probs(params.coefficients)
-    joint = logp + np.log(params.mixing)[None, None, :]
-    return np.exp(joint - logsumexp(joint, axis=2, keepdims=True))
+    return _posteriors(design.log_pattern_probs(params.coefficients), params.mixing)
 
 
 def saturated_loglik(data: AggregatedData) -> float:
@@ -321,10 +350,8 @@ def mixture_loglik(
     equivalent Poisson log-linear fit, so differences between models are
     likelihood-ratio statistics.
     """
-    log_mix = log_mixture_probs(params, design)
-    loglik = float(np.sum(data.counts * log_mix))
-    deviance = 2.0 * (saturated_loglik(data) - loglik)
-    return loglik, deviance
+    logp = design.log_pattern_probs(params.coefficients)
+    return _mixture_loglik(logp, params.mixing, data)
 
 
 def mixture_score(
@@ -337,11 +364,11 @@ def mixture_score(
     last class pinned at 0. The coefficient block is the posterior-weighted
     multinomial score; the mass block is N * (posterior share - q).
     """
-    w = posterior_weights(params, design)
+    logp = design.log_pattern_probs(params.coefficients)
+    w = _posteriors(logp, params.mixing)
     counts = data.counts.astype(np.float64)
     m = counts[:, :, None] * w
     m_plus = m.sum(axis=1)  # (K, R)
-    logp = design.log_pattern_probs(params.coefficients)
     p = np.exp(logp)
     resid = m - m_plus[:, None, :] * p
     g_items = np.einsum("klr,lj->jkr", resid, design.S)

@@ -115,6 +115,16 @@ class TestFit:
         assert err.startswith("error:")
         assert "line 3" in err
 
+    def test_non_finite_rank_exits_one_with_one_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("A,B,C,grp\n1,2,3,a\ninf,2,3,b\n")
+        cfg = fit_config(tmp_path, bad)
+        assert main(["fit", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+        assert "line 3" in err
+
     def test_capacity_error_for_too_many_items(self, tmp_path, sim_csv, capsys):
         cfg = fit_config(tmp_path, sim_csv,
                          items=[f"i{k}" for k in range(9)])

@@ -123,6 +123,14 @@ class TestCsvIngest:
         with pytest.raises(RankingValidationError, match="line 3"):
             read_ranking_csv(path, space3, ["a", "b", "c"], [])
 
+    @pytest.mark.parametrize("cell", ["1.5", "inf", "-inf", "nan"])
+    def test_non_integral_or_non_finite_rank_cell_cites_line(
+        self, tmp_path, space3, cell
+    ):
+        path = self.write(tmp_path, f"a,b,c\n1,2,3\n{cell},2,3\n")
+        with pytest.raises(RankingValidationError, match="line 3"):
+            read_ranking_csv(path, space3, ["a", "b", "c"], [])
+
     def test_order_format_declared_not_detected(self, tmp_path, space3):
         # same file read under both declarations gives inverse permutations
         path = self.write(tmp_path, "a,b,c\n2,3,1\n")

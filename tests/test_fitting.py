@@ -19,6 +19,7 @@ from rankmix.fitting import (
     search_classes,
     compare_term_models,
     split_largest_class,
+    structural_information,
 )
 from rankmix.model import Design, ModelSpec, Parameters, mixture_loglik
 
@@ -179,6 +180,64 @@ class TestFitStructural:
         monkeypatch.setattr(fitting.scipy.linalg, "cho_solve", explode)
         with pytest.raises(IrlsDivergenceError):
             fit_structural(m, design)
+
+
+class TestStructuralInformation:
+    """The information is minus the Hessian of the expected-count multinomial
+    log-likelihood, which here is summed literally over oracle ranking
+    distributions and differentiated numerically."""
+
+    @staticmethod
+    def instance():
+        # J=3, R=2, one factor term and one continuous term
+        rng = np.random.default_rng(17)
+        space = shared_space(3)
+        rows = [
+            (rng.permutation(3) + 1,
+             {"g": str(rng.choice(["a", "b"])), "x": float(rng.choice([-1.0, 0.5, 2.0]))})
+            for _ in range(60)
+        ]
+        data = aggregate(space, rows, [CovariateDecl("g", "factor"),
+                                       CovariateDecl("x", "continuous")])
+        design = Design(ModelSpec(("A", "B", "C"), ("g", "x"), 2), data)
+        w = rng.dirichlet(np.ones(2), size=data.counts.shape)
+        m = data.counts[:, :, None] * w
+        coefs = rng.normal(0, 0.6, design.n_coefficients)
+        return design, m, coefs
+
+    @staticmethod
+    def expected_count_loglik(design, m, coefs):
+        effects = design.item_effects(coefs)
+        K, _, R = m.shape
+        return sum(
+            float(np.dot(m[k, :, r],
+                         np.log(oracles.ranking_probabilities(effects[:, k, r]))))
+            for k in range(K) for r in range(R)
+        )
+
+    def test_equals_minus_numerical_hessian(self):
+        design, m, coefs = self.instance()
+        hess = oracles.numerical_hessian(
+            lambda c: self.expected_count_loglik(design, m, c), coefs
+        )
+        info = structural_information(design, coefs, m)
+        assert info == pytest.approx(-hess, rel=1e-5, abs=1e-5)
+
+    def test_fixed_zero_drops_rows_and_columns(self):
+        design, m, coefs = self.instance()
+        fixed = design.name_to_index["A:x"]
+        coefs[fixed] = 0.0
+        free = np.delete(np.arange(design.n_coefficients), fixed)
+
+        def loglik_free(v):
+            c = np.zeros(design.n_coefficients)
+            c[free] = v
+            return self.expected_count_loglik(design, m, c)
+
+        hess = oracles.numerical_hessian(loglik_free, coefs[free])
+        info = structural_information(design, coefs, m, fixed_zero=(fixed,))
+        assert info.shape == (free.size, free.size)
+        assert info == pytest.approx(-hess, rel=1e-5, abs=1e-5)
 
 
 class TestFit:

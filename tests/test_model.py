@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from rankmix.data import DataError
 from rankmix.model import (
     Design,
+    _logsumexp,
     ModelSpec,
     Parameters,
     bic,
@@ -156,6 +158,25 @@ class TestPatternProbs:
         direct = np.exp(eta - eta.max())
         direct /= direct.sum()
         assert base == pytest.approx(direct, abs=1e-10)
+
+
+class TestLogsumexp:
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_matches_scipy(self, axis):
+        # (K, L, R) like the cell arrays: axis 1 normalizes over patterns,
+        # axis 2 mixes over classes
+        a = np.random.default_rng(5).normal(0.0, 3.0, (3, 6, 4))
+        a[0, 0, :] += 700.0
+        a[0, 1, :] -= 700.0
+        a[0, :, 0] += 700.0
+        a[1, 2, :] = -np.inf  # a whole class slice
+        a[2, :, 1] = -np.inf  # a whole pattern slice
+        ours = _logsumexp(a, axis=axis)
+        ref = logsumexp(a, axis=axis, keepdims=True)
+        assert ours.shape == ref.shape
+        assert np.array_equal(np.isneginf(ours), np.isneginf(ref))
+        assert np.isneginf(ours).any()
+        np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-12)
 
 
 class TestMixtureLoglik:
