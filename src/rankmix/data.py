@@ -27,6 +27,19 @@ class DataError(ValueError):
     """Input rows or table shapes are unusable."""
 
 
+def _continuous_value(name: str, value) -> float:
+    """A continuous covariate value as a finite float."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise DataError(
+            f"covariate {name!r}: {str(value).strip()!r} is not a finite number"
+        )
+    return number
+
+
 @dataclass(frozen=True)
 class CovariateDecl:
     """Declared respondent covariate: a factor or a continuous measurement.
@@ -135,8 +148,9 @@ def aggregate(
 
     Covariate sets are the distinct observed combinations, sorted by their
     values so set indices are reproducible. Raises on rank rows that are
-    not complete permutations (with the offending row number) and on rows
-    missing a declared covariate.
+    not complete permutations (with the offending row number), on rows
+    missing a declared covariate, and on continuous covariate values that
+    are not finite numbers.
     """
     declarations = tuple(declarations)
     factor_decls = [d for d in declarations if d.kind == "factor"]
@@ -146,7 +160,7 @@ def aggregate(
     cells = []
     for rownum, (ranks, covs) in enumerate(rows, start=1):
         try:
-            ranks = validate_ranks(ranks, space.n_items)
+            cell = space.index_of_ranking(ranks)
         except RankingValidationError as exc:
             raise RankingValidationError(f"row {rownum}: {exc}") from exc
         for decl in declarations:
@@ -158,9 +172,12 @@ def aggregate(
                 raise DataError(
                     f"row {rownum}: level {lev!r} not among declared levels of {d.name!r}"
                 )
-        ckey = tuple(float(covs[d.name]) for d in cont_decls)
+        try:
+            ckey = tuple(_continuous_value(d.name, covs[d.name]) for d in cont_decls)
+        except DataError as exc:
+            raise DataError(f"row {rownum}: {exc}") from exc
         keys.append(fkey + ckey)
-        cells.append(space.index_of_ranking(ranks))
+        cells.append(cell)
     if not keys:
         raise DataError("no usable rows to aggregate")
 
@@ -228,8 +245,9 @@ def read_ranking_csv(
     ``ranking_format`` must be declared ("ranks" or "orders"); the two
     encodings are mutual inverses and are never auto-detected. Rows with
     blank cells in any used column are skipped and counted as rejected;
-    rows with present but invalid values (ties, rank gaps, bad numbers)
-    abort with the offending line number.
+    rows with present but invalid values (ties, rank gaps, bad numbers,
+    continuous covariates that are not finite numbers) abort with the
+    offending line number.
     """
     if ranking_format not in ("ranks", "orders"):
         raise DataError(f"unknown ranking_format {ranking_format!r}")
@@ -268,6 +286,12 @@ def read_ranking_csv(
             except RankingValidationError as exc:
                 raise RankingValidationError(f"line {lineno}: {exc}") from exc
             covs = {d.name: rec[covariate_columns[d.name]] for d in declarations}
+            try:
+                for d in declarations:
+                    if d.kind == "continuous":
+                        covs[d.name] = _continuous_value(d.name, covs[d.name])
+            except DataError as exc:
+                raise DataError(f"line {lineno}: {exc}") from exc
             rows.append((ranks, covs))
             for name in extra_columns:
                 extras[name].append(rec[name])

@@ -12,12 +12,19 @@ maximized exactly. Monotone log-likelihood ascent is enforced by step
 halving inside the scoring loop.
 
 Because the pattern model is log-linear in the net-win score vector s,
-each scoring step needs only per-block moments of s. A (set, class) block
-with expected total n, observed score total t and pattern probabilities p
-contributes A' (t - n E[s]) to the score and n A' Cov[s] A to the
-information, with Cov[s] = E[s s'] - E[s] E[s]'. E[s] is one matrix
-product of p with the score matrix, and E[s s'] one with the per-pattern
-table of score products s_i s_j.
+the data enter each fit only through the observed cells (the (set,
+pattern) pairs with a nonzero count, listed once by ``Design``): the E
+step, the log-likelihood and the expected counts are (nnz, R) arrays
+there. A (set, class) block with expected total n, observed score total
+t and pattern probabilities p contributes A' (t - n E[s]) to the score,
+n A' Cov[s] A to the information, and t . a - n log Z to the
+expected-count log-likelihood, with Cov[s] = E[s s'] - E[s] E[s]'. The
+pattern space enters only through ``Design.log_normalizer``, which gives
+each block's log Z and p: a step-halving trial needs log Z alone, and
+the accepted trial's p gives E[s] by one matrix product with the score
+matrix and E[s s'] by one with the per-pattern table of score products
+s_i s_j. No (K, L, R) array is built inside the EM loop unless a
+callback asks for the dense posterior weights.
 
 Several independent chains are run from random starts; the chain with the
 best final likelihood wins. Chains that collapse a class (vanishing mass
@@ -38,7 +45,8 @@ from .model import (
     Design,
     ModelSpec,
     Parameters,
-    _mixture_loglik,
+    _coefficient_score,
+    _observed_loglik,
     _posteriors,
     bic,
     count_parameters,
@@ -150,26 +158,20 @@ def e_step(params: Parameters, design: Design) -> np.ndarray:
 _INFO_PATH = ["einsum_path", (0, 2), (0, 2), (0, 1)]
 
 
-def _block_rows(x: np.ndarray) -> np.ndarray:
-    """A (K, L, R) cell array as one row of L patterns per (set, class) block."""
-    K, L, R = x.shape
-    return x.transpose(0, 2, 1).reshape(K * R, L)
-
-
 def _moments_information(p: np.ndarray, design: Design, A: np.ndarray,
                          m_plus: np.ndarray):
     """Per-block score means E[s] (K, R, J) and the information over ``A``.
 
-    ``p`` holds the pattern probabilities (K, L, R). The information is
-    sum_kr m_plus[k, r] A_kr' Cov_kr[s] A_kr, where the block covariance
-    Cov[s] = E[s s'] - E[s] E[s]' takes its second moments from one product
-    with the design's score-product table.
+    ``p`` holds the pattern probabilities as one row per (set, class)
+    block, (K * R, L), as :meth:`Design.log_normalizer` returns them. The
+    information is sum_kr m_plus[k, r] A_kr' Cov_kr[s] A_kr, where the
+    block covariance Cov[s] = E[s s'] - E[s] E[s]' takes its second moments
+    from one product with the design's score-product table.
     """
-    K, _, R = p.shape
+    K, R = m_plus.shape
     J = design.n_items
-    rows = _block_rows(p)
-    mean = (rows @ design.S).reshape(K, R, J)
-    cov = (rows @ design.score_products).reshape(K, R, J, J)
+    mean = design.score_means(p)
+    cov = (p @ design.score_products).reshape(K, R, J, J)
     cov -= mean[:, :, :, None] * mean[:, :, None, :]
     info = np.einsum("kr,ikrc,krij,jkrd->cd", m_plus, A, cov, A,
                      optimize=_INFO_PATH)
@@ -198,35 +200,37 @@ def fit_structural(
 ) -> np.ndarray:
     """Maximize sum m[k,l,r] log P[k,l,r] over the structural coefficients.
 
-    ``m`` holds the (possibly fractional) expected counts. ``fixed_zero``
+    ``m`` holds the (possibly fractional) expected counts, either dense
+    (K, L, R) or at the design's observed cells (nnz, R); a dense array
+    is gathered at the observed cells, where the counts are. ``fixed_zero``
     names coefficient indices constrained to zero (their columns leave the
     design); ``penalty`` adds a quadratic ridge on one coefficient, used
     to pin it near zero without dropping the column.
 
     Each Newton step forms the information from the per-block covariance
     of the net-win scores, Cov[s] = E[s s'] - E[s] E[s]', whose second
-    moments come from the design's score-product table; the observed
-    score totals and the saturated part of the deviance depend on ``m``
-    alone and are computed once per call.
+    moments come from the design's score-product table. The block totals,
+    the observed score totals and the saturated part of the deviance
+    depend on ``m`` alone and are computed once per call, so a
+    step-halving trial needs only the block log-normalizers.
     """
     fixed = np.zeros(design.n_coefficients, dtype=bool)
     fixed[list(fixed_zero)] = True
     free = np.nonzero(~fixed)[0]
     A = design.A[..., free]
     names = [design.coefficients[i].name for i in free]
-    S = design.S
 
     beta = np.zeros(design.n_coefficients)
     if start is not None:
         beta = np.asarray(start, dtype=np.float64).copy()
         beta[fixed] = 0.0
 
-    m = np.asarray(m, dtype=np.float64)
-    m_plus = m.sum(axis=1)  # (K, R)
-    K, _, R = m.shape
+    m = design.cell_values(m)
+    m_plus, observed = design.block_totals(m)
     with np.errstate(divide="ignore", invalid="ignore"):
-        saturated = np.where(m > 0, m * np.log(m / m_plus[:, None, :]), 0.0).sum()
-    observed = (_block_rows(m) @ S).reshape(K, R, design.n_items)
+        saturated = np.where(
+            m > 0, m * np.log(m / m_plus[design.cell_set]), 0.0
+        ).sum()
 
     pen_pos = None
     strength = 0.0
@@ -236,18 +240,23 @@ def fit_structural(
             raise ValueError("cannot penalize a coefficient fixed at zero")
         pen_pos = int(np.nonzero(free == idx)[0][0])
 
-    def penalized_deviance(b, logp_b):
-        d = 2.0 * (saturated - float(np.sum(m * logp_b)))
+    def penalized_deviance(b):
+        """Deviance at ``b`` and the block pattern probabilities there."""
+        a = design.block_effects(b)
+        log_z, p_b = design.log_normalizer(a)
+        # sum m log P = sum_kr (t . a - m_plus log Z)
+        loglik = float(np.vdot(observed, a) - np.vdot(m_plus, log_z))
+        d = 2.0 * (saturated - loglik)
         if pen_pos is not None:
             d += 2.0 * strength * b[free][pen_pos] ** 2
-        return d
+        return d, p_b
 
-    logp = design.log_pattern_probs(beta)
-    dev = penalized_deviance(beta, logp)
+    dev, p = penalized_deviance(beta)
 
     for iteration in range(1, max_iter + 1):
-        mean, info = _moments_information(np.exp(logp), design, A, m_plus)
-        score = np.einsum("krj,jkrc->c", observed - m_plus[:, :, None] * mean, A)
+        mean, info = _moments_information(p, design, A, m_plus)
+        del p  # freed before the trials allocate theirs
+        score = _coefficient_score(A, observed, m_plus, mean)
         if pen_pos is not None:
             score[pen_pos] -= 2.0 * strength * beta[free][pen_pos]
             info[pen_pos, pen_pos] += 2.0 * strength
@@ -263,15 +272,15 @@ def fit_structural(
         for _ in range(40):
             trial = beta.copy()
             trial[free] = beta[free] + step * direction
-            logp_try = design.log_pattern_probs(trial)
-            dev_try = penalized_deviance(trial, logp_try)
+            dev_try, p = penalized_deviance(trial)
             if dev_try <= dev + slack:
                 accepted = True
                 break
+            del p
             step *= 0.5
         if not accepted:
             raise IrlsDivergenceError(iteration, dev, dev_try)
-        beta, logp = trial, logp_try
+        beta = trial
         change = dev - dev_try
         dev = dev_try
         if abs(change) <= tol * max(abs(dev), 1.0):
@@ -286,14 +295,15 @@ def structural_information(
 
     This is the information the final scoring pass sees with the posterior
     weights treated as known, with the per-(set, class) nuisance totals
-    profiled out.
+    profiled out. ``m`` is dense (K, L, R) or at the observed cells
+    (nnz, R), as in :func:`fit_structural`.
     """
     fixed = np.zeros(design.n_coefficients, dtype=bool)
     fixed[list(fixed_zero)] = True
     free = np.nonzero(~fixed)[0]
     A = design.A[..., free]
-    m_plus = np.asarray(m, dtype=np.float64).sum(axis=1)
-    p = np.exp(design.log_pattern_probs(coefficients))
+    m_plus = design.set_sums(design.cell_values(m))
+    _, p = design.log_normalizer(design.block_effects(coefficients))
     return _moments_information(p, design, A, m_plus)[1]
 
 
@@ -309,14 +319,15 @@ def m_step(
 ) -> Parameters:
     """One M step: update mixing weights, then refit the coefficients.
 
-    The mixing update is the respondent-weighted posterior share
-    sum_{l,k} n w / N, which maximizes the expected complete-data
-    likelihood of the aggregated mixture.
+    ``w`` holds the posterior class weights, dense (K, L, R) or at the
+    design's observed cells (nnz, R). The mixing update is the
+    respondent-weighted posterior share sum_{l,k} n w / N, which maximizes
+    the expected complete-data likelihood of the aggregated mixture.
     """
     config = config or FitConfig()
-    counts = data.counts.astype(np.float64)
-    m = counts[:, :, None] * w
-    mixing = m.sum(axis=(0, 1)) / counts.sum()
+    design.check_data(data)
+    m = design.cell_counts[:, None] * design.cell_values(w)
+    mixing = m.sum(axis=0) / design.cell_counts.sum()
     mixing = mixing / mixing.sum()
     if min_mass > 0 and mixing.min() < min_mass:
         raise DegenerateClassError(
@@ -360,23 +371,27 @@ def run_chain(
 ) -> _Chain:
     """Run one EM chain to convergence (or the iteration cap).
 
-    ``initial_weights`` lets the first M step consume given posterior
-    weights instead of an E step, which is how constrained refits resume
-    from a converged fit.
+    ``initial_weights`` (K, L, R) lets the first M step consume given
+    posterior weights instead of an E step, which is how constrained
+    refits resume from a converged fit. The chain works on the observed
+    cells; ``callback(iteration, params, w, loglik)`` receives the dense
+    (K, L, R) weights of the iteration's M step, built only for it.
     """
+    design.check_data(data)
     params = start
     # one normalizer per parameter point: it gives the log-likelihood and
     # the next E step's posterior weights
-    logp = design.log_pattern_probs(params.coefficients)
-    loglik, dev = _mixture_loglik(logp, params.mixing, data)
+    logp, _ = design.cell_log_probs(params.coefficients)
+    loglik, dev = _observed_loglik(design, logp, params.mixing)
     trace = [dev]
     converged = degenerate = False
     message = None
     n_iter = 0
     for iteration in range(1, config.max_iter + 1):
-        w = initial_weights if (iteration == 1 and initial_weights is not None) \
-            else _posteriors(logp, params.mixing)
-        del logp  # unused by the M step; freeing it keeps its peak memory flat
+        resume = iteration == 1 and initial_weights is not None
+        w = initial_weights if resume else _posteriors(logp, params.mixing)
+        if callback is not None:
+            dense_w = initial_weights if resume else posterior_weights(params, design)
         try:
             params = m_step(
                 w,
@@ -396,12 +411,12 @@ def run_chain(
             degenerate = True
             message = f"class offset reached {np.abs(offsets).max():.3g}"
             break
-        logp = design.log_pattern_probs(params.coefficients)
-        loglik, dev_new = _mixture_loglik(logp, params.mixing, data)
+        logp, _ = design.cell_log_probs(params.coefficients)
+        loglik, dev_new = _observed_loglik(design, logp, params.mixing)
         n_iter = iteration
         trace.append(dev_new)
         if callback is not None:
-            callback(iteration, params, w, loglik)
+            callback(iteration, params, dense_w, loglik)
         if abs(dev_new - dev) < config.tol:
             converged = True
             dev = dev_new

@@ -16,10 +16,19 @@ with the last item as reference (all its coefficients fixed at 0), the
 first factor level as reference, and the last class as reference
 (offset 0). Class r carries mixing weight q_r; the observed-data
 likelihood multiplies sum_r q_r P_lkr over cells to the power n_lk.
+
+The fit works on the observed cells, the (set, pattern) pairs with a
+nonzero count, which ``Design`` lists once, sorted by set. At a cell,
+log P_lkr = s_l . a_kr - log Z_kr, so the J! pattern space enters only
+through each (set, class) block's log-normalizer log Z_kr and its score
+moments, and ``Design.log_normalizer`` is the one kernel that enumerates
+it. The dense (K, L, R) functions (``log_pattern_probs``,
+``posterior_weights``) serve callers that want every cell.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 
@@ -104,8 +113,10 @@ class Design:
     """Resolved design linking a ModelSpec to an aggregated data set.
 
     Builds the coefficient list, the (J, K, R, p) tensor mapping the
-    coefficient vector to per-(item, covariate set, class) effects, and
-    the per-pattern table of net-win score products.
+    coefficient vector to per-(item, covariate set, class) effects, the
+    per-pattern table of net-win score products, and the observed-cell
+    layout: the set, pattern, count and score row of every cell with a
+    nonzero count, sorted by set.
     """
 
     def __init__(self, spec: ModelSpec, data: AggregatedData):
@@ -120,6 +131,16 @@ class Design:
         # probabilities gives every block's second score moments
         self.score_products = (self.S[:, :, None] * self.S[:, None, :]).reshape(
             self.S.shape[0], -1
+        )
+        # np.nonzero walks the table row by row, so the cells come sorted
+        # by set and each set's cells are one contiguous run
+        self.cell_set, self.cell_pattern = np.nonzero(data.counts)
+        self.cell_counts = data.counts[self.cell_set, self.cell_pattern].astype(
+            np.float64
+        )
+        self.cell_scores = self.S[self.cell_pattern]  # (nnz, J)
+        self._observed_sets, self._set_starts = np.unique(
+            self.cell_set, return_index=True
         )
         self.coefficients: list[Coefficient] = []
         J, K, R = spec.n_items, data.n_sets, spec.n_classes
@@ -235,9 +256,13 @@ class Design:
         R = self.n_classes
         return Parameters(np.zeros(self.n_coefficients), np.full(R, 1.0 / R))
 
+    def block_effects(self, coefficients: np.ndarray) -> np.ndarray:
+        """Item effects per (covariate set, class) block, shaped (K, R, J)."""
+        return np.einsum("jkrc,c->krj", self.A, coefficients)
+
     def item_effects(self, coefficients: np.ndarray) -> np.ndarray:
         """Per-(item, covariate set, class) effects a_ikr, reference rows 0."""
-        return np.einsum("jkrc,c->jkr", self.A, coefficients)
+        return self.block_effects(coefficients).transpose(2, 0, 1)
 
     def eta(self, coefficients: np.ndarray) -> np.ndarray:
         """Linear predictors for all cells, shaped (K, L, R)."""
@@ -252,7 +277,89 @@ class Design:
     def log_pattern_probs(self, coefficients: np.ndarray) -> np.ndarray:
         """log P_lkr, normalized over patterns within each (k, r); (K, L, R)."""
         e = self.eta(coefficients)
-        return e - _logsumexp(e, axis=1)
+        e -= _logsumexp(e, axis=1)
+        return e
+
+    def log_normalizer(self, a: np.ndarray):
+        """Per-block log-normalizers and pattern probabilities.
+
+        ``a`` holds the item effects (K, R, J). Returns log Z (K, R), with
+        Z_kr = sum_l exp(s_l . a_kr), and the pattern probabilities as one
+        row of L patterns per block, (K * R, L), in (set, class) order.
+        This is the only computation of the fit that visits every pattern.
+        """
+        K, R, J = a.shape
+        p = a.reshape(K * R, J) @ self.S.T
+        shift = p.max(axis=1, keepdims=True)
+        p -= shift
+        np.exp(p, out=p)
+        z = p.sum(axis=1, keepdims=True)
+        p /= z
+        return (np.log(z) + shift).reshape(K, R), p
+
+    def cell_log_probs(self, coefficients: np.ndarray):
+        """log P at the observed cells, (nnz, R), and the block probabilities.
+
+        The second value is the pattern-probability rows of
+        :meth:`log_normalizer`.
+        """
+        a = self.block_effects(coefficients)
+        log_z, p = self.log_normalizer(a)
+        eta = np.einsum("nj,nrj->nr", self.cell_scores, a[self.cell_set])
+        return eta - log_z[self.cell_set], p
+
+    def score_means(self, p: np.ndarray) -> np.ndarray:
+        """E[s] per block, (K, R, J), from the probability rows (K * R, L)."""
+        return (p @ self.S).reshape(self.n_sets, self.n_classes, self.n_items)
+
+    def cell_values(self, x) -> np.ndarray:
+        """A per-cell, per-class array at the observed cells, shaped (nnz, R).
+
+        A dense (K, L, R) array is gathered at the observed cells; entries
+        at cells with a zero count are dropped. An (nnz, R) array passes
+        through.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        dense = (self.n_sets, self.n_patterns, self.n_classes)
+        if x.shape == dense:
+            return x[self.cell_set, self.cell_pattern]
+        if x.shape != (self.cell_set.size, self.n_classes):
+            raise ValueError(
+                f"cell array of shape {x.shape}: expected {dense} or "
+                f"({self.cell_set.size}, {self.n_classes}) observed cells"
+            )
+        return x
+
+    def set_sums(self, x: np.ndarray) -> np.ndarray:
+        """Per-set sums of a cell array (nnz, ...), shaped (K, ...)."""
+        out = np.zeros((self.n_sets,) + x.shape[1:])
+        out[self._observed_sets] = np.add.reduceat(x, self._set_starts, axis=0)
+        return out
+
+    def block_totals(self, m: np.ndarray):
+        """Block totals m_plus (K, R) and score totals t (K, R, J) of cell counts m.
+
+        t[k, r] = sum over the set's cells of m[cell, r] * s_l.
+        """
+        m_plus = self.set_sums(m)
+        t = self.set_sums(m[:, :, None] * self.cell_scores[:, None, :])
+        return m_plus, t
+
+    @functools.cached_property
+    def saturated_loglik(self) -> float:
+        """Log-likelihood of the saturated multinomial (one probability per cell)."""
+        totals = self.set_sums(self.cell_counts)
+        if np.any(totals <= 0):
+            empty = np.nonzero(totals <= 0)[0]
+            raise DataError(f"covariate sets with no respondents: {empty.tolist()}")
+        n = self.cell_counts
+        return float(n @ np.log(n / totals[self.cell_set]))
+
+    def check_data(self, data: AggregatedData):
+        """Raise unless ``data`` holds the count table the design was built on."""
+        if data is not self.data and not np.array_equal(data.counts,
+                                                        self.data.counts):
+            raise DataError("data do not match the count table of the design")
 
     def pattern_probs(
         self, coefficients: np.ndarray, covariate_set: int, cls: int
@@ -300,22 +407,40 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     """
     shift = np.max(a, axis=axis, keepdims=True)
     shift[~np.isfinite(shift)] = 0.0
+    e = a - shift
+    np.exp(e, out=e)
     with np.errstate(divide="ignore"):
-        return np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True)) + shift
+        return np.log(np.sum(e, axis=axis, keepdims=True)) + shift
 
 
 def _log_mixture(logp: np.ndarray, mixing: np.ndarray) -> np.ndarray:
-    return _logsumexp(logp + np.log(mixing)[None, None, :], axis=2)[:, :, 0]
+    """log sum_r q_r P_r over the last (class) axis of ``logp``."""
+    return _logsumexp(logp + np.log(mixing), axis=-1)[..., 0]
 
 
 def _posteriors(logp: np.ndarray, mixing: np.ndarray) -> np.ndarray:
-    joint = logp + np.log(mixing)[None, None, :]
-    return np.exp(joint - _logsumexp(joint, axis=2))
+    """Posterior class probabilities over the last axis; overwrites ``logp``.
+
+    A softmax in place: besides ``logp`` it allocates only arrays reduced
+    over the class axis.
+    """
+    logp += np.log(mixing)
+    logp -= logp.max(axis=-1, keepdims=True)
+    np.exp(logp, out=logp)
+    logp /= logp.sum(axis=-1, keepdims=True)
+    return logp
 
 
-def _mixture_loglik(logp: np.ndarray, mixing: np.ndarray, data: AggregatedData):
-    loglik = float(np.sum(data.counts * _log_mixture(logp, mixing)))
-    return loglik, 2.0 * (saturated_loglik(data) - loglik)
+def _observed_loglik(design: Design, logp: np.ndarray, mixing: np.ndarray):
+    """Log-likelihood and deviance from log P at the observed cells (nnz, R)."""
+    loglik = float(design.cell_counts @ _log_mixture(logp, mixing))
+    return loglik, 2.0 * (design.saturated_loglik - loglik)
+
+
+def _coefficient_score(A: np.ndarray, t: np.ndarray, m_plus: np.ndarray,
+                       mean: np.ndarray) -> np.ndarray:
+    """Score over the columns of ``A``: sum_kr A_kr' (t_kr - m_plus_kr E_kr[s])."""
+    return np.einsum("krj,jkrc->c", t - m_plus[:, :, None] * mean, A)
 
 
 def log_mixture_probs(params: Parameters, design: Design) -> np.ndarray:
@@ -328,18 +453,6 @@ def posterior_weights(params: Parameters, design: Design) -> np.ndarray:
     return _posteriors(design.log_pattern_probs(params.coefficients), params.mixing)
 
 
-def saturated_loglik(data: AggregatedData) -> float:
-    """Log-likelihood of the saturated multinomial (one probability per cell)."""
-    counts = data.counts.astype(np.float64)
-    totals = counts.sum(axis=1)
-    if np.any(totals <= 0):
-        empty = np.nonzero(totals <= 0)[0]
-        raise DataError(f"covariate sets with no respondents: {empty.tolist()}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = counts * np.log(counts / totals[:, None])
-    return float(np.where(counts > 0, terms, 0.0).sum())
-
-
 def mixture_loglik(
     params: Parameters, design: Design, data: AggregatedData
 ) -> tuple[float, float]:
@@ -350,8 +463,9 @@ def mixture_loglik(
     equivalent Poisson log-linear fit, so differences between models are
     likelihood-ratio statistics.
     """
-    logp = design.log_pattern_probs(params.coefficients)
-    return _mixture_loglik(logp, params.mixing, data)
+    design.check_data(data)
+    logp, _ = design.cell_log_probs(params.coefficients)
+    return _observed_loglik(design, logp, params.mixing)
 
 
 def mixture_score(
@@ -362,19 +476,15 @@ def mixture_score(
     Returns the score over (structural coefficients, free log-mass
     parameters), where the mass parameterization is q_r = softmax with the
     last class pinned at 0. The coefficient block is the posterior-weighted
-    multinomial score; the mass block is N * (posterior share - q).
+    multinomial score, A' (t - m_plus E[s]) summed over (set, class)
+    blocks; the mass block is N * (posterior share - q).
     """
-    logp = design.log_pattern_probs(params.coefficients)
-    w = _posteriors(logp, params.mixing)
-    counts = data.counts.astype(np.float64)
-    m = counts[:, :, None] * w
-    m_plus = m.sum(axis=1)  # (K, R)
-    p = np.exp(logp)
-    resid = m - m_plus[:, None, :] * p
-    g_items = np.einsum("klr,lj->jkr", resid, design.S)
-    score_coef = np.einsum("jkr,jkrc->c", g_items, design.A)
-    share = m.sum(axis=(0, 1))
-    score_mass = share[:-1] - counts.sum() * params.mixing[:-1]
+    design.check_data(data)
+    logp, p = design.cell_log_probs(params.coefficients)
+    m = design.cell_counts[:, None] * _posteriors(logp, params.mixing)
+    m_plus, t = design.block_totals(m)
+    score_coef = _coefficient_score(design.A, t, m_plus, design.score_means(p))
+    score_mass = m.sum(axis=0)[:-1] - design.cell_counts.sum() * params.mixing[:-1]
     return np.concatenate([score_coef, score_mass])
 
 

@@ -149,9 +149,16 @@ class PatternSpace:
         return self.patterns.shape[0]
 
     def index_of_ranking(self, ranks) -> int:
-        """Canonical pattern index of a complete ranking."""
-        ranks = validate_ranks(ranks, self.n_items)
-        return self._index[tuple(ranks.tolist())]
+        """Canonical pattern index of a complete ranking.
+
+        Raises :class:`RankingValidationError` when ``ranks`` is not a
+        complete ranking of the space's items.
+        """
+        try:
+            return self._index[tuple(np.asarray(ranks).tolist())]
+        except (KeyError, TypeError):
+            # not one of the J! rankings: validation words the error
+            return self._index[tuple(validate_ranks(ranks, self.n_items).tolist())]
 
     def score_matrix(self) -> np.ndarray:
         """(L, J) matrix of net wins: wins minus losses per item.

@@ -125,6 +125,24 @@ class TestFit:
         assert len(err.strip().splitlines()) == 1
         assert "line 3" in err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_continuous_covariate_exits_one_citing_line(
+        self, tmp_path, capsys, cell
+    ):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"A,B,C,x\n1,2,3,0.5\n2,1,3,{cell}\n3,1,2,1.5\n")
+        cfg = fit_config(
+            tmp_path, bad,
+            covariates=[{"name": "x", "type": "continuous"}],
+            terms=["x"], classes=1,
+        )
+        assert main(["fit", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+        assert "line 3" in err
+        assert "Warning" not in err
+
     def test_capacity_error_for_too_many_items(self, tmp_path, sim_csv, capsys):
         cfg = fit_config(tmp_path, sim_csv,
                          items=[f"i{k}" for k in range(9)])

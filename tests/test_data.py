@@ -80,6 +80,13 @@ class TestAggregate:
         assert float(np.average(z, weights=weights)) == pytest.approx(0.0, abs=1e-12)
         assert float(np.average(z**2, weights=weights)) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_continuous_covariate_cites_row(self, space3, value):
+        decls = [CovariateDecl("x", "continuous")]
+        covs = [{"x": 1.0}, {"x": value}]
+        with pytest.raises(DataError, match="row 2"):
+            aggregate(space3, rows_of([[1, 2, 3]] * 2, covs), decls)
+
     @given(st.lists(st.permutations([1, 2, 3]), min_size=1, max_size=40))
     def test_count_preservation_property(self, rankings):
         space = shared_space(3)
@@ -130,6 +137,14 @@ class TestCsvIngest:
         path = self.write(tmp_path, f"a,b,c\n1,2,3\n{cell},2,3\n")
         with pytest.raises(RankingValidationError, match="line 3"):
             read_ranking_csv(path, space3, ["a", "b", "c"], [])
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_continuous_covariate_cites_line(self, tmp_path, space3,
+                                                        cell):
+        path = self.write(tmp_path, f"a,b,c,x\n1,2,3,0.5\n2,1,3,{cell}\n")
+        with pytest.raises(DataError, match="line 3"):
+            read_ranking_csv(path, space3, ["a", "b", "c"],
+                             [CovariateDecl("x", "continuous")])
 
     def test_order_format_declared_not_detected(self, tmp_path, space3):
         # same file read under both declarations gives inverse permutations

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rankmix.fitting as fitting
-from rankmix.data import CovariateDecl, aggregate
+from rankmix.data import CovariateDecl, DataError, aggregate
 from rankmix.fitting import (
     FitConfig,
     FitError,
@@ -16,6 +16,7 @@ from rankmix.fitting import (
     fit_structural,
     init_start,
     m_step,
+    run_chain,
     search_classes,
     compare_term_models,
     split_largest_class,
@@ -238,6 +239,91 @@ class TestStructuralInformation:
         info = structural_information(design, coefs, m, fixed_zero=(fixed,))
         assert info.shape == (free.size, free.size)
         assert info == pytest.approx(-hess, rel=1e-5, abs=1e-5)
+
+
+class TestObservedCells:
+    """The EM loop works on the cells with a nonzero count; these checks use
+    a table where most of the (set, pattern) cells are empty."""
+
+    @staticmethod
+    def instance():
+        # J=4, R=2, one factor term and one continuous term: 40 respondents
+        # over 6 sets x 24 patterns, so at most 40 of 144 cells are filled
+        rng = np.random.default_rng(23)
+        space = shared_space(4)
+        rows = [
+            (rng.permutation(4) + 1,
+             {"g": str(rng.choice(["a", "b"])),
+              "x": float(rng.choice([-1.0, 0.5, 2.0]))})
+            for _ in range(40)
+        ]
+        data = aggregate(space, rows, [CovariateDecl("g", "factor"),
+                                       CovariateDecl("x", "continuous")])
+        design = Design(ModelSpec(("A", "B", "C", "D"), ("g", "x"), 2), data)
+        assert np.count_nonzero(data.counts) < data.n_cells / 3
+        return design, data
+
+    def test_em_loglik_matches_oracle_each_iteration(self):
+        design, data = self.instance()
+        seen = []
+
+        def record(iteration, params, w, loglik):
+            seen.append((params.copy(), loglik))
+
+        start = init_start(5, design, scale=1.0)
+        run_chain(design, data, start, FitConfig(max_iter=6, tol=1e-12),
+                  callback=record)
+        assert len(seen) == 6
+        for params, loglik in seen:
+            effects = design.item_effects(params.coefficients)
+            table = {(k, r): effects[:, k, r]
+                     for k in range(design.n_sets) for r in range(2)}
+            direct = oracles.mixture_loglik_direct(data.counts, table,
+                                                   params.mixing)
+            assert loglik == pytest.approx(direct, abs=1e-9)
+
+    def test_m_step_dense_and_cell_weights_bit_identical(self):
+        design, data = self.instance()
+        rng = np.random.default_rng(4)
+        w = rng.dirichlet(np.ones(2), size=data.counts.shape)
+        start = init_start(8, design)
+        dense = m_step(w, design, data, start=start)
+        cells = m_step(design.cell_values(w), design, data, start=start)
+        assert np.array_equal(dense.coefficients, cells.coefficients)
+        assert np.array_equal(dense.mixing, cells.mixing)
+
+    def test_mismatched_weights_or_data_are_rejected(self):
+        design, data = self.instance()
+        with pytest.raises(ValueError, match="cell array"):
+            m_step(np.ones((design.n_sets, 3, 2)), design, data)
+        other, _ = small_design(2)
+        w = np.full((other.cell_set.size, 2), 0.5)
+        with pytest.raises(DataError, match="count table"):
+            m_step(w, other, data)
+
+    def test_covariate_set_without_respondents_is_an_error(self):
+        data = make_data(3, np.array([[4, 1, 2, 0, 3, 1], [0, 0, 0, 0, 0, 0]]),
+                         factor_levels=["a", "b"])
+        spec = ModelSpec(("A", "B", "C"), ("g",), 2)
+        with pytest.raises(DataError, match="no respondents: \\[1\\]"):
+            fit(spec, data, FitConfig(n_starts=2, seed=1))
+
+    def test_em_loop_builds_no_dense_cell_array(self, monkeypatch):
+        design, data = self.instance()
+        calls = []
+        dense = Design.log_pattern_probs
+
+        def counted(self, coefficients):
+            calls.append(1)
+            return dense(self, coefficients)
+
+        monkeypatch.setattr(Design, "log_pattern_probs", counted)
+        start = init_start(5, design)
+        config = FitConfig(max_iter=4, tol=1e-12)
+        run_chain(design, data, start, config)
+        assert calls == []
+        run_chain(design, data, start, config, callback=lambda *args: None)
+        assert len(calls) == 4
 
 
 class TestFit:
