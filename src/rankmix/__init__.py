@@ -18,7 +18,6 @@ from .fitting import (
     FitConfig,
     FitError,
     FitResult,
-    e_step,
     fit,
     init_start,
     m_step,
@@ -66,7 +65,6 @@ __all__ = [
     "aggregate",
     "bic",
     "count_parameters",
-    "e_step",
     "enumerate_transitive_patterns",
     "fit",
     "init_start",

@@ -15,16 +15,19 @@ Because the pattern model is log-linear in the net-win score vector s,
 the data enter each fit only through the observed cells (the (set,
 pattern) pairs with a nonzero count, listed once by ``Design``): the E
 step, the log-likelihood and the expected counts are (nnz, R) arrays
-there. A (set, class) block with expected total n, observed score total
-t and pattern probabilities p contributes A' (t - n E[s]) to the score,
-n A' Cov[s] A to the information, and t . a - n log Z to the
-expected-count log-likelihood, with Cov[s] = E[s s'] - E[s] E[s]'. The
-pattern space enters only through ``Design.log_normalizer``, which gives
-each block's log Z and p: a step-halving trial needs log Z alone, and
-the accepted trial's p gives E[s] by one matrix product with the score
-matrix and E[s s'] by one with the per-pattern table of score products
-s_i s_j. No (K, L, R) array is built inside the EM loop unless a
-callback asks for the dense posterior weights.
+there. The item effects of a (set, class) block are a = X B, with X
+the block's row of the design matrix (see ``Design``), so each
+coefficient is one (design column c, item i) pair. A block with expected
+total n, observed score total t and pattern probabilities p contributes
+X_c (t - n E[s])_i to the score, n X_c X_d Cov[s]_ij to the information
+entry of (c, i) and (d, j), and t . a - n log Z to the expected-count
+log-likelihood, with Cov[s] = E[s s'] - E[s] E[s]'. The pattern space
+enters only through ``Design.log_normalizer``, which gives each block's
+log Z and p: a step-halving trial needs log Z alone, and the accepted
+trial's p gives E[s] by one matrix product with the score matrix and
+E[s s'] by one with the per-pattern table of score products s_i s_j.
+No (K, L, R) array is built inside the EM loop unless a callback asks
+for the dense posterior weights.
 
 Several independent chains are run from random starts; the chain with the
 best final likelihood wins. Chains that collapse a class (vanishing mass
@@ -148,34 +151,28 @@ def init_start(seed, design: Design, scale: float = 0.5) -> Parameters:
     return Parameters(coefs, mixing)
 
 
-def e_step(params: Parameters, design: Design) -> np.ndarray:
-    """Posterior class weights w[k, l, r], computed in log space."""
-    return posterior_weights(params, design)
-
-
-# contraction order for sum_kr m_plus A' Cov[s] A: weight each block's
-# covariance by its total, contract one side with A, then the other
-_INFO_PATH = ["einsum_path", (0, 2), (0, 2), (0, 1)]
-
-
-def _moments_information(p: np.ndarray, design: Design, A: np.ndarray,
-                         m_plus: np.ndarray):
-    """Per-block score means E[s] (K, R, J) and the information over ``A``.
+def _moments_information(p: np.ndarray, design: Design, m_plus: np.ndarray):
+    """Per-block score means E[s] (K, R, J) and the full information matrix.
 
     ``p`` holds the pattern probabilities as one row per (set, class)
     block, (K * R, L), as :meth:`Design.log_normalizer` returns them. The
-    information is sum_kr m_plus[k, r] A_kr' Cov_kr[s] A_kr, where the
-    block covariance Cov[s] = E[s s'] - E[s] E[s]' takes its second moments
-    from one product with the design's score-product table.
+    entry for coefficients (c, i) and (d, j) is
+    sum_kr m_plus[k, r] X_krc X_krd Cov_kr[s]_ij over the non-reference
+    items, one matrix product of the weighted column products with the
+    block covariances Cov[s] = E[s s'] - E[s] E[s]', whose second moments
+    come from one product with the design's score-product table.
     """
-    K, R = m_plus.shape
-    J = design.n_items
+    KR = p.shape[0]
+    J1 = design.n_items - 1
+    Q = design.X.shape[-1]
     mean = design.score_means(p)
-    cov = (p @ design.score_products).reshape(K, R, J, J)
-    cov -= mean[:, :, :, None] * mean[:, :, None, :]
-    info = np.einsum("kr,ikrc,krij,jkrd->cd", m_plus, A, cov, A,
-                     optimize=_INFO_PATH)
-    return mean, info
+    free_mean = mean[..., :-1].reshape(KR, J1)
+    cov = p @ design.score_products
+    cov -= (free_mean[:, :, None] * free_mean[:, None, :]).reshape(KR, -1)
+    X = design.X.reshape(KR, Q)
+    weights = (m_plus.reshape(KR, 1) * X)[:, :, None] * X[:, None, :]
+    info = (weights.reshape(KR, -1).T @ cov).reshape(Q, Q, J1, J1)
+    return mean, info.transpose(0, 2, 1, 3).reshape(Q * J1, Q * J1)
 
 
 def _diagnose_rank(info: np.ndarray, names: list[str]):
@@ -203,9 +200,10 @@ def fit_structural(
     ``m`` holds the (possibly fractional) expected counts, either dense
     (K, L, R) or at the design's observed cells (nnz, R); a dense array
     is gathered at the observed cells, where the counts are. ``fixed_zero``
-    names coefficient indices constrained to zero (their columns leave the
-    design); ``penalty`` adds a quadratic ridge on one coefficient, used
-    to pin it near zero without dropping the column.
+    names coefficient indices constrained to zero (their rows and columns
+    leave the score and the information); ``penalty`` adds a quadratic
+    ridge on one coefficient, used to pin it near zero without dropping
+    the column.
 
     Each Newton step forms the information from the per-block covariance
     of the net-win scores, Cov[s] = E[s s'] - E[s] E[s]', whose second
@@ -217,7 +215,7 @@ def fit_structural(
     fixed = np.zeros(design.n_coefficients, dtype=bool)
     fixed[list(fixed_zero)] = True
     free = np.nonzero(~fixed)[0]
-    A = design.A[..., free]
+    free_block = np.ix_(free, free)
     names = [design.coefficients[i].name for i in free]
 
     beta = np.zeros(design.n_coefficients)
@@ -254,9 +252,10 @@ def fit_structural(
     dev, p = penalized_deviance(beta)
 
     for iteration in range(1, max_iter + 1):
-        mean, info = _moments_information(p, design, A, m_plus)
+        mean, info = _moments_information(p, design, m_plus)
         del p  # freed before the trials allocate theirs
-        score = _coefficient_score(A, observed, m_plus, mean)
+        info = info[free_block]
+        score = _coefficient_score(design.X, observed, m_plus, mean)[free]
         if pen_pos is not None:
             score[pen_pos] -= 2.0 * strength * beta[free][pen_pos]
             info[pen_pos, pen_pos] += 2.0 * strength
@@ -301,10 +300,9 @@ def structural_information(
     fixed = np.zeros(design.n_coefficients, dtype=bool)
     fixed[list(fixed_zero)] = True
     free = np.nonzero(~fixed)[0]
-    A = design.A[..., free]
     m_plus = design.set_sums(design.cell_values(m))
     _, p = design.log_normalizer(design.block_effects(coefficients))
-    return _moments_information(p, design, A, m_plus)[1]
+    return _moments_information(p, design, m_plus)[1][np.ix_(free, free)]
 
 
 def m_step(
@@ -523,29 +521,25 @@ def split_largest_class(result: FitResult, new_design: Design,
     the symmetric stationary point.
     """
     old_design = result.design
-    coefs = result.params.coefficients
+    if new_design.spec != old_design.spec.with_classes(old_design.n_classes + 1):
+        raise ValueError("the new design must add one class to the fitted model")
     q = result.params.mixing
     c = int(np.argmax(q))
-    offsets = old_design.class_offsets(coefs)  # (J, R)
-    shift = offsets[:, c]
-
-    new_beta = np.zeros(new_design.n_coefficients)
-    for idx, coef in enumerate(new_design.coefficients):
-        if coef.kind == "class":
-            new_beta[idx] = offsets[coef.item, coef.class_index] - shift[coef.item]
-        elif coef.kind == "item":
-            new_beta[idx] = coefs[old_design.name_to_index[coef.name]] + shift[coef.item]
-        else:
-            new_beta[idx] = coefs[old_design.name_to_index[coef.name]]
+    n_cov = old_design.n_covariate_columns
+    offsets = old_design.class_offsets(result.params.coefficients)[:-1].T  # (R, J-1)
+    shift = offsets[c]
+    beta = np.vstack([
+        old_design.coefficient_matrix(result.params.coefficients)[:n_cov],
+        offsets - shift,
+    ])
+    beta[0] += shift  # the intercept column holds the item mains
     if jitter > 0:
         rng = np.random.default_rng(seed)
-        for idx, coef in enumerate(new_design.coefficients):
-            if coef.kind == "class":
-                new_beta[idx] += rng.normal(0.0, jitter)
+        beta[n_cov:] += rng.normal(0.0, jitter, size=offsets.shape)
 
     new_q = np.append(q.copy(), q[c] / 2.0)
     new_q[c] /= 2.0
-    return Parameters(new_beta, new_q)
+    return Parameters(beta.ravel(), new_q)
 
 
 @dataclass
@@ -567,6 +561,47 @@ class SearchResult:
     best_key: object | None  # class count or model label with the lowest BIC
 
 
+def _sweep(data: AggregatedData, config: FitConfig, models) -> SearchResult:
+    """Fit (label, key, spec) models in order and pick the lowest BIC.
+
+    A model that is the previous fit's model with one more class
+    warm-starts from it (exact duplicate split plus a jittered copy), which
+    keeps the deviance non-increasing across a class sweep. A ``FitError``
+    is recorded in the model's row and does not abort the rest.
+    """
+    rows: list[SearchRow] = []
+    fits: dict = {}
+    prev: FitResult | None = None
+    for label, key, spec in models:
+        extras = []
+        if prev is not None and spec == prev.spec.with_classes(
+                prev.spec.n_classes + 1):
+            new_design = Design(spec, data)
+            extras.append(split_largest_class(prev, new_design))
+            extras.append(
+                split_largest_class(prev, new_design, jitter=0.05,
+                                    seed=config.seed + spec.n_classes)
+            )
+        try:
+            res = fit(spec, data, config, extra_starts=extras)
+        except FitError as exc:
+            rows.append(SearchRow(label=label, n_classes=spec.n_classes,
+                                  deviance=None, minus_two_loglik=None,
+                                  n_params=None, bic=None, converged=None,
+                                  error=str(exc)))
+            continue
+        fits[key] = prev = res
+        rows.append(
+            SearchRow(label=label, n_classes=spec.n_classes,
+                      deviance=res.deviance,
+                      minus_two_loglik=res.minus_two_loglik,
+                      n_params=res.n_params, bic=res.bic,
+                      converged=res.converged)
+        )
+    best = min(fits, key=lambda k: fits[k].bic) if fits else None
+    return SearchResult(rows=rows, fits=fits, best_key=best)
+
+
 def search_classes(
     spec: ModelSpec,
     data: AggregatedData,
@@ -580,42 +615,13 @@ def search_classes(
     non-increasing across the sweep. Errors for one count are recorded
     and do not abort the rest of the sweep.
     """
-    config = config or FitConfig()
     class_range = list(class_range)
     if not class_range or any(
         b <= a for a, b in zip(class_range, class_range[1:])
     ):
         raise ValueError("class_range must be nonempty and ascending")
-    rows: list[SearchRow] = []
-    fits: dict[int, FitResult] = {}
-    prev: FitResult | None = None
-    for r in class_range:
-        spec_r = spec.with_classes(r)
-        extras = []
-        if prev is not None and r == prev.spec.n_classes + 1:
-            new_design = Design(spec_r, data)
-            extras.append(split_largest_class(prev, new_design))
-            extras.append(
-                split_largest_class(prev, new_design, jitter=0.05,
-                                    seed=config.seed + r)
-            )
-        try:
-            res = fit(spec_r, data, config, extra_starts=extras)
-        except FitError as exc:
-            rows.append(SearchRow(label=str(r), n_classes=r, deviance=None,
-                                  minus_two_loglik=None, n_params=None,
-                                  bic=None, converged=None, error=str(exc)))
-            continue
-        fits[r] = res
-        prev = res
-        rows.append(
-            SearchRow(label=str(r), n_classes=r, deviance=res.deviance,
-                      minus_two_loglik=res.minus_two_loglik,
-                      n_params=res.n_params, bic=res.bic,
-                      converged=res.converged)
-        )
-    best = min(fits, key=lambda r: fits[r].bic) if fits else None
-    return SearchResult(rows=rows, fits=fits, best_key=best)
+    return _sweep(data, config or FitConfig(),
+                  [(str(r), r, spec.with_classes(r)) for r in class_range])
 
 
 def compare_term_models(
@@ -626,25 +632,6 @@ def compare_term_models(
     n_classes: int = 1,
 ) -> SearchResult:
     """Fit a list of (label, terms) fixed-effects models for BIC comparison."""
-    config = config or FitConfig()
-    rows: list[SearchRow] = []
-    fits: dict[str, FitResult] = {}
-    for label, terms in term_sets:
-        spec = ModelSpec(tuple(item_labels), tuple(terms), n_classes)
-        try:
-            res = fit(spec, data, config)
-        except FitError as exc:
-            rows.append(SearchRow(label=label, n_classes=n_classes,
-                                  deviance=None, minus_two_loglik=None,
-                                  n_params=None, bic=None, converged=None,
-                                  error=str(exc)))
-            continue
-        fits[label] = res
-        rows.append(
-            SearchRow(label=label, n_classes=n_classes, deviance=res.deviance,
-                      minus_two_loglik=res.minus_two_loglik,
-                      n_params=res.n_params, bic=res.bic,
-                      converged=res.converged)
-        )
-    best = min(fits, key=lambda lbl: fits[lbl].bic) if fits else None
-    return SearchResult(rows=rows, fits=fits, best_key=best)
+    models = [(label, label, ModelSpec(tuple(item_labels), tuple(terms), n_classes))
+              for label, terms in term_sets]
+    return _sweep(data, config or FitConfig(), models)

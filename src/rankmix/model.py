@@ -14,8 +14,12 @@ sets k and latent classes r as
 
 with the last item as reference (all its coefficients fixed at 0), the
 first factor level as reference, and the last class as reference
-(offset 0). Class r carries mixing weight q_r; the observed-data
-likelihood multiplies sum_r q_r P_lkr over cells to the power n_lk.
+(offset 0). In matrix form a_kr = X_kr B over the non-reference items:
+row (k, r) of the block design matrix X holds the set's covariate
+columns and the class indicators, and B holds one row of item
+coefficients per column. Class r carries mixing weight q_r; the
+observed-data likelihood multiplies sum_r q_r P_lkr over cells to the
+power n_lk.
 
 The fit works on the observed cells, the (set, pattern) pairs with a
 nonzero count, which ``Design`` lists once, sorted by set. At a cell,
@@ -112,11 +116,19 @@ class Parameters:
 class Design:
     """Resolved design linking a ModelSpec to an aggregated data set.
 
-    Builds the coefficient list, the (J, K, R, p) tensor mapping the
-    coefficient vector to per-(item, covariate set, class) effects, the
-    per-pattern table of net-win score products, and the observed-cell
-    layout: the set, pattern, count and score row of every cell with a
-    nonzero count, sorted by set.
+    The item effects of each (covariate set k, class r) block are
+    a_kr = X_kr B: ``X`` is the (K, R, Q) block design matrix and B the
+    (Q, J - 1) coefficient matrix, with the reference item's effect fixed
+    at 0. The first ``n_covariate_columns`` columns of ``X`` are the
+    covariate columns (the intercept, each continuous term's standardized
+    values, each factor or interaction level's indicator); the last R - 1
+    are the class indicators, whose rows of B are the class offsets. The
+    coefficient vector is B in row-major order (design column outer, item
+    inner).
+
+    Also built: the per-pattern table of net-win score products and the
+    observed-cell layout, the set, pattern, count and score row of every
+    cell with a nonzero count, sorted by set.
     """
 
     def __init__(self, spec: ModelSpec, data: AggregatedData):
@@ -127,11 +139,13 @@ class Design:
         self.spec = spec
         self.data = data
         self.S = data.space.score_matrix()  # (L, J)
-        # s_li * s_lj per pattern, (L, J * J): one product with the pattern
-        # probabilities gives every block's second score moments
-        self.score_products = (self.S[:, :, None] * self.S[:, None, :]).reshape(
-            self.S.shape[0], -1
-        )
+        # s_li * s_lj per pattern over the non-reference items, (L, (J-1)^2):
+        # one product with the pattern probabilities gives every block's
+        # second score moments
+        free_scores = self.S[:, :-1]
+        self.score_products = (
+            free_scores[:, :, None] * free_scores[:, None, :]
+        ).reshape(self.S.shape[0], -1)
         # np.nonzero walks the table row by row, so the cells come sorted
         # by set and each set's cells are one contiguous run
         self.cell_set, self.cell_pattern = np.nonzero(data.counts)
@@ -143,25 +157,20 @@ class Design:
             self.cell_set, return_index=True
         )
         self.coefficients: list[Coefficient] = []
-        J, K, R = spec.n_items, data.n_sets, spec.n_classes
-        blocks: list[np.ndarray] = []
+        K, R = data.n_sets, spec.n_classes
+        columns: list[np.ndarray] = []  # each broadcasts to (K, R)
+
+        def add_column(values: np.ndarray, kind: str, suffix: str, **fields):
+            columns.append(values)
+            self.coefficients.extend(
+                Coefficient(name=label + suffix, kind=kind, item=j, **fields)
+                for j, label in enumerate(spec.item_labels[:-1])
+            )
 
         factor_names = [d.name for d in data.declarations if d.kind == "factor"]
         cont_names = [d.name for d in data.declarations if d.kind == "continuous"]
 
-        def item_block(set_profile: np.ndarray, class_profile: np.ndarray, item: int):
-            b = np.zeros((J, K, R))
-            b[item] = np.outer(set_profile, class_profile)
-            return b
-
-        ones_k = np.ones(K)
-        ones_r = np.ones(R)
-        for j in range(J - 1):
-            self.coefficients.append(
-                Coefficient(name=spec.item_labels[j], kind="item", item=j)
-            )
-            blocks.append(item_block(ones_k, ones_r, j))
-
+        add_column(np.ones((K, 1)), "item", "")
         for term in spec.terms:
             parts = term.split(":")
             kinds = []
@@ -174,62 +183,31 @@ class Design:
                     raise DataError(f"term {term!r}: no covariate named {part!r}")
             if kinds == ["continuous"]:
                 z = data.standardized_continuous(parts[0])
-                for j in range(J - 1):
-                    self.coefficients.append(
-                        Coefficient(
-                            name=f"{spec.item_labels[j]}:{parts[0]}",
-                            kind="continuous",
-                            item=j,
-                            term=term,
-                        )
-                    )
-                    blocks.append(item_block(z, ones_r, j))
+                add_column(z[:, None], "continuous", f":{parts[0]}", term=term)
             elif all(k == "factor" for k in kinds):
                 level_orders = [data.factor_level_order(p) for p in parts]
                 positions = [factor_names.index(p) for p in parts]
                 for combo in itertools.product(*(lo[1:] for lo in level_orders)):
-                    mask = np.ones(K)
-                    for pos, lev in zip(positions, combo):
-                        mask *= np.array(
-                            [1.0 if s.factor_levels[pos] == lev else 0.0
-                             for s in data.covariate_sets]
-                        )
+                    mask = np.array(
+                        [all(s.factor_levels[pos] == lev
+                             for pos, lev in zip(positions, combo))
+                         for s in data.covariate_sets],
+                        dtype=np.float64,
+                    )
                     label = ":".join(
                         f"{p}={lev}" for p, lev in zip(parts, combo)
                     )
-                    for j in range(J - 1):
-                        self.coefficients.append(
-                            Coefficient(
-                                name=f"{spec.item_labels[j]}:{label}",
-                                kind="factor",
-                                item=j,
-                                term=term,
-                                levels=combo,
-                            )
-                        )
-                        blocks.append(item_block(mask, ones_r, j))
+                    add_column(mask[:, None], "factor", f":{label}", term=term,
+                               levels=combo)
             else:
                 raise DataError(
                     f"term {term!r}: interactions may only combine factors"
                 )
-
+        self.n_covariate_columns = len(columns)
         for r in range(R - 1):
-            for j in range(J - 1):
-                self.coefficients.append(
-                    Coefficient(
-                        name=f"{spec.item_labels[j]}:class{r + 1}",
-                        kind="class",
-                        item=j,
-                        class_index=r,
-                    )
-                )
-                blocks.append(item_block(ones_k, np.eye(R)[r], j))
+            add_column(np.eye(R)[r], "class", f":class{r + 1}", class_index=r)
 
-        self.A = (
-            np.stack(blocks, axis=-1)
-            if blocks
-            else np.zeros((J, K, R, 0))
-        )
+        self.X = np.stack([np.broadcast_to(c, (K, R)) for c in columns], axis=-1)
         self.name_to_index = {c.name: i for i, c in enumerate(self.coefficients)}
 
     @property
@@ -256,9 +234,18 @@ class Design:
         R = self.n_classes
         return Parameters(np.zeros(self.n_coefficients), np.full(R, 1.0 / R))
 
+    def coefficient_matrix(self, coefficients: np.ndarray) -> np.ndarray:
+        """The coefficient vector as B, one row per design column, (Q, J - 1)."""
+        return np.asarray(coefficients).reshape(self.X.shape[-1], self.n_items - 1)
+
     def block_effects(self, coefficients: np.ndarray) -> np.ndarray:
-        """Item effects per (covariate set, class) block, shaped (K, R, J)."""
-        return np.einsum("jkrc,c->krj", self.A, coefficients)
+        """Item effects a_kr = X_kr B per block, shaped (K, R, J)."""
+        K, R, Q = self.X.shape
+        a = np.zeros((K, R, self.n_items))
+        a[..., :-1] = (
+            self.X.reshape(K * R, Q) @ self.coefficient_matrix(coefficients)
+        ).reshape(K, R, -1)
+        return a
 
     def item_effects(self, coefficients: np.ndarray) -> np.ndarray:
         """Per-(item, covariate set, class) effects a_ikr, reference rows 0."""
@@ -268,11 +255,6 @@ class Design:
         """Linear predictors for all cells, shaped (K, L, R)."""
         a = self.item_effects(coefficients)
         return np.einsum("lj,jkr->klr", self.S, a)
-
-    def linear_predictor(
-        self, coefficients: np.ndarray, pattern: int, covariate_set: int, cls: int
-    ) -> float:
-        return float(self.eta(coefficients)[covariate_set, pattern, cls])
 
     def log_pattern_probs(self, coefficients: np.ndarray) -> np.ndarray:
         """log P_lkr, normalized over patterns within each (k, r); (K, L, R)."""
@@ -361,24 +343,16 @@ class Design:
                                                         self.data.counts):
             raise DataError("data do not match the count table of the design")
 
-    def pattern_probs(
-        self, coefficients: np.ndarray, covariate_set: int, cls: int
-    ) -> np.ndarray:
-        return np.exp(self.log_pattern_probs(coefficients)[covariate_set, :, cls])
-
     def class_offsets(self, coefficients: np.ndarray) -> np.ndarray:
-        """Offset matrix (J, R); reference item row and reference class column are 0."""
-        out = np.zeros((self.n_items, self.n_classes))
-        for idx, coef in enumerate(self.coefficients):
-            if coef.kind == "class":
-                out[coef.item, coef.class_index] = coefficients[idx]
-        return out
+        """Offset matrix (J, R); reference item row and reference class column are 0.
 
-    def structural_indices(self, kinds=("item", "factor", "continuous")) -> np.ndarray:
-        return np.array(
-            [i for i, c in enumerate(self.coefficients) if c.kind in kinds],
-            dtype=np.int64,
-        )
+        Any per-coefficient vector (estimates, standard errors) maps this
+        way: the class rows of its coefficient matrix, transposed.
+        """
+        out = np.zeros((self.n_items, self.n_classes))
+        out[:-1, :-1] = self.coefficient_matrix(coefficients)[
+            self.n_covariate_columns:].T
+        return out
 
 
 def pairwise_win_prob(effect_i: float, effect_j: float) -> float:
@@ -437,10 +411,16 @@ def _observed_loglik(design: Design, logp: np.ndarray, mixing: np.ndarray):
     return loglik, 2.0 * (design.saturated_loglik - loglik)
 
 
-def _coefficient_score(A: np.ndarray, t: np.ndarray, m_plus: np.ndarray,
+def _coefficient_score(X: np.ndarray, t: np.ndarray, m_plus: np.ndarray,
                        mean: np.ndarray) -> np.ndarray:
-    """Score over the columns of ``A``: sum_kr A_kr' (t_kr - m_plus_kr E_kr[s])."""
-    return np.einsum("krj,jkrc->c", t - m_plus[:, :, None] * mean, A)
+    """Score over all coefficients: sum_kr X_kr' (t_kr - m_plus_kr E_kr[s]).
+
+    The (Q, J - 1) result keeps the non-reference items and is returned
+    flat in coefficient order.
+    """
+    resid = (t - m_plus[:, :, None] * mean)[..., :-1]
+    Q = X.shape[-1]
+    return (X.reshape(-1, Q).T @ resid.reshape(-1, resid.shape[-1])).ravel()
 
 
 def log_mixture_probs(params: Parameters, design: Design) -> np.ndarray:
@@ -476,14 +456,14 @@ def mixture_score(
     Returns the score over (structural coefficients, free log-mass
     parameters), where the mass parameterization is q_r = softmax with the
     last class pinned at 0. The coefficient block is the posterior-weighted
-    multinomial score, A' (t - m_plus E[s]) summed over (set, class)
+    multinomial score, X' (t - m_plus E[s]) summed over (set, class)
     blocks; the mass block is N * (posterior share - q).
     """
     design.check_data(data)
     logp, p = design.cell_log_probs(params.coefficients)
     m = design.cell_counts[:, None] * _posteriors(logp, params.mixing)
     m_plus, t = design.block_totals(m)
-    score_coef = _coefficient_score(design.A, t, m_plus, design.score_means(p))
+    score_coef = _coefficient_score(design.X, t, m_plus, design.score_means(p))
     score_mass = m.sum(axis=0)[:-1] - design.cell_counts.sum() * params.mixing[:-1]
     return np.concatenate([score_coef, score_mass])
 

@@ -50,21 +50,14 @@ def class_summary(
     offsets = fit.design.class_offsets(fit.params.coefficients)
     lower = upper = None
     if se_report is not None:
-        lower = np.full_like(offsets, np.nan)
-        upper = np.full_like(offsets, np.nan)
-        for idx, coef in enumerate(fit.design.coefficients):
-            if coef.kind != "class":
-                continue
-            row = se_report.rows[idx]
-            se = row.se_corrected if row.se_corrected is not None else row.se_raw
-            if se is None:
-                continue
-            est = offsets[coef.item, coef.class_index]
-            lower[coef.item, coef.class_index] = est - z_value * se
-            upper[coef.item, coef.class_index] = est + z_value * se
-        ref = fit.design.n_classes - 1
-        lower[:, ref] = upper[:, ref] = 0.0
-        lower[fit.design.n_items - 1, :] = upper[fit.design.n_items - 1, :] = 0.0
+        se = np.array(  # a missing SE (None) becomes nan
+            [row.se_corrected if row.se_corrected is not None else row.se_raw
+             for row in se_report.rows],
+            dtype=np.float64,
+        )
+        # reference entries get estimate 0 and SE 0, so their bounds are 0
+        half_width = z_value * fit.design.class_offsets(se)
+        lower, upper = offsets - half_width, offsets + half_width
     return ClassSummary(
         pattern_shares=pattern_shares,
         respondent_shares=respondent_shares,

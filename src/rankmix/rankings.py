@@ -11,6 +11,7 @@ arise from rankings, so the pattern space has exactly J! members.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -133,12 +134,10 @@ class PatternSpace:
     """
 
     n_items: int
-    patterns: np.ndarray  # (L, C(J,2)) of +-1
     rankings: np.ndarray  # (L, J) rank vectors, one per pattern
     _index: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        self.patterns.setflags(write=False)
         self.rankings.setflags(write=False)
         self._index.update(
             {tuple(r): l for l, r in enumerate(self.rankings.tolist())}
@@ -146,7 +145,20 @@ class PatternSpace:
 
     @property
     def size(self) -> int:
-        return self.patterns.shape[0]
+        return self.rankings.shape[0]
+
+    @functools.cached_property
+    def patterns(self) -> np.ndarray:
+        """(L, C(J,2)) +-1 paired-comparison patterns, built on first use.
+
+        The fit never reads them; the net-win scores of
+        :meth:`score_matrix` carry the same information.
+        """
+        i, j = np.triu_indices(self.n_items, 1)  # the standard pair sequence
+        patterns = np.where(self.rankings[:, i] < self.rankings[:, j], 1, -1)
+        patterns = patterns.astype(np.int8)
+        patterns.setflags(write=False)
+        return patterns
 
     def index_of_ranking(self, ranks) -> int:
         """Canonical pattern index of a complete ranking.
@@ -187,11 +199,7 @@ def enumerate_transitive_patterns(
             f"the pattern space grows factorially and is capped at "
             f"{max_items} items (override with max_items)"
         )
-    size = math.factorial(n_items)
-    rankings = np.empty((size, n_items), dtype=np.int64)
-    patterns = np.empty((size, n_pairs(n_items)), dtype=np.int8)
-    for l, order in enumerate(itertools.permutations(range(n_items))):
-        ranks = order_to_ranks(np.array(order, dtype=np.int64))
-        rankings[l] = ranks
-        patterns[l] = ranks_to_pattern(ranks)
-    return PatternSpace(n_items=n_items, patterns=patterns, rankings=rankings)
+    orders = np.array(list(itertools.permutations(range(n_items))), dtype=np.int64)
+    # the rank vector of an order vector is its inverse permutation, plus one
+    rankings = np.argsort(orders, axis=1) + 1
+    return PatternSpace(n_items=n_items, rankings=rankings)

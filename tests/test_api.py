@@ -1,0 +1,39 @@
+import rankmix
+
+
+def test_public_names_are_pinned():
+    # adding a public name is a deliberate edit of this list
+    assert rankmix.__all__ == [
+        "AggregatedData",
+        "CapacityError",
+        "CovariateDecl",
+        "CovariateSet",
+        "DataError",
+        "Design",
+        "FitConfig",
+        "FitError",
+        "FitResult",
+        "ModelSpec",
+        "Parameters",
+        "PatternSpace",
+        "RankingValidationError",
+        "aggregate",
+        "bic",
+        "count_parameters",
+        "enumerate_transitive_patterns",
+        "fit",
+        "init_start",
+        "is_transitive",
+        "m_step",
+        "mixture_loglik",
+        "mixture_score",
+        "order_to_ranks",
+        "pair_index",
+        "pairwise_win_prob",
+        "ranks_to_order",
+        "ranks_to_pattern",
+        "read_ranking_csv",
+        "search_classes",
+        "worths",
+    ]
+    assert all(hasattr(rankmix, name) for name in rankmix.__all__)

@@ -11,7 +11,6 @@ from rankmix.fitting import (
     IrlsDivergenceError,
     RankDeficientDesignError,
     chain_seeds,
-    e_step,
     fit,
     fit_structural,
     init_start,
@@ -22,7 +21,13 @@ from rankmix.fitting import (
     split_largest_class,
     structural_information,
 )
-from rankmix.model import Design, ModelSpec, Parameters, mixture_loglik
+from rankmix.model import (
+    Design,
+    ModelSpec,
+    Parameters,
+    mixture_loglik,
+    posterior_weights,
+)
 
 from conftest import make_data, shared_space
 import oracles
@@ -84,26 +89,26 @@ class TestEStep:
     def test_single_class_all_ones(self):
         design, _ = small_design(1)
         params = Parameters(np.array([0.4, -0.2]), np.array([1.0]))
-        w = e_step(params, design)
+        w = posterior_weights(params, design)
         assert np.all(w == 1.0)
 
     def test_identical_classes_return_masses(self):
         design, _ = small_design(2)
         params = Parameters(np.array([0.4, -0.2, 0.0, 0.0]),
                             np.array([0.3, 0.7]))
-        w = e_step(params, design)
+        w = posterior_weights(params, design)
         assert np.abs(w[..., 0] - 0.3).max() < 1e-12
         assert np.abs(w[..., 1] - 0.7).max() < 1e-12
 
     def test_matches_bayes_rule_oracle(self):
         design, _ = small_design(2)
-        w = e_step(two_class_params(), design)
+        w = posterior_weights(two_class_params(), design)
         assert w[0] == pytest.approx(np.array(BAYES_W), abs=1e-12)
 
     def test_rows_normalize(self):
         design, _ = small_design(3)
         params = init_start(9, design)
-        w = e_step(params, design)
+        w = posterior_weights(params, design)
         assert np.abs(w.sum(axis=2) - 1.0).max() < 1e-12
 
 
@@ -145,7 +150,7 @@ class TestMStep:
         config = FitConfig(n_starts=8, seed=2, tol=1e-10, max_iter=3000)
         result = fit(design.spec, data, config)
         assert result.converged
-        w = e_step(result.params, design)
+        w = posterior_weights(result.params, design)
         refreshed = m_step(w, design, data, start=result.params, config=config)
         assert refreshed.coefficients == pytest.approx(
             result.params.coefficients, abs=1e-6
@@ -414,14 +419,44 @@ class TestSearch:
             assert gap == pytest.approx(row.n_params * math.log(data.n_cells),
                                         abs=1e-10)
 
-    def test_split_warm_start_preserves_loglik(self):
-        data = self.search_data()
-        spec = ModelSpec(("A", "B", "C"), (), 2)
+    def covariate_search_data(self):
+        # the same two-class mixture with a factor g and a continuous x
+        rng = np.random.default_rng(12)
+        space = shared_space(3)
+        probs = (0.6 * oracles.ranking_probabilities([0.9, 0.3, 0.0])
+                 + 0.4 * oracles.ranking_probabilities([-0.8, 0.2, 0.0]))
+        rows = [
+            (space.rankings[rng.choice(space.size, p=probs)],
+             {"g": str(rng.choice(["a", "b"])),
+              "x": float(rng.choice([-1.0, 0.5, 2.0]))})
+            for _ in range(400)
+        ]
+        return aggregate(space, rows, [CovariateDecl("g", "factor"),
+                                       CovariateDecl("x", "continuous")])
+
+    @pytest.mark.parametrize("terms", [(), ("g", "x")],
+                             ids=["no_terms", "factor_and_continuous"])
+    def test_split_warm_start_preserves_loglik(self, terms):
+        # with terms, their columns sit between the item mains and the
+        # class offsets
+        data = self.covariate_search_data() if terms else self.search_data()
+        spec = ModelSpec(("A", "B", "C"), terms, 2)
         result = fit(spec, data, FitConfig(n_starts=4, seed=8))
         new_design = Design(spec.with_classes(3), data)
         warm = split_largest_class(result, new_design)
         loglik, _ = mixture_loglik(warm, new_design, data)
         assert loglik == pytest.approx(result.loglik, abs=1e-9)
+        # the jittered copy moves the 2 x 2 class offsets and nothing else
+        jittered = split_largest_class(result, new_design, jitter=0.05)
+        moved = np.nonzero(jittered.coefficients != warm.coefficients)[0]
+        assert [new_design.coefficients[i].kind for i in moved] == ["class"] * 4
+
+    def test_split_needs_one_more_class(self):
+        data = self.search_data()
+        spec = ModelSpec(("A", "B", "C"), (), 2)
+        result = fit(spec, data, FitConfig(n_starts=2, seed=8))
+        with pytest.raises(ValueError, match="one class"):
+            split_largest_class(result, Design(spec.with_classes(4), data))
 
     def test_errors_do_not_abort_sweep(self, monkeypatch):
         data = self.search_data()

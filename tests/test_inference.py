@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rankmix.fitting import FitConfig, e_step, fit
+from rankmix.fitting import FitConfig, fit
 from rankmix.inference import (
     StandardErrorError,
     corrected_se,
@@ -14,7 +14,12 @@ from rankmix.inference import (
     raw_em_standard_errors,
     standard_error_report,
 )
-from rankmix.model import ModelSpec, Parameters, mixture_loglik
+from rankmix.model import (
+    ModelSpec,
+    Parameters,
+    mixture_loglik,
+    posterior_weights,
+)
 
 from conftest import make_data
 import oracles
@@ -76,7 +81,8 @@ class TestCorrectedSE:
         params = result.params.copy()
         params.coefficients[0] = 0.0
         forged = dataclasses.replace(
-            result, params=params, posteriors=e_step(params, result.design)
+            result, params=params,
+            posteriors=posterior_weights(params, result.design),
         )
         with pytest.raises(ValueError, match="already zero"):
             corrected_se(forged, data, 0)
@@ -128,7 +134,8 @@ class TestHessianSE:
                      FitConfig(n_starts=4, seed=2))
         params = Parameters(np.array([0.4, 0.1, 0.0, 0.0]), np.array([0.5, 0.5]))
         forged = dataclasses.replace(
-            result, params=params, posteriors=e_step(params, result.design)
+            result, params=params,
+            posteriors=posterior_weights(params, result.design),
         )
         with pytest.raises(StandardErrorError, match="not positive definite"):
             hessian_standard_errors(forged, data)
@@ -197,7 +204,8 @@ class TestReport:
         params = result.params.copy()
         params.coefficients[0] = 0.0
         forged = dataclasses.replace(
-            result, params=params, posteriors=e_step(params, result.design)
+            result, params=params,
+            posteriors=posterior_weights(params, result.design),
         )
         report = standard_error_report(forged, data, methods=("corrected",))
         assert report.rows[0].se_corrected is None

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from rankmix.data import DataError
+from rankmix.data import CovariateDecl, DataError, aggregate
 from rankmix.model import (
     Design,
     _logsumexp,
@@ -96,11 +96,11 @@ class TestLinearPredictor:
         # ranking 1>2>3 has eta = 2*lambda_1 when lambda_2 = lambda_3 = 0
         design, _ = design_for(np.ones(6))
         coefs = np.array([0.37, 0.0])
-        assert design.linear_predictor(coefs, 0, 0, 0) == pytest.approx(2 * 0.37)
+        assert design.eta(coefs)[0, 0, 0] == pytest.approx(2 * 0.37)
         # algebraic expansion for the general case
         coefs = np.array([0.37, -0.11])
         expected = (0.37 - -0.11) + 0.37 + -0.11
-        assert design.linear_predictor(coefs, 0, 0, 0) == pytest.approx(expected)
+        assert design.eta(coefs)[0, 0, 0] == pytest.approx(expected)
 
     def test_single_flip_pairs_differ_by_twice_effect_gap(self, space4):
         design, _ = design_for(np.ones(24))
@@ -123,21 +123,25 @@ class TestLinearPredictor:
                                             abs=1e-10)
 
 
+def pattern_probs(design, coefficients, covariate_set, cls):
+    return np.exp(design.log_pattern_probs(coefficients)[covariate_set, :, cls])
+
+
 class TestPatternProbs:
     def test_uniform_at_zero(self):
         design, _ = design_for(np.ones(24), n_classes=2,
                                factor_levels=None)
-        probs = design.pattern_probs(np.zeros(design.n_coefficients), 0, 1)
+        probs = pattern_probs(design, np.zeros(design.n_coefficients), 0, 1)
         assert probs == pytest.approx(np.full(24, 1 / 24))
 
     def test_matches_bruteforce_oracle(self):
         design, _ = design_for(np.ones(6))
-        probs = design.pattern_probs(np.array([0.5, 0.2]), 0, 0)
+        probs = pattern_probs(design, np.array([0.5, 0.2]), 0, 0)
         assert probs == pytest.approx(PROBS_3_ITEMS, abs=1e-12)
 
     def test_single_flip_probability_ratio(self):
         design, _ = design_for(np.ones(6))
-        probs = design.pattern_probs(np.array([0.5, 0.2]), 0, 0)
+        probs = pattern_probs(design, np.array([0.5, 0.2]), 0, 0)
         # patterns 0 and 2 differ only in the (0,1) comparison
         ratio = probs[0] / probs[2]
         assert math.log(ratio) == pytest.approx(2 * (0.5 - 0.2), abs=1e-10)
@@ -145,14 +149,14 @@ class TestPatternProbs:
     @given(st.lists(st.floats(-2, 2), min_size=2, max_size=2))
     def test_normalization(self, coef_list):
         design, _ = design_for(np.ones(6))
-        probs = design.pattern_probs(np.array(coef_list), 0, 0)
+        probs = pattern_probs(design, np.array(coef_list), 0, 0)
         assert abs(probs.sum() - 1.0) < 1e-12
 
     def test_translation_invariance_via_shared_shift(self):
         # adding a constant to every item effect cannot be expressed in the
         # reference-coded design, so check on the worth/probability scale
         design, _ = design_for(np.ones(6))
-        base = design.pattern_probs(np.array([0.5, 0.2]), 0, 0)
+        base = pattern_probs(design, np.array([0.5, 0.2]), 0, 0)
         shifted_effects = np.array([0.5 + 0.9, 0.2 + 0.9, 0.9])
         eta = design.data.space.score_matrix() @ shifted_effects
         direct = np.exp(eta - eta.max())
@@ -177,6 +181,69 @@ class TestLogsumexp:
         assert np.array_equal(np.isneginf(ours), np.isneginf(ref))
         assert np.isneginf(ours).any()
         np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-12)
+
+
+class TestCoefficientLayout:
+    """Each coefficient's item effects, read off the design, match the
+    effect its name describes, built literally from the covariate sets."""
+
+    @staticmethod
+    def design():
+        # J=4, R=3: factors g (3 levels) and h (2 levels), their
+        # interaction, and a continuous x
+        rng = np.random.default_rng(29)
+        rows = [
+            (rng.permutation(4) + 1,
+             {"g": str(rng.choice(["a", "b", "c"])),
+              "h": str(rng.choice(["u", "v"])),
+              "x": float(rng.choice([-1.0, 0.5, 2.0]))})
+            for _ in range(80)
+        ]
+        data = aggregate(shared_space(4), rows,
+                         [CovariateDecl("g", "factor"),
+                          CovariateDecl("h", "factor"),
+                          CovariateDecl("x", "continuous")])
+        spec = ModelSpec(tuple("ABCD"), ("g", "g:h", "x"), 3)
+        return Design(spec, data), data
+
+    @staticmethod
+    def literal_effect(coef, data, n_items, n_classes):
+        factors = ["g", "h"]
+        profile = np.ones((data.n_sets, n_classes))
+        for k, cset in enumerate(data.covariate_sets):
+            if coef.kind == "continuous":
+                mean, scale = data.continuous_scale[coef.term]
+                profile[k] = (cset.continuous_values[0] - mean) / scale
+            elif coef.kind == "factor":
+                parts = coef.term.split(":")
+                profile[k] = all(cset.factor_levels[factors.index(p)] == lev
+                                 for p, lev in zip(parts, coef.levels))
+        if coef.kind == "class":
+            profile[:] = np.arange(n_classes) == coef.class_index
+        effect = np.zeros((n_items, data.n_sets, n_classes))
+        effect[coef.item] = profile
+        return effect
+
+    def test_unit_coefficient_gives_its_literal_effect(self):
+        design, data = self.design()
+        assert design.n_coefficients == 3 * (1 + 2 + 2 + 1 + 2)
+        assert {c.kind for c in design.coefficients} == {
+            "item", "factor", "continuous", "class"}
+        for c, coef in enumerate(design.coefficients):
+            unit = np.zeros(design.n_coefficients)
+            unit[c] = 1.0
+            expected = self.literal_effect(coef, data, 4, 3)
+            assert np.array_equal(design.item_effects(unit), expected), coef.name
+
+    def test_class_offsets_are_the_class_coefficients(self):
+        design, _ = self.design()
+        coefs = np.random.default_rng(2).normal(size=design.n_coefficients)
+        offsets = design.class_offsets(coefs)
+        assert offsets.shape == (4, 3)
+        for c, coef in enumerate(design.coefficients):
+            if coef.kind == "class":
+                assert offsets[coef.item, coef.class_index] == coefs[c]
+        assert np.all(offsets[-1] == 0.0) and np.all(offsets[:, -1] == 0.0)
 
 
 class TestMixtureLoglik:
