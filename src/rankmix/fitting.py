@@ -26,8 +26,10 @@ enters only through ``Design.log_normalizer``, which gives each block's
 log Z and p: a step-halving trial needs log Z alone, and the accepted
 trial's p gives E[s] by one matrix product with the score matrix and
 E[s s'] by one with the per-pattern table of score products s_i s_j.
-No (K, L, R) array is built inside the EM loop unless a callback asks
-for the dense posterior weights.
+The posterior weights, here and in ``FitResult.posteriors``, are
+(nnz, R) rows aligned with ``Design.cell_set`` / ``Design.cell_pattern``.
+No (K, L, R) array is built unless a callback asks for the dense
+posterior weights.
 
 Several independent chains are run from random starts; the chain with the
 best final likelihood wins. Chains that collapse a class (vanishing mass
@@ -41,7 +43,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .data import AggregatedData
 from .model import (
@@ -118,7 +119,7 @@ class FitResult:
     spec: ModelSpec
     design: Design
     params: Parameters
-    posteriors: np.ndarray  # (K, L, R)
+    posteriors: np.ndarray  # (nnz, R), rows at design.cell_set / cell_pattern
     loglik: float
     deviance: float
     minus_two_loglik: float
@@ -195,15 +196,13 @@ def fit_structural(
     fixed_zero=(),
     penalty: tuple[int, float] | None = None,
 ) -> np.ndarray:
-    """Maximize sum m[k,l,r] log P[k,l,r] over the structural coefficients.
+    """Maximize sum m[cell, r] log P[cell, r] over the structural coefficients.
 
-    ``m`` holds the (possibly fractional) expected counts, either dense
-    (K, L, R) or at the design's observed cells (nnz, R); a dense array
-    is gathered at the observed cells, where the counts are. ``fixed_zero``
-    names coefficient indices constrained to zero (their rows and columns
-    leave the score and the information); ``penalty`` adds a quadratic
-    ridge on one coefficient, used to pin it near zero without dropping
-    the column.
+    ``m`` holds the (possibly fractional) expected counts at the design's
+    observed cells, (nnz, R). ``fixed_zero`` names coefficient indices
+    constrained to zero (their rows and columns leave the score and the
+    information); ``penalty`` adds a quadratic ridge on one coefficient,
+    used to pin it near zero without dropping the column.
 
     Each Newton step forms the information from the per-block covariance
     of the net-win scores, Cov[s] = E[s s'] - E[s] E[s]', whose second
@@ -260,10 +259,10 @@ def fit_structural(
             score[pen_pos] -= 2.0 * strength * beta[free][pen_pos]
             info[pen_pos, pen_pos] += 2.0 * strength
         try:
-            factor = scipy.linalg.cho_factor(info)
-        except scipy.linalg.LinAlgError:
+            lower = np.linalg.cholesky(info)
+        except np.linalg.LinAlgError:
             _diagnose_rank(info, names)
-        direction = scipy.linalg.cho_solve(factor, score)
+        direction = np.linalg.solve(lower.T, np.linalg.solve(lower, score))
 
         slack = 1e-10 * (abs(dev) + 1.0)
         step = 1.0
@@ -294,7 +293,7 @@ def structural_information(
 
     This is the information the final scoring pass sees with the posterior
     weights treated as known, with the per-(set, class) nuisance totals
-    profiled out. ``m`` is dense (K, L, R) or at the observed cells
+    profiled out. ``m`` holds the expected counts at the observed cells,
     (nnz, R), as in :func:`fit_structural`.
     """
     fixed = np.zeros(design.n_coefficients, dtype=bool)
@@ -317,8 +316,8 @@ def m_step(
 ) -> Parameters:
     """One M step: update mixing weights, then refit the coefficients.
 
-    ``w`` holds the posterior class weights, dense (K, L, R) or at the
-    design's observed cells (nnz, R). The mixing update is the
+    ``w`` holds the posterior class weights at the design's observed
+    cells, (nnz, R). The mixing update is the
     respondent-weighted posterior share sum_{l,k} n w / N, which maximizes
     the expected complete-data likelihood of the aggregated mixture.
     """
@@ -369,13 +368,16 @@ def run_chain(
 ) -> _Chain:
     """Run one EM chain to convergence (or the iteration cap).
 
-    ``initial_weights`` (K, L, R) lets the first M step consume given
+    ``initial_weights`` (nnz, R) lets the first M step consume given
     posterior weights instead of an E step, which is how constrained
     refits resume from a converged fit. The chain works on the observed
     cells; ``callback(iteration, params, w, loglik)`` receives the dense
-    (K, L, R) weights of the iteration's M step, built only for it.
+    (K, L, R) weights of the iteration's M step, built only for it, so a
+    callback cannot be combined with ``initial_weights``.
     """
     design.check_data(data)
+    if callback is not None and initial_weights is not None:
+        raise ValueError("run_chain takes a callback or initial_weights, not both")
     params = start
     # one normalizer per parameter point: it gives the log-likelihood and
     # the next E step's posterior weights
@@ -389,7 +391,8 @@ def run_chain(
         resume = iteration == 1 and initial_weights is not None
         w = initial_weights if resume else _posteriors(logp, params.mixing)
         if callback is not None:
-            dense_w = initial_weights if resume else posterior_weights(params, design)
+            dense_w = _posteriors(design.log_pattern_probs(params.coefficients),
+                                  params.mixing)
         try:
             params = m_step(
                 w,

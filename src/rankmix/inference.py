@@ -57,8 +57,10 @@ class StandardErrorReport:
 
 def raw_em_standard_errors(fit: FitResult, data: AggregatedData) -> np.ndarray:
     """SEs from the final scoring pass with posterior weights held fixed."""
-    m = data.counts.astype(np.float64)[:, :, None] * fit.posteriors
-    info = structural_information(fit.design, fit.params.coefficients, m)
+    design = fit.design
+    design.check_data(data)
+    m = design.cell_counts[:, None] * fit.posteriors
+    info = structural_information(design, fit.params.coefficients, m)
     cov = np.linalg.inv(info)
     diag = np.diag(cov)
     if np.any(diag <= 0):

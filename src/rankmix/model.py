@@ -26,8 +26,10 @@ nonzero count, which ``Design`` lists once, sorted by set. At a cell,
 log P_lkr = s_l . a_kr - log Z_kr, so the J! pattern space enters only
 through each (set, class) block's log-normalizer log Z_kr and its score
 moments, and ``Design.log_normalizer`` is the one kernel that enumerates
-it. The dense (K, L, R) functions (``log_pattern_probs``,
-``posterior_weights``) serve callers that want every cell.
+it. Posterior weights and expected counts are (nnz, R) arrays whose rows
+follow ``Design.cell_set`` / ``Design.cell_pattern``; only
+``Design.log_pattern_probs`` gives every (K, L, R) cell, for callers
+that want the whole table.
 """
 
 from __future__ import annotations
@@ -295,21 +297,20 @@ class Design:
         return (p @ self.S).reshape(self.n_sets, self.n_classes, self.n_items)
 
     def cell_values(self, x) -> np.ndarray:
-        """A per-cell, per-class array at the observed cells, shaped (nnz, R).
+        """Check a per-cell, per-class array at the observed cells, (nnz, R).
 
-        A dense (K, L, R) array is gathered at the observed cells; entries
-        at cells with a zero count are dropped. An (nnz, R) array passes
-        through.
+        Rows follow ``cell_set`` / ``cell_pattern``. Raises ``ValueError``
+        for any other shape and for entries that are not finite or are
+        negative.
         """
         x = np.asarray(x, dtype=np.float64)
-        dense = (self.n_sets, self.n_patterns, self.n_classes)
-        if x.shape == dense:
-            return x[self.cell_set, self.cell_pattern]
-        if x.shape != (self.cell_set.size, self.n_classes):
+        shape = (self.cell_set.size, self.n_classes)
+        if x.shape != shape:
             raise ValueError(
-                f"cell array of shape {x.shape}: expected {dense} or "
-                f"({self.cell_set.size}, {self.n_classes}) observed cells"
+                f"cell array of shape {x.shape}: expected {shape} observed cells"
             )
+        if not np.isfinite(x).all() or (x < 0).any():
+            raise ValueError("cell array entries must be finite and nonnegative")
         return x
 
     def set_sums(self, x: np.ndarray) -> np.ndarray:
@@ -423,14 +424,10 @@ def _coefficient_score(X: np.ndarray, t: np.ndarray, m_plus: np.ndarray,
     return (X.reshape(-1, Q).T @ resid.reshape(-1, resid.shape[-1])).ravel()
 
 
-def log_mixture_probs(params: Parameters, design: Design) -> np.ndarray:
-    """log sum_r q_r P_lkr per cell, shaped (K, L)."""
-    return _log_mixture(design.log_pattern_probs(params.coefficients), params.mixing)
-
-
 def posterior_weights(params: Parameters, design: Design) -> np.ndarray:
-    """Posterior class probabilities per cell, shaped (K, L, R)."""
-    return _posteriors(design.log_pattern_probs(params.coefficients), params.mixing)
+    """Posterior class probabilities at the observed cells, shaped (nnz, R)."""
+    logp, _ = design.cell_log_probs(params.coefficients)
+    return _posteriors(logp, params.mixing)
 
 
 def mixture_loglik(

@@ -41,12 +41,11 @@ def class_summary(
     se_report: StandardErrorReport | None = None,
     z_value: float = 1.96,
 ) -> ClassSummary:
+    fit.design.check_data(data)
     w = fit.posteriors
-    observed = data.counts > 0
-    pattern_shares = w[observed].mean(axis=0)
-    respondent_shares = (
-        (data.counts[:, :, None] * w).sum(axis=(0, 1)) / data.counts.sum()
-    )
+    counts = fit.design.cell_counts
+    pattern_shares = w.mean(axis=0)
+    respondent_shares = counts @ w / counts.sum()
     offsets = fit.design.class_offsets(fit.params.coefficients)
     lower = upper = None
     if se_report is not None:
@@ -82,19 +81,30 @@ class AssignmentTable:
     posterior: np.ndarray
 
 
+def _row_cells(fit: FitResult, data: AggregatedData) -> np.ndarray:
+    """Row of ``fit.posteriors`` for each respondent row of ``data``.
+
+    The observed cells are sorted by (set, pattern), so a binary search
+    on the flat cell index finds each respondent's cell.
+    """
+    design = fit.design
+    design.check_data(data)
+    L = design.n_patterns
+    cells = design.cell_set * L + design.cell_pattern
+    return np.searchsorted(cells, data.row_cells[:, 0] * L + data.row_cells[:, 1])
+
+
 def assign_classes(fit: FitResult, data: AggregatedData) -> AssignmentTable:
     if data.row_cells is None:
         raise DataError("aggregated data has no per-respondent rows to assign")
+    rows = _row_cells(fit, data)
     w = fit.posteriors
-    cell_best = np.argmax(w, axis=2)  # argmax takes the first max: lowest class
-    cell_top = np.max(w, axis=2)
-    k = data.row_cells[:, 0]
-    l = data.row_cells[:, 1]
     return AssignmentTable(
-        set_index=k.copy(),
-        pattern_index=l.copy(),
-        assigned=cell_best[k, l] + 1,
-        posterior=cell_top[k, l],
+        set_index=data.row_cells[:, 0].copy(),
+        pattern_index=data.row_cells[:, 1].copy(),
+        # argmax takes the first max: lowest class
+        assigned=np.argmax(w, axis=1)[rows] + 1,
+        posterior=np.max(w, axis=1)[rows],
     )
 
 
@@ -133,10 +143,8 @@ def crosstab(
     label_pos = {lab: i for i, lab in enumerate(labels)}
     R = fit.design.n_classes
     table = np.zeros((len(labels), R))
-    k = data.row_cells[:, 0]
-    l = data.row_cells[:, 1]
     if mode == "expected":
-        w = fit.posteriors[k, l]  # (N, R)
+        w = fit.posteriors[_row_cells(fit, data)]  # (N, R)
         for i, cat in enumerate(categories):
             table[label_pos[str(cat)]] += w[i]
     else:

@@ -84,34 +84,13 @@ def ranks_to_pattern(ranks) -> np.ndarray:
     Entry for pair (i, j) is +1 when item i outranks item j, else -1.
     The result is transitive by construction.
     """
-    ranks = validate_ranks(ranks)
-    j = ranks.size
-    pattern = np.empty(n_pairs(j), dtype=np.int8)
-    pos = 0
-    for a in range(j):
-        for b in range(a + 1, j):
-            pattern[pos] = 1 if ranks[a] < ranks[b] else -1
-            pos += 1
-    return pattern
+    return _pair_signs(validate_ranks(ranks))
 
 
-def pattern_win_counts(pattern: np.ndarray, n_items: int) -> np.ndarray:
-    """Number of pairwise wins per item implied by a +-1 pattern."""
-    pattern = np.asarray(pattern)
-    if pattern.size != n_pairs(n_items):
-        raise ValueError(
-            f"pattern length {pattern.size} does not match {n_items} items"
-        )
-    wins = np.zeros(n_items, dtype=np.int64)
-    pos = 0
-    for a in range(n_items):
-        for b in range(a + 1, n_items):
-            if pattern[pos] == 1:
-                wins[a] += 1
-            else:
-                wins[b] += 1
-            pos += 1
-    return wins
+def _pair_signs(rankings: np.ndarray) -> np.ndarray:
+    """The int8 patterns of :func:`ranks_to_pattern` along the last axis."""
+    i, j = np.triu_indices(rankings.shape[-1], 1)  # the standard pair sequence
+    return np.where(rankings[..., i] < rankings[..., j], 1, -1).astype(np.int8)
 
 
 def is_transitive(pattern: np.ndarray, n_items: int) -> bool:
@@ -120,7 +99,13 @@ def is_transitive(pattern: np.ndarray, n_items: int) -> bool:
     A tournament is cycle-free exactly when its win counts are a
     permutation of 0..J-1.
     """
-    wins = pattern_win_counts(pattern, n_items)
+    pattern = np.asarray(pattern)
+    if pattern.size != n_pairs(n_items):
+        raise ValueError(
+            f"pattern length {pattern.size} does not match {n_items} items"
+        )
+    i, j = np.triu_indices(n_items, 1)  # the standard pair sequence
+    wins = np.bincount(np.where(pattern == 1, i, j), minlength=n_items)
     return sorted(wins.tolist()) == list(range(n_items))
 
 
@@ -154,9 +139,7 @@ class PatternSpace:
         The fit never reads them; the net-win scores of
         :meth:`score_matrix` carry the same information.
         """
-        i, j = np.triu_indices(self.n_items, 1)  # the standard pair sequence
-        patterns = np.where(self.rankings[:, i] < self.rankings[:, j], 1, -1)
-        patterns = patterns.astype(np.int8)
+        patterns = _pair_signs(self.rankings)
         patterns.setflags(write=False)
         return patterns
 

@@ -15,10 +15,9 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.special import logsumexp
 
 from .data import DataError
+from .model import _logsumexp
 from .rankings import PatternSpace, enumerate_transitive_patterns
 
 
@@ -184,7 +183,7 @@ def generate_rows(truth: SyntheticTruth, space: PatternSpace | None = None):
     for g, (values, _) in enumerate(combos):
         for r in range(truth.n_classes):
             eta = space.score_matrix() @ item_effects_for(truth, values, r)
-            pattern_probs[(g, r)] = np.exp(eta - logsumexp(eta))
+            pattern_probs[(g, r)] = np.exp(eta - _logsumexp(eta, axis=0))
 
     pattern_idx = np.empty(n, dtype=np.int64)
     for (g, r), probs in sorted(pattern_probs.items()):
@@ -210,6 +209,8 @@ def match_class_order(true_worths: np.ndarray, fitted_worths: np.ndarray):
     minimizes total cost. Returns perm with fitted class perm[r] matching
     true class r.
     """
+    from scipy.optimize import linear_sum_assignment
+
     true_worths = np.asarray(true_worths, dtype=np.float64)
     fitted_worths = np.asarray(fitted_worths, dtype=np.float64)
     R = true_worths.shape[0]

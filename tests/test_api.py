@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import rankmix
 
 
@@ -37,3 +41,14 @@ def test_public_names_are_pinned():
         "worths",
     ]
     assert all(hasattr(rankmix, name) for name in rankmix.__all__)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is needed only by simulate.match_class_order, imported there
+    src = os.path.dirname(os.path.dirname(rankmix.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, rankmix.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -21,6 +21,7 @@ from rankmix.fitting import (
     split_largest_class,
     structural_information,
 )
+from rankmix.inference import standard_error_report
 from rankmix.model import (
     Design,
     ModelSpec,
@@ -28,6 +29,7 @@ from rankmix.model import (
     mixture_loglik,
     posterior_weights,
 )
+from rankmix.posthoc import assign_classes, class_summary, crosstab
 
 from conftest import make_data, shared_space
 import oracles
@@ -50,6 +52,11 @@ def small_design(n_classes=1, counts=(7, 3, 5, 2, 4, 1)):
     data = make_data(3, np.array(counts))
     spec = ModelSpec(("A", "B", "C"), (), n_classes)
     return Design(spec, data), data
+
+
+def at_cells(design, x):
+    """A dense (K, L, ...) array gathered at the design's observed cells."""
+    return x[design.cell_set, design.cell_pattern]
 
 
 def two_class_params():
@@ -103,13 +110,13 @@ class TestEStep:
     def test_matches_bayes_rule_oracle(self):
         design, _ = small_design(2)
         w = posterior_weights(two_class_params(), design)
-        assert w[0] == pytest.approx(np.array(BAYES_W), abs=1e-12)
+        assert w == pytest.approx(np.array(BAYES_W), abs=1e-12)
 
     def test_rows_normalize(self):
         design, _ = small_design(3)
         params = init_start(9, design)
         w = posterior_weights(params, design)
-        assert np.abs(w.sum(axis=2) - 1.0).max() < 1e-12
+        assert np.abs(w.sum(axis=-1) - 1.0).max() < 1e-12
 
 
 class TestMStep:
@@ -118,9 +125,9 @@ class TestMStep:
         data = make_data(2, np.array([3, 1]))
         spec = ModelSpec(("A", "B"), (), 2)
         design = Design(spec, data)
-        w = np.zeros((1, 2, 2))
-        w[0, 0] = (1.0, 0.0)
-        w[0, 1] = (0.0, 1.0)
+        w = np.zeros((2, 2))
+        w[0] = (1.0, 0.0)
+        w[1] = (0.0, 1.0)
         params = m_step(w, design, data)
         assert params.mixing == pytest.approx([0.75, 0.25])
 
@@ -129,7 +136,7 @@ class TestMStep:
         probs = oracles.ranking_probabilities([0.45, -0.2, 0.0])
         counts = rng.multinomial(400, probs)
         design, data = small_design(1, counts)
-        w = np.ones((1, 6, 1))
+        w = np.ones((design.cell_set.size, 1))
         params = m_step(w, design, data)
 
         theta_hat, loglik_hat = oracles.maximize_fixed_effects(
@@ -159,7 +166,7 @@ class TestMStep:
 
     def test_degenerate_mass_guard(self):
         design, data = small_design(2)
-        w = np.zeros((1, 6, 2))
+        w = np.zeros((6, 2))
         w[..., 0] = 1.0 - 1e-9
         w[..., 1] = 1e-9
         with pytest.raises(fitting.DegenerateClassError):
@@ -172,18 +179,18 @@ class TestFitStructural:
                          factor_levels=["a", "b"])
         spec = ModelSpec(("A", "B", "C"), ("g", "g"), 1)
         design = Design(spec, data)
-        w = np.ones((2, 6, 1))
+        w = np.ones((design.cell_set.size, 1))
         with pytest.raises(RankDeficientDesignError, match="A:g=b"):
             m_step(w, design, data)
 
     def test_divergence_error_when_steps_cannot_ascend(self, monkeypatch):
         design, data = small_design(1)
-        m = data.counts[:, :, None].astype(float)
+        m = design.cell_counts[:, None]
 
-        def explode(factor, score):
-            return np.full_like(score, 1e30)
+        def explode(matrix, rhs):
+            return np.full_like(rhs, 1e30)
 
-        monkeypatch.setattr(fitting.scipy.linalg, "cho_solve", explode)
+        monkeypatch.setattr(fitting.np.linalg, "solve", explode)
         with pytest.raises(IrlsDivergenceError):
             fit_structural(m, design)
 
@@ -226,7 +233,7 @@ class TestStructuralInformation:
         hess = oracles.numerical_hessian(
             lambda c: self.expected_count_loglik(design, m, c), coefs
         )
-        info = structural_information(design, coefs, m)
+        info = structural_information(design, coefs, at_cells(design, m))
         assert info == pytest.approx(-hess, rel=1e-5, abs=1e-5)
 
     def test_fixed_zero_drops_rows_and_columns(self):
@@ -241,7 +248,8 @@ class TestStructuralInformation:
             return self.expected_count_loglik(design, m, c)
 
         hess = oracles.numerical_hessian(loglik_free, coefs[free])
-        info = structural_information(design, coefs, m, fixed_zero=(fixed,))
+        info = structural_information(design, coefs, at_cells(design, m),
+                                      fixed_zero=(fixed,))
         assert info.shape == (free.size, free.size)
         assert info == pytest.approx(-hess, rel=1e-5, abs=1e-5)
 
@@ -287,24 +295,38 @@ class TestObservedCells:
                                                    params.mixing)
             assert loglik == pytest.approx(direct, abs=1e-9)
 
-    def test_m_step_dense_and_cell_weights_bit_identical(self):
+    def test_posteriors_are_the_dense_softmax_at_observed_cells(self):
         design, data = self.instance()
-        rng = np.random.default_rng(4)
-        w = rng.dirichlet(np.ones(2), size=data.counts.shape)
-        start = init_start(8, design)
-        dense = m_step(w, design, data, start=start)
-        cells = m_step(design.cell_values(w), design, data, start=start)
-        assert np.array_equal(dense.coefficients, cells.coefficients)
-        assert np.array_equal(dense.mixing, cells.mixing)
+        params = init_start(8, design, scale=1.0)
+        logp = design.log_pattern_probs(params.coefficients) + np.log(params.mixing)
+        dense = np.exp(logp - logp.max(axis=-1, keepdims=True))
+        dense /= dense.sum(axis=-1, keepdims=True)
+        w = posterior_weights(params, design)
+        assert w.shape == (design.cell_set.size, 2)
+        assert np.abs(w - at_cells(design, dense)).max() < 1e-12
 
     def test_mismatched_weights_or_data_are_rejected(self):
         design, data = self.instance()
-        with pytest.raises(ValueError, match="cell array"):
-            m_step(np.ones((design.n_sets, 3, 2)), design, data)
+        for shape in [(design.n_sets, 3, 2),
+                      (design.n_sets, design.n_patterns, 2)]:
+            with pytest.raises(ValueError, match="cell array"):
+                m_step(np.ones(shape), design, data)
         other, _ = small_design(2)
         w = np.full((other.cell_set.size, 2), 0.5)
         with pytest.raises(DataError, match="count table"):
             m_step(w, other, data)
+        w = posterior_weights(init_start(8, design), design)
+        with pytest.raises(ValueError, match="not both"):
+            run_chain(design, data, init_start(8, design), FitConfig(),
+                      callback=lambda *args: None, initial_weights=w)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_non_finite_or_negative_weights_are_rejected(self, bad):
+        design, data = self.instance()
+        w = np.full((design.cell_set.size, 2), 0.5)
+        w[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            m_step(w, design, data)
 
     def test_covariate_set_without_respondents_is_an_error(self):
         data = make_data(3, np.array([[4, 1, 2, 0, 3, 1], [0, 0, 0, 0, 0, 0]]),
@@ -329,6 +351,16 @@ class TestObservedCells:
         assert calls == []
         run_chain(design, data, start, config, callback=lambda *args: None)
         assert len(calls) == 4
+        # nor do the fit, the three SE procedures and the post-hoc tables
+        calls.clear()
+        result = fit(design.spec, data, FitConfig(n_starts=2))
+        report = standard_error_report(result, data, methods=("all",))
+        assert report.rows[0].se_raw is not None
+        class_summary(result, data, se_report=report)
+        assign_classes(result, data)
+        for mode in ("expected", "hard"):
+            crosstab(result, data, ["a", "b"] * 20, mode=mode)
+        assert calls == []
 
 
 class TestFit:

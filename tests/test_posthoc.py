@@ -166,7 +166,7 @@ class TestCrossTab:
     def test_single_category_recovers_expected_class_totals(self, mixture):
         result, data, rows = mixture
         tab = crosstab(result, data, ["all"] * len(rows), mode="expected")
-        expected = (data.counts[:, :, None] * result.posteriors).sum(axis=(0, 1))
+        expected = (result.design.cell_counts[:, None] * result.posteriors).sum(axis=0)
         assert tab.table[0] == pytest.approx(expected, abs=1e-8)
 
     def test_length_mismatch_is_an_error(self, mixture):
