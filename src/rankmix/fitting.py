@@ -194,15 +194,13 @@ def fit_structural(
     tol: float = 1e-10,
     max_iter: int = 100,
     fixed_zero=(),
-    penalty: tuple[int, float] | None = None,
 ) -> np.ndarray:
     """Maximize sum m[cell, r] log P[cell, r] over the structural coefficients.
 
     ``m`` holds the (possibly fractional) expected counts at the design's
     observed cells, (nnz, R). ``fixed_zero`` names coefficient indices
     constrained to zero (their rows and columns leave the score and the
-    information); ``penalty`` adds a quadratic ridge on one coefficient,
-    used to pin it near zero without dropping the column.
+    information).
 
     Each Newton step forms the information from the per-block covariance
     of the net-win scores, Cov[s] = E[s s'] - E[s] E[s]', whose second
@@ -229,35 +227,21 @@ def fit_structural(
             m > 0, m * np.log(m / m_plus[design.cell_set]), 0.0
         ).sum()
 
-    pen_pos = None
-    strength = 0.0
-    if penalty is not None:
-        idx, strength = penalty
-        if fixed[idx]:
-            raise ValueError("cannot penalize a coefficient fixed at zero")
-        pen_pos = int(np.nonzero(free == idx)[0][0])
-
-    def penalized_deviance(b):
+    def deviance(b):
         """Deviance at ``b`` and the block pattern probabilities there."""
         a = design.block_effects(b)
         log_z, p_b = design.log_normalizer(a)
         # sum m log P = sum_kr (t . a - m_plus log Z)
         loglik = float(np.vdot(observed, a) - np.vdot(m_plus, log_z))
-        d = 2.0 * (saturated - loglik)
-        if pen_pos is not None:
-            d += 2.0 * strength * b[free][pen_pos] ** 2
-        return d, p_b
+        return 2.0 * (saturated - loglik), p_b
 
-    dev, p = penalized_deviance(beta)
+    dev, p = deviance(beta)
 
     for iteration in range(1, max_iter + 1):
         mean, info = _moments_information(p, design, m_plus)
         del p  # freed before the trials allocate theirs
         info = info[free_block]
         score = _coefficient_score(design.X, observed, m_plus, mean)[free]
-        if pen_pos is not None:
-            score[pen_pos] -= 2.0 * strength * beta[free][pen_pos]
-            info[pen_pos, pen_pos] += 2.0 * strength
         try:
             lower = np.linalg.cholesky(info)
         except np.linalg.LinAlgError:
@@ -270,7 +254,7 @@ def fit_structural(
         for _ in range(40):
             trial = beta.copy()
             trial[free] = beta[free] + step * direction
-            dev_try, p = penalized_deviance(trial)
+            dev_try, p = deviance(trial)
             if dev_try <= dev + slack:
                 accepted = True
                 break
@@ -312,7 +296,6 @@ def m_step(
     config: FitConfig | None = None,
     min_mass: float = 0.0,
     fixed_zero=(),
-    penalty=None,
 ) -> Parameters:
     """One M step: update mixing weights, then refit the coefficients.
 
@@ -337,7 +320,6 @@ def m_step(
         tol=config.irls_tol,
         max_iter=config.irls_max_iter,
         fixed_zero=fixed_zero,
-        penalty=penalty,
     )
     return Parameters(beta, np.maximum(mixing, 1e-300))
 
@@ -363,7 +345,6 @@ def run_chain(
     label: str = "chain",
     callback: Callable | None = None,
     fixed_zero=(),
-    penalty=None,
     initial_weights: np.ndarray | None = None,
 ) -> _Chain:
     """Run one EM chain to convergence (or the iteration cap).
@@ -402,7 +383,6 @@ def run_chain(
                 config=config,
                 min_mass=config.degenerate_mass,
                 fixed_zero=fixed_zero,
-                penalty=penalty,
             )
         except DegenerateClassError as exc:
             degenerate, message = True, str(exc)

@@ -9,7 +9,8 @@ treated as known in the final scoring pass. Three quantities are offered:
   in 2 log L when the coefficient is constrained to zero), so the Wald
   statistic reproduces the LR test exactly;
 * hessian: from the observed information of the full mixture likelihood,
-  approximated by central finite differences of the analytic score.
+  computed exactly by Louis's identity as the complete-data information
+  minus the missing information.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from .fitting import (
     run_chain,
     structural_information,
 )
-from .model import Parameters, mixture_loglik, mixture_score
+
+# EM iterations allowed to each constrained refit
+_MAX_REFIT_ITER = 200
 
 
 class StandardErrorError(FitError):
@@ -73,27 +76,24 @@ def corrected_se(
     data: AggregatedData,
     coefficient: int | str,
     config: FitConfig | None = None,
-    max_refit_iter: int = 200,
-    ridge_strength: float = 1e8,
 ) -> tuple[float, float]:
     """Likelihood-ratio-equating SE for one coefficient.
 
     Refits the model with the coefficient constrained to zero, resuming
     from the converged posterior weights so the constrained chain cannot
-    wander to a worse mode. Returns (se, drop in 2 log L). If the first
-    refit lands above the unconstrained likelihood (label switching), one
-    retry pins the coefficient with a heavy ridge instead of dropping the
-    column; a second failure raises.
+    wander to a worse mode. Returns (se, drop in 2 log L). The constrained
+    model is nested in the unconstrained one, so a drop at or below zero
+    shows that the fit is not at its maximum; that, and a constrained
+    chain that degenerates, raise ``StandardErrorError``.
     """
     design = fit.design
     if isinstance(coefficient, str):
         coefficient = design.name_to_index[coefficient]
+    name = design.coefficients[coefficient].name
     estimate = float(fit.params.coefficients[coefficient])
     if abs(estimate) < 1e-12:
-        raise ValueError(
-            f"coefficient {design.coefficients[coefficient].name!r} is already zero"
-        )
-    config = replace(config or FitConfig(), max_iter=max_refit_iter)
+        raise ValueError(f"coefficient {name!r} is already zero")
+    config = replace(config or FitConfig(), max_iter=_MAX_REFIT_ITER)
 
     start = fit.params.copy()
     start.coefficients[coefficient] = 0.0
@@ -103,89 +103,71 @@ def corrected_se(
         fixed_zero=(coefficient,),
         initial_weights=fit.posteriors,
     )
-    drop = 2.0 * (fit.loglik - chain.loglik)
-    if drop <= 0 or chain.degenerate:
-        ridge_chain = run_chain(
-            design, data, start, config,
-            label="constrained-ridge",
-            penalty=(coefficient, ridge_strength),
-            initial_weights=fit.posteriors,
+    if chain.degenerate:
+        raise StandardErrorError(
+            f"constrained refit for {name!r} degenerated: {chain.message}"
         )
-        pinned = ridge_chain.params.copy()
-        pinned.coefficients[coefficient] = 0.0
-        loglik0, _ = mixture_loglik(pinned, design, data)
-        drop = 2.0 * (fit.loglik - loglik0)
-        if drop <= 0:
-            raise StandardErrorError(
-                f"constrained refit for "
-                f"{design.coefficients[coefficient].name!r} exceeded the "
-                f"unconstrained likelihood (drop {drop:.3g}); rerun with more "
-                f"constrained-fit iterations"
-            )
+    drop = 2.0 * (fit.loglik - chain.loglik)
+    if drop <= 0:
+        raise StandardErrorError(
+            f"constrained refit for {name!r} did not lower the likelihood "
+            f"(drop {drop:.3g}): the unconstrained fit is not at its maximum"
+        )
     return abs(estimate) / np.sqrt(drop), drop
 
 
-def observed_information(score_fn, point: np.ndarray, rel_step: float = 1e-5):
-    """Observed information by central differences of an analytic score.
-
-    Step sizes are relative to each parameter's magnitude. Returns the
-    symmetrized information matrix together with the largest asymmetry
-    found, which should be near zero for an exact score.
-    """
-    point = np.asarray(point, dtype=np.float64)
-    n = point.size
-    hess = np.empty((n, n))
-    for c in range(n):
-        h = rel_step * max(abs(point[c]), 1.0)
-        hi = point.copy()
-        lo = point.copy()
-        hi[c] += h
-        lo[c] -= h
-        hess[:, c] = (score_fn(hi) - score_fn(lo)) / (2.0 * h)
-    info = -0.5 * (hess + hess.T)
-    asymmetry = float(np.abs(hess - hess.T).max())
-    return info, asymmetry
-
-
-def mass_log_ratios(mixing: np.ndarray) -> np.ndarray:
-    """Free mass parameters: log of each mass against the last class."""
-    return np.log(mixing[:-1]) - np.log(mixing[-1])
-
-
-def params_from_free_vector(psi: np.ndarray, n_coefficients: int) -> Parameters:
-    beta = psi[:n_coefficients]
-    gamma = np.append(psi[n_coefficients:], 0.0)
-    mixing = np.exp(gamma - gamma.max())
-    return Parameters(beta, mixing / mixing.sum())
-
-
-def hessian_standard_errors(
-    fit: FitResult,
-    data: AggregatedData,
-    rel_step: float = 1e-5,
-):
+def hessian_standard_errors(fit: FitResult, data: AggregatedData):
     """Observed-information SEs for all structural coefficients.
 
-    The expansion point is the converged fit; masses enter through free
-    log-ratios so the information is over an unconstrained vector. Returns
-    (per-coefficient SEs, info matrix, asymmetry). Raises when the
-    information is not positive definite, listing the flat or negative
-    directions (label-switching symmetry usually shows up here).
+    The information is over the coefficients and the R - 1 mass
+    log-ratios log(q_r / q_R), at the fit's parameters and posterior
+    weights w. By Louis's identity it is the complete-data information
+    minus the missing information. The complete-data part is the
+    structural information at the expected counts n w plus the mass block
+    N (diag(q~) - q~ q~'), with q~ the first R - 1 masses. The missing part
+    is sum over observed cells of n (sum_r w_r g_r g_r' - g g'), where g_r
+    is the gradient of log(q_r P_r) at the cell,
+    [X_kr (x) (s_l - E_kr[s]) over the free items, e_r - q~], and g is
+    its posterior mean sum_r w_r g_r.
+
+    Returns (per-coefficient SEs, information, covariance). Raises when
+    the information is not positive definite, listing the flat or
+    negative directions (label-switching symmetry usually shows up here).
     """
     design = fit.design
+    design.check_data(data)
+    beta = fit.params.coefficients
+    q = fit.params.mixing[:-1]
+    n = design.cell_counts
+    w = fit.posteriors
+    m = n[:, None] * w
+    nnz, R = w.shape
     p = design.n_coefficients
-    psi = np.concatenate(
-        [fit.params.coefficients, mass_log_ratios(fit.params.mixing)]
-    )
 
-    def score_fn(v):
-        return mixture_score(params_from_free_vector(v, p), design, data)
+    complete = np.zeros((p + R - 1, p + R - 1))
+    complete[:p, :p] = structural_information(design, beta, m)
+    complete[p:, p:] = n.sum() * (np.diag(q) - np.outer(q, q))
 
-    info, asymmetry = observed_information(score_fn, psi, rel_step)
+    _, probs = design.log_normalizer(design.block_effects(beta))
+    mean = design.score_means(probs)
+    resid = (design.cell_scores[:, None, :] - mean[design.cell_set])[..., :-1]
+    X = design.X[design.cell_set]  # (nnz, R, Q)
+    g = np.concatenate(
+        [
+            (X[..., :, None] * resid[..., None, :]).reshape(nnz, R, p),
+            np.broadcast_to(np.eye(R)[:, :-1] - q, (nnz, R, R - 1)),
+        ],
+        axis=-1,
+    ).reshape(nnz * R, -1)
+    g_mean = (w[..., None] * g.reshape(nnz, R, -1)).sum(axis=1)
+    missing = (m.reshape(-1, 1) * g).T @ g - (n[:, None] * g_mean).T @ g_mean
+    info = complete - missing
+    info = 0.5 * (info + info.T)
+
     eigvals, eigvecs = np.linalg.eigh(info)
     if eigvals.min() <= 0:
         names = [c.name for c in design.coefficients] + [
-            f"mass{r + 1}" for r in range(design.n_classes - 1)
+            f"mass{r + 1}" for r in range(R - 1)
         ]
         flat = []
         for idx in np.nonzero(eigvals <= 0)[0]:
@@ -196,7 +178,7 @@ def hessian_standard_errors(
             "observed information is not positive definite: " + "; ".join(flat)
         )
     cov = eigvecs @ np.diag(1.0 / eigvals) @ eigvecs.T
-    return np.sqrt(np.diag(cov))[:p], info, asymmetry
+    return np.sqrt(np.diag(cov))[:p], info, cov
 
 
 def standard_error_report(
@@ -234,7 +216,7 @@ def standard_error_report(
         for i, row in enumerate(rows):
             try:
                 se, drop = corrected_se(fit, data, i, config=config)
-            except (StandardErrorError, ValueError) as exc:
+            except (FitError, ValueError) as exc:
                 row.note = ((row.note + "; ") if row.note else "") + str(exc)
                 continue
             row.se_corrected = float(se)

@@ -139,19 +139,15 @@ def crosstab(
         )
     if mode not in ("expected", "hard"):
         raise ValueError(f"unknown crosstab mode {mode!r}")
-    labels = sorted(set(str(c) for c in categories))
-    label_pos = {lab: i for i, lab in enumerate(labels)}
-    R = fit.design.n_classes
-    table = np.zeros((len(labels), R))
+    # labels sort as strings, so category 10 comes before category 9
+    labels, codes = np.unique(np.array([str(c) for c in categories], dtype=str),
+                              return_inverse=True)
+    table = np.zeros((labels.size, fit.design.n_classes))
     if mode == "expected":
-        w = fit.posteriors[_row_cells(fit, data)]  # (N, R)
-        for i, cat in enumerate(categories):
-            table[label_pos[str(cat)]] += w[i]
+        np.add.at(table, codes, fit.posteriors[_row_cells(fit, data)])
     else:
-        assigned = assign_classes(fit, data).assigned - 1
-        for i, cat in enumerate(categories):
-            table[label_pos[str(cat)], assigned[i]] += 1.0
-    return CrossTab(row_labels=labels, table=table, mode=mode)
+        np.add.at(table, (codes, assign_classes(fit, data).assigned - 1), 1.0)
+    return CrossTab(row_labels=labels.tolist(), table=table, mode=mode)
 
 
 def log_odds_ratio(

@@ -21,7 +21,8 @@ from rankmix.fitting import (
     split_largest_class,
     structural_information,
 )
-from rankmix.inference import standard_error_report
+import rankmix.inference as inference
+from rankmix.inference import StandardErrorError, corrected_se, standard_error_report
 from rankmix.model import (
     Design,
     ModelSpec,
@@ -361,6 +362,32 @@ class TestObservedCells:
         for mode in ("expected", "hard"):
             crosstab(result, data, ["a", "b"] * 20, mode=mode)
         assert calls == []
+
+    def test_negative_drop_raises_after_one_refit(self, monkeypatch):
+        design, data = self.instance()
+        result = fit(design.spec, data, FitConfig(n_starts=2))
+        calls = []
+        refit = inference.run_chain
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return refit(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "run_chain", counted)
+        with pytest.raises(StandardErrorError, match="not at its maximum"):
+            corrected_se(result, data, "A:class1")
+        assert len(calls) == 1
+
+    def test_rank_deficient_refit_lands_in_the_row_note(self):
+        design, data = self.instance()
+        result = fit(design.spec, data, FitConfig(n_starts=2, seed=3))
+        report = standard_error_report(result, data, methods=("all",))
+        deficient = [row for row in report.rows
+                     if row.note and "rank deficient" in row.note]
+        assert deficient
+        for row in report.rows:
+            assert row.se_hessian is not None
+            assert (row.se_corrected is None) == (row.note is not None)
 
 
 class TestFit:

@@ -1,16 +1,20 @@
 import dataclasses
 import functools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from rankmix.data import CovariateDecl, aggregate
 from rankmix.fitting import FitConfig, fit
 from rankmix.inference import (
     StandardErrorError,
     corrected_se,
     hessian_standard_errors,
-    observed_information,
     raw_em_standard_errors,
     standard_error_report,
 )
@@ -18,10 +22,11 @@ from rankmix.model import (
     ModelSpec,
     Parameters,
     mixture_loglik,
+    mixture_score,
     posterior_weights,
 )
 
-from conftest import make_data
+from conftest import make_data, shared_space
 import oracles
 
 
@@ -94,25 +99,52 @@ class TestCorrectedSE:
             assert drop > 0
 
 
-class TestObservedInformation:
-    def test_quadratic_single_parameter(self):
-        # loglik = -(x - a)^2 / (2 s^2): the SE must equal s
-        a, s = 0.7, 0.35
-
-        def score(psi):
-            return np.array([-(psi[0] - a) / s**2])
-
-        info, asym = observed_information(score, np.array([0.2]))
-        assert asym == pytest.approx(0.0, abs=1e-10)
-        assert 1.0 / math.sqrt(info[0, 0]) == pytest.approx(s, abs=1e-8)
-
-    def test_symmetry_under_difference_order_swap(self):
-        result, data = two_class_two_set_fit()
-        _, info, asymmetry = hessian_standard_errors(result, data)
-        assert asymmetry / np.abs(info).max() < 1e-8
-
-
 class TestHessianSE:
+    def test_information_matches_oracle_hessian_off_the_optimum(self):
+        # J=3, R=2, a factor and a continuous term, two simulated classes.
+        # The point is a random step away from the fit, so the score is not
+        # zero there and the score terms of Louis's identity matter; a
+        # random point far from the fit has an indefinite information.
+        rng = np.random.default_rng(31)
+        orders = oracles.enumerate_order_vectors(3)
+        rows = []
+        for _ in range(300):
+            g, x = rng.choice(["a", "b"]), rng.choice([-1.0, 0.5, 2.0])
+            effects = ([1.0, 0.5, 0.0] if rng.random() < 0.4
+                       else [-0.8, 0.2, 0.0])
+            effects = np.add(effects, [0.3 * (g == "b") + 0.2 * x, 0.0, 0.0])
+            order = orders[rng.choice(6, p=oracles.ranking_probabilities(effects))]
+            rows.append((np.argsort(order) + 1, {"g": str(g), "x": float(x)}))
+        data = aggregate(shared_space(3), rows,
+                         [CovariateDecl("g", "factor"),
+                          CovariateDecl("x", "continuous")])
+        spec = ModelSpec(("A", "B", "C"), ("g", "x"), 2)
+        result = fit(spec, data, FitConfig(n_starts=2))
+        design = result.design
+        p = design.n_coefficients
+        params = Parameters(result.params.coefficients + rng.normal(0.0, 0.1, p),
+                            result.params.mixing + [0.05, -0.05])
+        forged = dataclasses.replace(
+            result, params=params,
+            posteriors=posterior_weights(params, design),
+        )
+        assert np.abs(mixture_score(params, design, data)).max() > 1.0
+        _, info, _ = hessian_standard_errors(forged, data)
+
+        def loglik(psi):
+            # psi = (coefficients, log q1 / q2)
+            mixing = np.exp(np.append(psi[p:], 0.0))
+            effects = design.item_effects(psi[:p])
+            table = {(k, r): effects[:, k, r]
+                     for k in range(design.n_sets) for r in range(2)}
+            return oracles.mixture_loglik_direct(data.counts, table,
+                                                 mixing / mixing.sum())
+
+        point = np.append(params.coefficients,
+                          math.log(params.mixing[0] / params.mixing[1]))
+        hess = oracles.numerical_hessian(loglik, point)
+        assert np.abs(info + hess).max() <= 1e-6 * np.abs(hess).max()
+
     def test_single_class_matches_oracle_hessian(self):
         result, data = single_class_fit()
         ses, _, _ = hessian_standard_errors(result, data)
@@ -211,3 +243,19 @@ class TestReport:
         assert report.rows[0].se_corrected is None
         assert "zero" in report.rows[0].note
         assert report.by_name("B").se_corrected is not None
+
+    def test_se_methods_study_script_runs(self):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        out = subprocess.run(
+            [sys.executable, str(root / "scripts" / "se_methods_study.py"),
+             "--sizes", "1000", "--starts", "2"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        table = [line.split() for line in out.stdout.splitlines()
+                 if line.startswith("  ") and "estimate" not in line]
+        names = ["A", "B", "A:g=b", "B:g=b", "A:class1", "B:class1"]
+        assert [cells[0] for cells in table] == names
+        for cells in table:
+            assert math.isfinite(float(cells[-1]))

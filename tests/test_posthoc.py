@@ -169,6 +169,26 @@ class TestCrossTab:
         expected = (result.design.cell_counts[:, None] * result.posteriors).sum(axis=0)
         assert tab.table[0] == pytest.approx(expected, abs=1e-8)
 
+    @pytest.mark.parametrize("mode", ["expected", "hard"])
+    def test_integer_categories_sort_as_strings(self, mixture, mode):
+        result, data, rows = mixture
+        categories = [9 if i % 3 else 10 for i in range(len(rows))]
+        tab = crosstab(result, data, categories, mode=mode)
+        assert tab.row_labels == ["10", "9"]
+        # reference: one respondent at a time
+        design = result.design
+        cell_row = {(k, l): i for i, (k, l) in
+                    enumerate(zip(design.cell_set, design.cell_pattern))}
+        assigned = assign_classes(result, data).assigned
+        reference = np.zeros((2, design.n_classes))
+        for cat, (k, l), a in zip(categories, data.row_cells, assigned):
+            pos = tab.row_labels.index(str(cat))
+            if mode == "expected":
+                reference[pos] += result.posteriors[cell_row[(k, l)]]
+            else:
+                reference[pos, a - 1] += 1.0
+        assert np.array_equal(tab.table, reference)
+
     def test_length_mismatch_is_an_error(self, mixture):
         result, data, rows = mixture
         with pytest.raises(DataError, match="respondents"):
