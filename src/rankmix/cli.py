@@ -29,7 +29,7 @@ from .fitting import (
 )
 from .inference import standard_error_report
 from .model import ModelSpec
-from .rankings import CapacityError, enumerate_transitive_patterns
+from .rankings import MAX_ITEMS_DEFAULT, CapacityError, enumerate_transitive_patterns
 from .simulate import (
     ClassTruth,
     CovariateTruth,
@@ -118,7 +118,7 @@ def _ingest(cfg: dict, args):
     labels, columns = _item_columns(cfg)
     decls, cov_columns = _covariates(cfg)
     space = enumerate_transitive_patterns(
-        len(labels), max_items=int(cfg.get("max_items", 8))
+        len(labels), max_items=int(cfg.get("max_items", MAX_ITEMS_DEFAULT))
     )
     ingest = read_ranking_csv(
         input_path,

@@ -4,7 +4,8 @@ Respondents sharing the same observed covariate combination form one
 covariate set; the data enter the model as counts n[k, l] of respondents
 per (covariate set k, pattern l) cell. Continuous covariates are centered
 and scaled here so downstream IRLS sees standardized columns; the scale
-is kept so raw-scale coefficients can be reported back.
+is kept so raw-scale coefficients can be reported back. All rows are checked
+at once with array operations; a failing row is rechecked alone for its error.
 """
 
 from __future__ import annotations
@@ -15,29 +16,38 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rankings import (
-    PatternSpace,
-    RankingValidationError,
-    order_to_ranks,
-    validate_ranks,
-)
+from .rankings import (PatternSpace, RankingValidationError, _lehmer_code,
+                       order_to_ranks, validate_ranks)
 
 
 class DataError(ValueError):
     """Input rows or table shapes are unusable."""
 
 
+_MISSING = object()  # a declared covariate absent from an aggregate() row
+
+
+def _float_or_nan(value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return math.nan
+
+
 def _continuous_value(name: str, value) -> float:
     """A continuous covariate value as a finite float."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if not math.isfinite(number):
+    if not math.isfinite(number := _float_or_nan(value)):
         raise DataError(
-            f"covariate {name!r}: {str(value).strip()!r} is not a finite number"
-        )
+            f"covariate {name!r}: {str(value).strip()!r} is not a finite number")
     return number
+
+
+def _floats(values: np.ndarray) -> np.ndarray:
+    """An object array as float64 by ``float()``; what it rejects reads as NaN."""
+    try:
+        return values.astype(np.float64)
+    except (TypeError, ValueError):
+        return np.vectorize(_float_or_nan, otypes=[np.float64])(values)
 
 
 @dataclass(frozen=True)
@@ -106,30 +116,15 @@ class AggregatedData:
         return self.counts.size
 
     def factor_level_order(self, name: str) -> tuple[str, ...]:
-        for decl, levels in zip(self._factor_decls(), self._factor_levels_observed()):
+        for pos, decl in enumerate(d for d in self.declarations if d.kind == "factor"):
             if decl.name == name:
-                return levels
-        raise DataError(f"no factor covariate named {name!r}")
-
-    def _factor_decls(self) -> list[CovariateDecl]:
-        return [d for d in self.declarations if d.kind == "factor"]
-
-    def _continuous_decls(self) -> list[CovariateDecl]:
-        return [d for d in self.declarations if d.kind == "continuous"]
-
-    def _factor_levels_observed(self) -> list[tuple[str, ...]]:
-        out = []
-        for pos, decl in enumerate(self._factor_decls()):
-            if decl.levels is not None:
-                out.append(tuple(decl.levels))
-            else:
                 seen = {s.factor_levels[pos] for s in self.covariate_sets}
-                out.append(tuple(sorted(seen)))
-        return out
+                return tuple(sorted(seen) if decl.levels is None else decl.levels)
+        raise DataError(f"no factor covariate named {name!r}")
 
     def standardized_continuous(self, name: str) -> np.ndarray:
         """Centered and scaled values of a continuous covariate, one per set."""
-        names = [d.name for d in self._continuous_decls()]
+        names = [d.name for d in self.declarations if d.kind == "continuous"]
         if name not in names:
             raise DataError(f"no continuous covariate named {name!r}")
         pos = names.index(name)
@@ -138,81 +133,92 @@ class AggregatedData:
         return (raw - mean) / scale
 
 
-def aggregate(
-    space: PatternSpace,
-    rows,
-    declarations,
-    n_rejected: int = 0,
-) -> AggregatedData:
+def aggregate(space: PatternSpace, rows, declarations) -> AggregatedData:
     """Aggregate (rank vector, covariate dict) rows into an AggregatedData.
 
     Covariate sets are the distinct observed combinations, sorted by their
-    values so set indices are reproducible. Raises on rank rows that are
-    not complete permutations (with the offending row number), on rows
-    missing a declared covariate, and on continuous covariate values that
-    are not finite numbers.
+    values so set indices are reproducible. The first row that is not a
+    complete ranking, misses a declared covariate, or has a continuous
+    value that is not a finite number raises, citing its row number.
     """
-    declarations = tuple(declarations)
+    rows, declarations = list(rows), tuple(declarations)
+    rank_rows = [ranks for ranks, _ in rows]
+    covariates = {d.name: np.fromiter((c.get(d.name, _MISSING) for _, c in rows),
+                                      dtype=object, count=len(rows)) for d in declarations}
+    return _aggregate(space, np.array(rank_rows, dtype=object), covariates, declarations,
+                      lambda i: validate_ranks(rank_rows[i], space.n_items),
+                      lambda i: f"row {i + 1}")
+
+
+def _aggregate(space, values, covariates, declarations, recheck_ranks, where,
+               orders=False, n_rejected=0) -> AggregatedData:
+    """Aggregate raw rank rows (order rows with ``orders``) and covariates, held
+    in object arrays; failing rows are checked again in order until one raises."""
+    n, n_items = len(values), space.n_items
+    if n == 0:
+        raise DataError("no usable rows to aggregate")
+    values = _floats(values)  # rows of unequal length read as one NaN each
+    bad = (~np.all(np.sort(values, axis=1) == np.arange(1, n_items + 1), axis=1)
+           if values.shape[1:] == (n_items,) else np.ones(n, dtype=bool))
+    # a row's key: factor levels, then continuous values, each coded by rank
     factor_decls = [d for d in declarations if d.kind == "factor"]
     cont_decls = [d for d in declarations if d.kind == "continuous"]
+    columns, codes = [], []
+    for decl in factor_decls + cont_decls:
+        raw = covariates[decl.name]
+        factor = decl.kind == "factor"
+        column = np.fromiter(map(str, raw), object, n) if factor else _floats(raw)
+        observed, code = np.unique(column, return_inverse=True)
+        bad |= raw == _MISSING
+        if not factor:
+            bad |= ~np.isfinite(column)
+        elif decl.levels is not None:
+            bad |= ~np.array([lev in decl.levels for lev in observed], dtype=bool)[code]
+        columns.append(column)
+        codes.append(code)
+    for i in np.flatnonzero(bad):  # raises at the first row that truly fails
+        _recheck_row(i, where(i), recheck_ranks, covariates, factor_decls + cont_decls)
+    if bad.any():  # only if the array checks and the scalar checks disagree
+        raise AssertionError(f"{where(int(np.argmax(bad)))} fails the array checks only")
 
-    keys = []
-    cells = []
-    for rownum, (ranks, covs) in enumerate(rows, start=1):
-        try:
-            cell = space.index_of_ranking(ranks)
-        except RankingValidationError as exc:
-            raise RankingValidationError(f"row {rownum}: {exc}") from exc
-        for decl in declarations:
-            if decl.name not in covs:
-                raise DataError(f"row {rownum}: missing covariate {decl.name!r}")
-        fkey = tuple(str(covs[d.name]) for d in factor_decls)
-        for d, lev in zip(factor_decls, fkey):
-            if d.levels is not None and lev not in d.levels:
-                raise DataError(
-                    f"row {rownum}: level {lev!r} not among declared levels of {d.name!r}"
-                )
-        try:
-            ckey = tuple(_continuous_value(d.name, covs[d.name]) for d in cont_decls)
-        except DataError as exc:
-            raise DataError(f"row {rownum}: {exc}") from exc
-        keys.append(fkey + ckey)
-        cells.append(cell)
-    if not keys:
-        raise DataError("no usable rows to aggregate")
-
-    unique_keys = sorted(set(keys))
-    key_to_set = {key: k for k, key in enumerate(unique_keys)}
-    nf = len(factor_decls)
-    covariate_sets = tuple(
-        CovariateSet(index=k, factor_levels=key[:nf], continuous_values=key[nf:])
-        for k, key in enumerate(unique_keys)
-    )
-
-    counts = np.zeros((len(unique_keys), space.size), dtype=np.int64)
-    row_cells = np.empty((len(keys), 2), dtype=np.int64)
-    for i, (key, l) in enumerate(zip(keys, cells)):
-        k = key_to_set[key]
-        counts[k, l] += 1
-        row_cells[i] = (k, l)
-
+    keys = np.column_stack(codes) if codes else np.zeros((n, 0), dtype=np.int64)
+    _, first, set_index = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    set_index = set_index.reshape(n)
+    ranks = values.astype(np.int64)
+    if orders:
+        ranks = np.argsort(ranks, axis=1) + 1  # the inverse permutation, 1-based
+    patterns = _lehmer_code(ranks)
+    n_sets, n_patterns, nf = len(first), space.size, len(factor_decls)
+    counts = np.bincount(set_index * n_patterns + patterns, minlength=n_sets * n_patterns)
+    sets = tuple(  # in key order; values from the set's first row
+        CovariateSet(k, tuple(c[i] for c in columns[:nf]),
+                     tuple(float(c[i]) for c in columns[nf:]))
+        for k, i in enumerate(first.tolist()))
     # standardize continuous covariates over respondents, not over sets
-    scale = {}
-    for pos, decl in enumerate(cont_decls):
-        values = np.array([key[nf + pos] for key in keys], dtype=np.float64)
-        mean = float(values.mean())
-        sd = float(values.std())
-        scale[decl.name] = (mean, sd if sd > 0 else 1.0)
+    scale = {d.name: (float(x.mean()), float(x.std()) or 1.0)
+             for d, x in zip(cont_decls, columns[nf:])}
+    return AggregatedData(space, declarations, sets, counts.reshape(n_sets, n_patterns),
+                          continuous_scale=scale, n_rejected=n_rejected,
+                          row_cells=np.column_stack((set_index, patterns)))
 
-    return AggregatedData(
-        space=space,
-        declarations=declarations,
-        covariate_sets=covariate_sets,
-        counts=counts,
-        continuous_scale=scale,
-        row_cells=row_cells,
-        n_rejected=n_rejected,
-    )
+
+def _recheck_row(i, where, recheck_ranks, covariates, ordered):
+    """Row ``i``'s scalar checks in their original order; errors cite ``where``."""
+    try:
+        recheck_ranks(i)
+        for name, column in covariates.items():
+            if column[i] is _MISSING:
+                raise DataError(f"missing covariate {name!r}")
+        for decl in ordered:  # factors, then continuous covariates
+            value = covariates[decl.name][i]
+            if decl.kind == "continuous":
+                _continuous_value(decl.name, value)
+            elif decl.levels is not None and str(value) not in decl.levels:
+                raise DataError(
+                    f"level {str(value)!r} not among declared levels of {decl.name!r}")
+    except ValueError as exc:
+        kind = DataError if isinstance(exc, DataError) else RankingValidationError
+        raise kind(f"{where}: {exc}") from exc
 
 
 @dataclass
@@ -246,8 +252,8 @@ def read_ranking_csv(
     encodings are mutual inverses and are never auto-detected. Rows with
     blank cells in any used column are skipped and counted as rejected;
     rows with present but invalid values (ties, rank gaps, bad numbers,
-    continuous covariates that are not finite numbers) abort with the
-    offending line number.
+    undeclared factor levels, continuous covariates that are not finite
+    numbers) abort with the first offending line number.
     """
     if ranking_format not in ("ranks", "orders"):
         raise DataError(f"unknown ranking_format {ranking_format!r}")
@@ -256,45 +262,39 @@ def read_ranking_csv(
     for decl in declarations:
         covariate_columns.setdefault(decl.name, decl.name)
 
-    rows = []
-    extras: dict[str, list[str]] = {name: [] for name in extra_columns}
-    n_rejected = 0
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DataError(f"{path}: empty file, header row required")
-        needed = list(item_columns) + list(covariate_columns.values()) + list(extra_columns)
-        for col in needed:
-            if col not in reader.fieldnames:
+        for col in [*item_columns, *covariate_columns.values(), *extra_columns]:
+            if col not in header:
                 raise DataError(f"{path}: column {col!r} not in header")
-        for lineno, rec in enumerate(reader, start=2):
-            raw = [rec[c] for c in item_columns]
-            used = raw + [rec[covariate_columns[d.name]] for d in declarations]
-            if any(v is None or str(v).strip() == "" for v in used):
-                n_rejected += 1
-                continue
-            try:
-                values = np.array([_rank_cell(v) for v in raw], dtype=np.int64)
-            except ValueError as exc:
-                raise RankingValidationError(f"line {lineno}: {exc}") from exc
-            try:
-                if ranking_format == "orders":
-                    # order columns hold 1-based item positions by preference
-                    ranks = order_to_ranks(values - 1)
-                else:
-                    ranks = validate_ranks(values, space.n_items)
-            except RankingValidationError as exc:
-                raise RankingValidationError(f"line {lineno}: {exc}") from exc
-            covs = {d.name: rec[covariate_columns[d.name]] for d in declarations}
-            try:
-                for d in declarations:
-                    if d.kind == "continuous":
-                        covs[d.name] = _continuous_value(d.name, covs[d.name])
-            except DataError as exc:
-                raise DataError(f"line {lineno}: {exc}") from exc
-            rows.append((ranks, covs))
-            for name in extra_columns:
-                extras[name].append(rec[name])
+        # the records of csv.DictReader: blank lines skipped, absent fields None
+        records = (row + [None] * (len(header) - len(row)) for row in reader if row)
+        table = np.array(list(zip(*records)) or [()] * len(header), dtype=object)
+    column = {name: table[i] for i, name in enumerate(header)}  # a repeated name: its last
+    used = np.array([column[c] for c in
+                     [*item_columns, *(covariate_columns[d.name] for d in declarations)]])
+    text = used.astype(str)  # drops trailing NULs: a cell that loses one is not blank
+    blank = np.equal(used, None) | ((np.char.strip(text) == "") & (text == used))
+    accepted = ~blank.any(axis=0)
+    lines = np.flatnonzero(accepted) + 2  # the header is line 1
+    texts = used[: len(item_columns), accepted].T
+    del used, text  # only the accepted cells are needed from here on
 
-    data = aggregate(space, rows, declarations, n_rejected=n_rejected)
+    def recheck_ranks(i):
+        values = np.array([_rank_cell(cell) for cell in texts[i]], dtype=np.int64)
+        # order columns hold 1-based item positions by preference
+        ranks = order_to_ranks(values - 1) if ranking_format == "orders" else values
+        validate_ranks(ranks, space.n_items)
+
+    n_rejected = table.shape[1] - len(lines)
+    data = _aggregate(
+        space, texts,
+        {d.name: column[covariate_columns[d.name]][accepted] for d in declarations},
+        declarations, recheck_ranks, lambda i: f"line {lines[i]}",
+        orders=ranking_format == "orders", n_rejected=n_rejected,
+    )
+    extras = {name: column[name][accepted].tolist() for name in extra_columns}
     return IngestResult(data=data, extra_columns=extras, n_rejected=n_rejected)

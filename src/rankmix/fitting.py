@@ -54,7 +54,6 @@ from .model import (
     _posteriors,
     bic,
     count_parameters,
-    mixture_loglik,  # unused here; perfbench/tracing.py patches this name
     posterior_weights,
 )
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,24 +109,29 @@ def is_transitive(pattern: np.ndarray, n_items: int) -> bool:
     return sorted(wins.tolist()) == list(range(n_items))
 
 
+def _lehmer_code(ranks: np.ndarray) -> np.ndarray:
+    """Pattern indices of complete (..., J) rank vectors: the Lehmer code of
+    the order vector, sum over items i of #{j < i: r_j > r_i} * (J - r_i)!."""
+    j = ranks.shape[-1]
+    factorials = np.array([math.factorial(k) for k in range(j)], dtype=np.int64)
+    inversions = np.tril(ranks[..., :, None] < ranks[..., None, :], -1).sum(axis=-1)
+    return (inversions * factorials[j - ranks]).sum(axis=-1)
+
+
 @dataclass(frozen=True, eq=False)
 class PatternSpace:
     """All J! transitive paired-comparison patterns in canonical order.
 
     Canonical order is lexicographic over order vectors, so pattern 0 is
-    the identity ordering and the index of any ranking is stable across
-    runs and platforms.
+    the identity ordering, and the index of a ranking is the Lehmer code
+    of its order vector: arithmetic, no table, stable across platforms.
     """
 
     n_items: int
     rankings: np.ndarray  # (L, J) rank vectors, one per pattern
-    _index: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.rankings.setflags(write=False)
-        self._index.update(
-            {tuple(r): l for l, r in enumerate(self.rankings.tolist())}
-        )
 
     @property
     def size(self) -> int:
@@ -144,16 +149,12 @@ class PatternSpace:
         return patterns
 
     def index_of_ranking(self, ranks) -> int:
-        """Canonical pattern index of a complete ranking.
+        """Canonical pattern index of a complete ranking: its Lehmer code.
 
         Raises :class:`RankingValidationError` when ``ranks`` is not a
         complete ranking of the space's items.
         """
-        try:
-            return self._index[tuple(np.asarray(ranks).tolist())]
-        except (KeyError, TypeError):
-            # not one of the J! rankings: validation words the error
-            return self._index[tuple(validate_ranks(ranks, self.n_items).tolist())]
+        return int(_lehmer_code(validate_ranks(ranks, self.n_items)))
 
     def score_matrix(self) -> np.ndarray:
         """(L, J) matrix of net wins: wins minus losses per item.

@@ -143,6 +143,20 @@ class TestFit:
         assert "line 3" in err
         assert "Warning" not in err
 
+    def test_undeclared_level_exits_one_citing_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("A,B,C,g\n,,,a\n1,2,3,a\n2,1,3,z\n")
+        cfg = fit_config(
+            tmp_path, bad,
+            covariates=[{"name": "g", "type": "factor", "levels": ["a", "b"]}],
+            terms=["g"], classes=1,
+        )
+        assert main(["fit", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+        assert "line 4" in err
+
     def test_capacity_error_for_too_many_items(self, tmp_path, sim_csv, capsys):
         cfg = fit_config(tmp_path, sim_csv,
                          items=[f"i{k}" for k in range(9)])

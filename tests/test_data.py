@@ -87,6 +87,56 @@ class TestAggregate:
         with pytest.raises(DataError, match="row 2"):
             aggregate(space3, rows_of([[1, 2, 3]] * 2, covs), decls)
 
+    def test_short_row_and_fractional_rank_cite_row(self, space3):
+        with pytest.raises(RankingValidationError,
+                           match="^row 2: expected 3 ranks, got 2$"):
+            aggregate(space3, rows_of([[1, 2, 3], [1, 2]]), [])
+        with pytest.raises(RankingValidationError,
+                           match="^row 1: ranks must be integers$"):
+            aggregate(space3, rows_of([[1.5, 2, 3]]), [])
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.permutations([1, 2, 3]),
+                st.sampled_from(["a", "b", "c"]),
+                st.sampled_from(["u", "v"]),
+                st.sampled_from([-1.5, 0.0, 2.0, 2.5, 7.0]),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_matches_row_by_row_reference(self, draws):
+        space = shared_space(3)
+        decls = [
+            CovariateDecl("g", "factor", levels=("c", "a", "b")),
+            CovariateDecl("x", "continuous"),
+            CovariateDecl("h", "factor"),
+        ]
+        rows = [(np.array(r), {"g": g, "h": h, "x": x}) for r, g, h, x in draws]
+        data = aggregate(space, rows, decls)
+
+        # reference: one row at a time, keys (g, h, x) sorted as tuples
+        keys = [(c["g"], c["h"], float(c["x"])) for _, c in rows]
+        cells = [space.rankings.tolist().index(r.tolist()) for r, _ in rows]
+        sets = sorted(set(keys))
+        counts = np.zeros((len(sets), space.size), dtype=np.int64)
+        row_cells = []
+        for key, l in zip(keys, cells):
+            counts[sets.index(key), l] += 1
+            row_cells.append((sets.index(key), l))
+        x = np.array([key[2] for key in keys])
+        sd = float(x.std())
+
+        assert np.array_equal(data.counts, counts)
+        assert data.row_cells.tolist() == [list(c) for c in row_cells]
+        assert [(s.index, s.factor_levels, s.continuous_values)
+                for s in data.covariate_sets] == [
+            (k, key[:2], key[2:]) for k, key in enumerate(sets)
+        ]
+        assert data.continuous_scale == {"x": (float(x.mean()), sd if sd > 0 else 1.0)}
+
     @given(st.lists(st.permutations([1, 2, 3]), min_size=1, max_size=40))
     def test_count_preservation_property(self, rankings):
         space = shared_space(3)
@@ -143,6 +193,30 @@ class TestCsvIngest:
                                                         cell):
         path = self.write(tmp_path, f"a,b,c,x\n1,2,3,0.5\n2,1,3,{cell}\n")
         with pytest.raises(DataError, match="line 3"):
+            read_ranking_csv(path, space3, ["a", "b", "c"],
+                             [CovariateDecl("x", "continuous")])
+
+    def test_undeclared_level_cites_its_line(self, tmp_path, space3):
+        # line 2 is skipped as blank, so the bad value is the second accepted row
+        path = self.write(tmp_path, "A,B,C,g\n,,,a\n1,2,3,a\n2,1,3,z\n")
+        decls = [CovariateDecl("g", "factor", levels=("a", "b"))]
+        with pytest.raises(
+            DataError, match="^line 4: level 'z' not among declared levels of 'g'$"
+        ):
+            read_ranking_csv(path, space3, ["A", "B", "C"], decls)
+
+    def test_first_bad_line_is_cited(self, tmp_path, space3):
+        path = self.write(
+            tmp_path, "a,b,c,x\n1,2,3,0.5\n1,2,3,nan\n2,1,3,1\n2,2,3,1\n"
+        )
+        with pytest.raises(DataError, match="^line 3: covariate 'x'"):
+            read_ranking_csv(path, space3, ["a", "b", "c"],
+                             [CovariateDecl("x", "continuous")])
+
+    def test_rank_error_first_within_a_line(self, tmp_path, space3):
+        path = self.write(tmp_path, "a,b,c,x\n1,2,3,0.5\n2,2,3,nan\n")
+        with pytest.raises(RankingValidationError,
+                           match=r"^line 3: ranks \[2, 2, 3\] are not a permutation"):
             read_ranking_csv(path, space3, ["a", "b", "c"],
                              [CovariateDecl("x", "continuous")])
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rankmix.rankings import (
     CapacityError,
     RankingValidationError,
+    _lehmer_code,
     enumerate_transitive_patterns,
     is_transitive,
     n_pairs,
@@ -122,9 +123,12 @@ class TestEnumerate:
         assert orders == sorted(orders)
         assert space.rankings[0].tolist() == [1, 2, 3]
 
-    def test_index_of_ranking_round_trip(self):
-        space = shared_space(4)
-        for l in range(space.size):
+    @pytest.mark.parametrize("n_items", [2, 3, 4, 5, 6, 7])
+    def test_index_of_ranking_round_trip(self, n_items):
+        space = shared_space(n_items)
+        # the Lehmer code numbers the rankings in canonical order
+        assert np.array_equal(_lehmer_code(space.rankings), np.arange(space.size))
+        for l in range(0, space.size, max(1, space.size // 50)):
             assert space.index_of_ranking(space.rankings[l]) == l
 
     def test_capacity_error(self):
