@@ -35,6 +35,19 @@ Several independent chains are run from random starts; the chain with the
 best final likelihood wins. Chains that collapse a class (vanishing mass
 or runaway offsets) are flagged degenerate and excluded from selection
 while any healthy chain exists.
+
+Independent chains of one design run as a stack with a leading chain
+axis B: a fit's random and warm starts, or the constrained refits of the
+corrected standard errors. Each kernel call (block effects, the
+normalizer, the moments and information, the Cholesky factors) serves
+the whole stack, while every chain keeps its own Newton steps, step
+halving, convergence test and iteration count; a chain leaves the stack
+when it converges, degenerates, hits ``max_iter`` or fails, and the
+others go on, so each chain takes exactly the iterations it takes alone.
+A stack holds as many chains as keep its pattern probabilities within
+``_STACK_ENTRIES`` entries. The accepted Newton trial's item effects and
+log Z give the log-likelihood and the next E step, which therefore need
+no normalizer of their own.
 """
 
 from __future__ import annotations
@@ -151,31 +164,42 @@ def init_start(seed, design: Design, scale: float = 0.5) -> Parameters:
     return Parameters(coefs, mixing)
 
 
+# Chains of one design advance as one stack while their pattern
+# probabilities, B x K x R x L doubles, stay within this many entries
+# (8 MB); a design whose blocks alone exceed it runs one chain at a time.
+_STACK_ENTRIES = 1_000_000
+
+
 def _moments_information(p: np.ndarray, design: Design, m_plus: np.ndarray):
-    """Per-block score means E[s] (K, R, J) and the full information matrix.
+    """Per-block score means E[s] (..., K, R, J) and the information (..., P, P).
 
     ``p`` holds the pattern probabilities as one row per (set, class)
-    block, (K * R, L), as :meth:`Design.log_normalizer` returns them. The
-    entry for coefficients (c, i) and (d, j) is
+    block, (..., K * R, L), as :meth:`Design.log_normalizer` returns them,
+    and ``m_plus`` the block totals (..., K, R). The entry for
+    coefficients (c, i) and (d, j) is
     sum_kr m_plus[k, r] X_krc X_krd Cov_kr[s]_ij over the non-reference
     items, one matrix product of the weighted column products with the
     block covariances Cov[s] = E[s s'] - E[s] E[s]', whose second moments
     come from one product with the design's score-product table.
     """
-    KR = p.shape[0]
+    lead = m_plus.shape[:-2]
+    KR = p.shape[-2]
     J1 = design.n_items - 1
     Q = design.X.shape[-1]
     mean = design.score_means(p)
-    free_mean = mean[..., :-1].reshape(KR, J1)
-    cov = p @ design.score_products
-    cov -= (free_mean[:, :, None] * free_mean[:, None, :]).reshape(KR, -1)
+    free_mean = mean[..., :-1].reshape(-1, J1)
+    cov = p.reshape(-1, p.shape[-1]) @ design.score_products
+    cov -= (free_mean[:, :, None] * free_mean[:, None, :]).reshape(len(cov), -1)
     X = design.X.reshape(KR, Q)
-    weights = (m_plus.reshape(KR, 1) * X)[:, :, None] * X[:, None, :]
-    info = (weights.reshape(KR, -1).T @ cov).reshape(Q, Q, J1, J1)
-    return mean, info.transpose(0, 2, 1, 3).reshape(Q * J1, Q * J1)
+    weights = (m_plus.reshape(-1, KR, 1) * X)[..., :, None] * X[:, None, :]
+    info = np.swapaxes(weights.reshape(-1, KR, Q * Q), 1, 2) @ cov.reshape(
+        -1, KR, J1 * J1)
+    info = info.reshape(-1, Q, Q, J1, J1).transpose(0, 1, 3, 2, 4)
+    return mean, info.reshape(lead + (Q * J1, Q * J1))
 
 
-def _diagnose_rank(info: np.ndarray, names: list[str]):
+def _rank_deficiency(info: np.ndarray, names: list[str]) -> RankDeficientDesignError:
+    """The error naming the coefficients along the flat directions of ``info``."""
     eigvals, eigvecs = np.linalg.eigh(info)
     bad = eigvals < max(eigvals.max(), 1.0) * 1e-12
     aliased = set()
@@ -183,7 +207,131 @@ def _diagnose_rank(info: np.ndarray, names: list[str]):
         v = np.abs(eigvecs[:, idx])
         for c in np.nonzero(v >= 0.3 * v.max())[0]:
             aliased.add(names[c])
-    raise RankDeficientDesignError(sorted(aliased))
+    return RankDeficientDesignError(sorted(aliased))
+
+
+def _fixed_mask(design: Design, fixed_zero) -> np.ndarray:
+    """(B, P) mask of the coefficients each chain holds at zero.
+
+    ``fixed_zero`` lists one sequence of coefficient indices per chain.
+    """
+    fixed = np.zeros((len(fixed_zero), design.n_coefficients), dtype=bool)
+    for row, indices in zip(fixed, fixed_zero):
+        row[list(indices)] = True
+    return fixed
+
+
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot product of each chain's row of ``x`` and ``y`` (B, ...), as (B,)."""
+    n = len(x)
+    return (x.reshape(n, 1, -1) @ y.reshape(n, -1, 1))[:, 0, 0]
+
+
+def _newton(m, design: Design, beta, fixed, tol: float, max_iter: int):
+    """Maximize sum m[b, cell, r] log P over the coefficients of B chains.
+
+    ``m`` (B, nnz, R) holds each chain's expected counts, ``beta`` (B, P)
+    its start and ``fixed`` (B, P) the coefficients it holds at zero.
+    Each chain takes its own Newton steps with its own step halving and
+    stops by its own deviance change; the stack shrinks as chains stop.
+    A fixed coefficient gets an identity row and column in the
+    information and a zero score, so its step is exactly zero.
+
+    Returns the coefficients (B, P), the item effects (B, K, R, J) and
+    log Z (B, K, R) at them (the accepted trial's, so the caller needs no
+    further normalizer), and per chain None or the ``FitError`` that
+    stopped it.
+    """
+    beta = np.where(fixed, 0.0, beta)
+    m_plus, observed = design.block_totals(m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cell_totals = np.take(m_plus, design.cell_set, axis=-2)
+        saturated = np.where(m > 0, m * np.log(m / cell_totals), 0.0).sum(
+            axis=(1, 2))
+
+    def deviance(b, observed, m_plus, saturated):
+        """Deviances at coefficients ``b``, with a, log Z and p there."""
+        a = design.block_effects(b)
+        log_z, p_b = design.log_normalizer(a)
+        # sum m log P = sum_kr (t . a - m_plus log Z)
+        loglik = _row_dots(observed, a) - _row_dots(m_plus, log_z)
+        return 2.0 * (saturated - loglik), a, log_z, p_b
+
+    errors: list[FitError | None] = [None] * len(beta)
+    # the chains still stepping; every array below has one row per chain
+    chains = np.arange(len(beta))
+    free_pairs = ~(fixed[:, :, None] | fixed[:, None, :])
+    identity = np.eye(fixed.shape[1])
+    dev, a, log_z, p = deviance(beta, observed, m_plus, saturated)
+    out = [beta.copy(), a.copy(), log_z.copy()]
+    for iteration in range(1, max_iter + 1):
+        mean, info = _moments_information(p, design, m_plus)
+        del p  # freed before the trials allocate theirs
+        info = np.where(free_pairs, info, identity)
+        score = _coefficient_score(design.X, observed, m_plus, mean)
+        score[fixed] = 0.0
+        failed = []
+        try:
+            lower = np.linalg.cholesky(info)
+        except np.linalg.LinAlgError:
+            # find the failing chains; they take a zero step and leave
+            lower = np.zeros_like(info)
+            for j, c in enumerate(chains):
+                try:
+                    lower[j] = np.linalg.cholesky(info[j])
+                except np.linalg.LinAlgError:
+                    free = np.nonzero(~fixed[j])[0]
+                    errors[c] = _rank_deficiency(info[j][np.ix_(free, free)],
+                                                 [design.coefficients[i].name
+                                                  for i in free])
+                    failed.append(j)
+                    lower[j] = identity
+                    score[j] = 0.0
+        direction = np.linalg.solve(
+            np.swapaxes(lower, -1, -2), np.linalg.solve(lower, score[..., None])
+        )[..., 0]
+
+        # every chain still rising after h halvings has step 2^-h
+        bound = dev + 1e-10 * (np.abs(dev) + 1.0)
+        trial = beta + direction
+        dev_try, a, log_z, p = deviance(trial, observed, m_plus, saturated)
+        rising = ~(dev_try <= bound)
+        for halvings in range(1, 40):
+            if not np.count_nonzero(rising):
+                break
+            j = np.nonzero(rising)[0]
+            trial[j] = beta[j] + 0.5 ** halvings * direction[j]
+            if len(j) == len(chains):
+                del p  # every trial was rejected: free its probabilities first
+                dev_try, a, log_z, p = deviance(trial, observed, m_plus,
+                                                saturated)
+            else:
+                dev_try[j], a[j], log_z[j], p[j] = deviance(
+                    trial[j], observed[j], m_plus[j], saturated[j])
+            rising[j] = ~(dev_try[j] <= bound[j])
+        stop = np.abs(dev - dev_try) <= tol * np.maximum(np.abs(dev_try), 1.0)
+        if np.count_nonzero(rising):
+            for j in np.nonzero(rising)[0]:
+                errors[chains[j]] = IrlsDivergenceError(iteration, dev[j],
+                                                        dev_try[j])
+            stop |= rising
+        if failed:
+            stop[failed] = True
+        if iteration == max_iter:
+            stop[:] = True
+        beta, dev = trial, dev_try
+        stopped = np.count_nonzero(stop)
+        if stopped:
+            for kept, new in zip(out, (beta, a, log_z)):
+                kept[chains[stop]] = new[stop]
+            if stopped == len(chains):
+                break
+            going = ~stop
+            chains, beta, dev, p, m_plus, observed, saturated, fixed, \
+                free_pairs = (x[going] for x in (chains, beta, dev, p, m_plus,
+                                                 observed, saturated, fixed,
+                                                 free_pairs))
+    return (*out, errors)
 
 
 def fit_structural(
@@ -198,75 +346,26 @@ def fit_structural(
 
     ``m`` holds the (possibly fractional) expected counts at the design's
     observed cells, (nnz, R). ``fixed_zero`` names coefficient indices
-    constrained to zero (their rows and columns leave the score and the
-    information).
+    constrained to zero (they take no step).
 
     Each Newton step forms the information from the per-block covariance
     of the net-win scores, Cov[s] = E[s s'] - E[s] E[s]', whose second
     moments come from the design's score-product table. The block totals,
     the observed score totals and the saturated part of the deviance
     depend on ``m`` alone and are computed once per call, so a
-    step-halving trial needs only the block log-normalizers.
+    step-halving trial needs only the block log-normalizers. This is the
+    Newton solve of a stack of one chain.
     """
-    fixed = np.zeros(design.n_coefficients, dtype=bool)
-    fixed[list(fixed_zero)] = True
-    free = np.nonzero(~fixed)[0]
-    free_block = np.ix_(free, free)
-    names = [design.coefficients[i].name for i in free]
-
+    m = design.cell_values(m)
     beta = np.zeros(design.n_coefficients)
     if start is not None:
-        beta = np.asarray(start, dtype=np.float64).copy()
-        beta[fixed] = 0.0
-
-    m = design.cell_values(m)
-    m_plus, observed = design.block_totals(m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        saturated = np.where(
-            m > 0, m * np.log(m / m_plus[design.cell_set]), 0.0
-        ).sum()
-
-    def deviance(b):
-        """Deviance at ``b`` and the block pattern probabilities there."""
-        a = design.block_effects(b)
-        log_z, p_b = design.log_normalizer(a)
-        # sum m log P = sum_kr (t . a - m_plus log Z)
-        loglik = float(np.vdot(observed, a) - np.vdot(m_plus, log_z))
-        return 2.0 * (saturated - loglik), p_b
-
-    dev, p = deviance(beta)
-
-    for iteration in range(1, max_iter + 1):
-        mean, info = _moments_information(p, design, m_plus)
-        del p  # freed before the trials allocate theirs
-        info = info[free_block]
-        score = _coefficient_score(design.X, observed, m_plus, mean)[free]
-        try:
-            lower = np.linalg.cholesky(info)
-        except np.linalg.LinAlgError:
-            _diagnose_rank(info, names)
-        direction = np.linalg.solve(lower.T, np.linalg.solve(lower, score))
-
-        slack = 1e-10 * (abs(dev) + 1.0)
-        step = 1.0
-        accepted = False
-        for _ in range(40):
-            trial = beta.copy()
-            trial[free] = beta[free] + step * direction
-            dev_try, p = deviance(trial)
-            if dev_try <= dev + slack:
-                accepted = True
-                break
-            del p
-            step *= 0.5
-        if not accepted:
-            raise IrlsDivergenceError(iteration, dev, dev_try)
-        beta = trial
-        change = dev - dev_try
-        dev = dev_try
-        if abs(change) <= tol * max(abs(dev), 1.0):
-            break
-    return beta
+        beta = np.asarray(start, dtype=np.float64)
+    beta, _, _, (error,) = _newton(m[None], design, beta[None],
+                                   _fixed_mask(design, [fixed_zero]), tol,
+                                   max_iter)
+    if error is not None:
+        raise error
+    return beta[0]
 
 
 def structural_information(
@@ -279,12 +378,49 @@ def structural_information(
     profiled out. ``m`` holds the expected counts at the observed cells,
     (nnz, R), as in :func:`fit_structural`.
     """
-    fixed = np.zeros(design.n_coefficients, dtype=bool)
-    fixed[list(fixed_zero)] = True
-    free = np.nonzero(~fixed)[0]
+    free = np.nonzero(~_fixed_mask(design, [fixed_zero])[0])[0]
     m_plus = design.set_sums(design.cell_values(m))
     _, p = design.log_normalizer(design.block_effects(coefficients))
     return _moments_information(p, design, m_plus)[1][np.ix_(free, free)]
+
+
+def _m_step_stack(w, design: Design, beta, fixed, config: FitConfig,
+                  min_mass: float):
+    """One M step of B chains: mixing weights, then the coefficients.
+
+    ``w`` (B, nnz, R) holds each chain's posterior weights, ``beta``
+    (B, P) its coefficients and ``fixed`` (B, P) the coefficients it
+    holds at zero. Returns the mixing weights (B, R), the coefficients,
+    item effects and log Z of :func:`_newton`, and per chain None, a
+    ``DegenerateClassError`` (a class mass below ``min_mass``; the chain
+    takes no Newton step) or the ``FitError`` of its Newton solve.
+    """
+    m = design.cell_counts[:, None] * w
+    mixing = m.sum(axis=1) / design.cell_counts.sum()
+    mixing /= mixing.sum(axis=1, keepdims=True)
+    low = mixing.min(axis=1)
+    mixing = np.maximum(mixing, 1e-300)
+    sick = np.nonzero(low < min_mass)[0]
+    if not sick.size:
+        return (mixing, *_newton(m, design, beta, fixed, config.irls_tol,
+                                 config.irls_max_iter))
+    healthy = np.ones(len(w), dtype=bool)
+    healthy[sick] = False
+    a = np.zeros(beta.shape[:1] + design.X.shape[:2] + (design.n_items,))
+    log_z = np.zeros(a.shape[:-1])
+    beta = beta.copy()
+    errors: list[FitError | None] = [None] * len(w)
+    if np.count_nonzero(healthy):
+        beta[healthy], a[healthy], log_z[healthy], solved = _newton(
+            m[healthy], design, beta[healthy], fixed[healthy], config.irls_tol,
+            config.irls_max_iter,
+        )
+        for j, error in zip(np.nonzero(healthy)[0], solved):
+            errors[j] = error
+    for j in sick:
+        errors[j] = DegenerateClassError(
+            f"class mass fell to {low[j]:.3g} (< {min_mass:g})")
+    return mixing, beta, a, log_z, errors
 
 
 def m_step(
@@ -305,22 +441,16 @@ def m_step(
     """
     config = config or FitConfig()
     design.check_data(data)
-    m = design.cell_counts[:, None] * design.cell_values(w)
-    mixing = m.sum(axis=0) / design.cell_counts.sum()
-    mixing = mixing / mixing.sum()
-    if min_mass > 0 and mixing.min() < min_mass:
-        raise DegenerateClassError(
-            f"class mass fell to {mixing.min():.3g} (< {min_mass:g})"
-        )
-    beta = fit_structural(
-        m,
-        design,
-        start=None if start is None else start.coefficients,
-        tol=config.irls_tol,
-        max_iter=config.irls_max_iter,
-        fixed_zero=fixed_zero,
+    w = design.cell_values(w)
+    beta = (np.zeros(design.n_coefficients) if start is None
+            else start.coefficients)
+    mixing, beta, _, _, (error,) = _m_step_stack(
+        w[None], design, beta[None], _fixed_mask(design, [fixed_zero]), config,
+        min_mass,
     )
-    return Parameters(beta, np.maximum(mixing, 1e-300))
+    if error is not None:
+        raise error
+    return Parameters(beta[0], mixing[0])
 
 
 @dataclass
@@ -334,6 +464,142 @@ class _Chain:
     degenerate: bool
     n_iterations: int
     message: str | None = None
+
+
+def _run_stack(design: Design, starts, config: FitConfig, labels, fixed,
+               initial_weights, callback):
+    """EM for a stack of chains; see :func:`run_chains`."""
+    B = len(starts)
+    # the running chains and their state, one row per chain; one
+    # normalizer per parameter point gives the log-likelihood and the next
+    # E step's posterior weights
+    chains = np.arange(B)
+    b = np.array([s.coefficients for s in starts], dtype=np.float64)
+    q = np.array([s.mixing for s in starts], dtype=np.float64)
+    logp, _ = design.cell_log_probs(b)
+    ll, d = _observed_loglik(design, logp, q[:, None])
+    traces = [[float(x)] for x in d]
+    # per chain, the final state, written when the chain leaves the stack
+    beta, mixing, loglik, dev = b.copy(), q.copy(), ll.copy(), d.copy()
+    n_iter = np.zeros(B, dtype=int)
+    converged = np.zeros(B, dtype=bool)
+    messages: list[str | None] = [None] * B  # why a chain degenerated
+    failures: list[FitError | None] = [None] * B
+
+    def leave(stop, iterations):
+        """Write the state of the stopping chains and drop them from the stack."""
+        nonlocal chains, b, q, ll, d, fixed, logp
+        done = chains[stop]
+        beta[done], mixing[done], loglik[done], dev[done] = b[stop], q[stop], \
+            ll[stop], d[stop]
+        n_iter[done] = iterations
+        keep = ~stop
+        chains, b, q, ll, d, fixed, logp = (
+            x[keep] for x in (chains, b, q, ll, d, fixed, logp))
+
+    for iteration in range(1, config.max_iter + 1):
+        if not chains.size:
+            break
+        if iteration == 1 and initial_weights is not None:
+            w = np.broadcast_to(initial_weights, logp.shape)
+        else:
+            w = _posteriors(logp, q[:, None])
+        if callback is not None:
+            dense_w = _posteriors(design.log_pattern_probs(b[0]), q[0])
+        new_q, new_b, a, log_z, errors = _m_step_stack(
+            w, design, b, fixed, config, config.degenerate_mass)
+        # a chain whose M step failed keeps its last parameters; one whose
+        # class offsets ran away keeps the new ones
+        stop = np.array([e is not None for e in errors])
+        for j in np.nonzero(stop)[0]:
+            if isinstance(errors[j], DegenerateClassError):
+                messages[chains[j]] = str(errors[j])
+            else:
+                failures[chains[j]] = errors[j]
+            new_b[j], new_q[j] = b[j], q[j]
+        b, q = new_b, new_q
+        offsets = np.abs(design.coefficient_matrix(b)[:, design.n_covariate_columns:])
+        offsets = offsets.max(axis=(1, 2), initial=0.0)
+        for j in np.nonzero(~stop & (offsets > config.degenerate_offset))[0]:
+            messages[chains[j]] = f"class offset reached {offsets[j]:.3g}"
+            stop[j] = True
+        if np.count_nonzero(stop):
+            keep = ~stop
+            a, log_z = a[keep], log_z[keep]
+            leave(stop, iteration - 1)
+            if not chains.size:
+                break
+        logp = design.log_probs_at_cells(a, log_z)
+        ll, dev_new = _observed_loglik(design, logp, q[:, None])
+        for c, x in zip(chains, dev_new):
+            traces[c].append(float(x))
+        if callback is not None:
+            callback(iteration, Parameters(b[0].copy(), q[0].copy()), dense_w,
+                     float(ll[0]))
+        stop = np.abs(dev_new - d) < config.tol
+        d = dev_new
+        converged[chains[stop]] = True
+        if iteration == config.max_iter:
+            stop[:] = True
+        if np.count_nonzero(stop):
+            leave(stop, iteration)
+    return [
+        failures[c] or _Chain(
+            label=labels[c],
+            params=Parameters(beta[c].copy(), mixing[c].copy()),
+            loglik=float(loglik[c]),
+            deviance=float(dev[c]),
+            trace=traces[c],
+            converged=bool(converged[c]),
+            degenerate=messages[c] is not None,
+            n_iterations=int(n_iter[c]),
+            message=messages[c],
+        )
+        for c in range(B)
+    ]
+
+
+def run_chains(
+    design: Design,
+    data: AggregatedData,
+    starts,
+    config: FitConfig,
+    labels=None,
+    callback: Callable | None = None,
+    fixed_zero=None,
+    initial_weights: np.ndarray | None = None,
+) -> list:
+    """Run independent EM chains of one design, stacked; one result per start.
+
+    The chains advance together, one kernel call per step for the whole
+    stack, and each leaves the stack when it converges, degenerates or
+    raises; the others go on. Each takes exactly the iterations it takes
+    alone. Stacks hold as many chains as keep the pattern probabilities
+    within ``_STACK_ENTRIES`` entries; with a ``callback`` each chain runs
+    alone, so the callback sees each chain's iterations in one run.
+
+    ``labels`` names the chains (default ``chain``), ``fixed_zero`` gives
+    each chain its own sequence of coefficient indices held at zero, and
+    ``initial_weights`` (nnz, R) replaces every chain's first E step (see
+    :func:`run_chain`). Returns, in start order, each chain's ``_Chain``
+    or the ``FitError`` that stopped it.
+    """
+    design.check_data(data)
+    if callback is not None and initial_weights is not None:
+        raise ValueError("run_chain takes a callback or initial_weights, not both")
+    if initial_weights is not None:
+        initial_weights = design.cell_values(initial_weights)
+    n = len(starts)
+    labels = ["chain"] * n if labels is None else list(labels)
+    fixed = _fixed_mask(design, [()] * n if fixed_zero is None else fixed_zero)
+    block_entries = design.n_sets * design.n_classes * design.n_patterns
+    size = 1 if callback is not None else max(1, _STACK_ENTRIES // block_entries)
+    results = []
+    for lo in range(0, n, size):
+        hi = lo + size
+        results += _run_stack(design, starts[lo:hi], config, labels[lo:hi],
+                              fixed[lo:hi], initial_weights, callback)
+    return results
 
 
 def run_chain(
@@ -353,71 +619,35 @@ def run_chain(
     refits resume from a converged fit. The chain works on the observed
     cells; ``callback(iteration, params, w, loglik)`` receives the dense
     (K, L, R) weights of the iteration's M step, built only for it, so a
-    callback cannot be combined with ``initial_weights``.
+    callback cannot be combined with ``initial_weights``. This is
+    :func:`run_chains` with one start.
     """
-    design.check_data(data)
-    if callback is not None and initial_weights is not None:
-        raise ValueError("run_chain takes a callback or initial_weights, not both")
-    params = start
-    # one normalizer per parameter point: it gives the log-likelihood and
-    # the next E step's posterior weights
-    logp, _ = design.cell_log_probs(params.coefficients)
-    loglik, dev = _observed_loglik(design, logp, params.mixing)
-    trace = [dev]
-    converged = degenerate = False
-    message = None
-    n_iter = 0
-    for iteration in range(1, config.max_iter + 1):
-        resume = iteration == 1 and initial_weights is not None
-        w = initial_weights if resume else _posteriors(logp, params.mixing)
-        if callback is not None:
-            dense_w = _posteriors(design.log_pattern_probs(params.coefficients),
-                                  params.mixing)
-        try:
-            params = m_step(
-                w,
-                design,
-                data,
-                start=params,
-                config=config,
-                min_mass=config.degenerate_mass,
-                fixed_zero=fixed_zero,
-            )
-        except DegenerateClassError as exc:
-            degenerate, message = True, str(exc)
-            break
-        offsets = design.class_offsets(params.coefficients)
-        if np.abs(offsets).max() > config.degenerate_offset:
-            degenerate = True
-            message = f"class offset reached {np.abs(offsets).max():.3g}"
-            break
-        logp, _ = design.cell_log_probs(params.coefficients)
-        loglik, dev_new = _observed_loglik(design, logp, params.mixing)
-        n_iter = iteration
-        trace.append(dev_new)
-        if callback is not None:
-            callback(iteration, params, dense_w, loglik)
-        if abs(dev_new - dev) < config.tol:
-            converged = True
-            dev = dev_new
-            break
-        dev = dev_new
-    return _Chain(
-        label=label,
-        params=params,
-        loglik=loglik,
-        deviance=dev,
-        trace=trace,
-        converged=converged,
-        degenerate=degenerate,
-        n_iterations=n_iter,
-        message=message,
-    )
+    (chain,) = run_chains(design, data, [start], config, labels=[label],
+                          callback=callback, fixed_zero=[fixed_zero],
+                          initial_weights=initial_weights)
+    if isinstance(chain, FitError):
+        raise chain
+    return chain
 
 
 def chain_seeds(base_seed: int, n_starts: int) -> list[int]:
     """Distinct per-chain seeds derived deterministically from the base seed."""
     return [base_seed + 1000003 * i for i in range(n_starts)]
+
+
+def _best_chain(chains: list[_Chain]) -> _Chain:
+    """The highest log-likelihood among the non-degenerate chains.
+
+    Ties go to the earlier start. A chain stopped by ``max_iter`` competes
+    like a converged one. Only when every chain degenerated is the best of
+    the degenerate chains taken.
+    """
+    eligible = [c for c in chains if not c.degenerate] or chains
+    best = eligible[0]
+    for c in eligible[1:]:
+        if c.loglik > best.loglik:
+            best = c
+    return best
 
 
 def fit(
@@ -432,30 +662,29 @@ def fit(
     With a single class the likelihood is concave, so one chain suffices
     and the configured start count is ignored. ``extra_starts`` appends
     warm-start chains (used by the class-count search) after the random
-    ones. Chains are compared in a fixed order, so results are
-    reproducible for a given seed.
+    ones. All chains run as stacks (see :func:`run_chains`); the first
+    chain in start order that raises a ``FitError`` fails the fit.
+
+    The best chain has the highest final log-likelihood among the chains
+    that did not degenerate; ties go to the earlier start, and a chain
+    that stopped at ``max_iter`` without converging can win. If every
+    chain degenerated, the best of them is returned. Chains are compared
+    in a fixed order, so results are reproducible for a given seed.
     """
     config = config or FitConfig()
     design = Design(spec, data)
     n_random = 1 if spec.n_classes == 1 else config.n_starts
-    chains: list[_Chain] = []
-    for seed in chain_seeds(config.seed, n_random):
-        start = init_start(seed, design, config.start_scale)
-        chains.append(
-            run_chain(design, data, start, config, label=f"seed:{seed}",
-                      callback=callback)
-        )
-    for i, start in enumerate(extra_starts):
-        chains.append(
-            run_chain(design, data, start, config, label=f"warm:{i}",
-                      callback=callback)
-        )
-
-    eligible = [c for c in chains if not c.degenerate] or chains
-    best = eligible[0]
-    for c in eligible[1:]:
-        if c.loglik > best.loglik:
-            best = c
+    seeds = chain_seeds(config.seed, n_random)
+    starts = [init_start(seed, design, config.start_scale) for seed in seeds]
+    labels = [f"seed:{seed}" for seed in seeds]
+    starts += list(extra_starts)
+    labels += [f"warm:{i}" for i in range(len(extra_starts))]
+    chains = run_chains(design, data, starts, config, labels=labels,
+                        callback=callback)
+    for chain in chains:
+        if isinstance(chain, FitError):
+            raise chain
+    best = _best_chain(chains)
 
     n_params = count_parameters(design, config.count_masses)
     minus_two = -2.0 * best.loglik

@@ -24,7 +24,7 @@ from .fitting import (
     FitConfig,
     FitError,
     FitResult,
-    run_chain,
+    run_chains,
     structural_information,
 )
 
@@ -71,6 +71,57 @@ def raw_em_standard_errors(fit: FitResult, data: AggregatedData) -> np.ndarray:
     return np.sqrt(diag)
 
 
+def _constrained_refits(fit: FitResult, data: AggregatedData, coefficients,
+                        config: FitConfig | None):
+    """Corrected SEs of the listed coefficient indices, one refit each.
+
+    Each refit holds its own coefficient at zero and resumes from the
+    converged posterior weights, so the constrained chain cannot wander to
+    a worse mode; the refits run as one stack of EM chains (see
+    :func:`rankmix.fitting.run_chains`). Returns, per coefficient, either
+    (se, drop in 2 log L, capped), where ``capped`` says the refit stopped
+    at the iteration cap without converging, or the exception that rules
+    the coefficient out.
+    """
+    design = fit.design
+    config = replace(config or FitConfig(), max_iter=_MAX_REFIT_ITER)
+    results: dict = {}
+    refit, starts = [], []
+    for i in coefficients:
+        if abs(fit.params.coefficients[i]) < 1e-12:
+            results[i] = ValueError(
+                f"coefficient {design.coefficients[i].name!r} is already zero")
+            continue
+        start = fit.params.copy()
+        start.coefficients[i] = 0.0
+        refit.append(i)
+        starts.append(start)
+    chains = run_chains(design, data, starts, config,
+                        labels=["constrained"] * len(refit),
+                        fixed_zero=[(i,) for i in refit],
+                        initial_weights=fit.posteriors)
+    for i, chain in zip(refit, chains):
+        name = design.coefficients[i].name
+        if isinstance(chain, FitError):
+            results[i] = chain
+            continue
+        if chain.degenerate:
+            results[i] = StandardErrorError(
+                f"constrained refit for {name!r} degenerated: {chain.message}"
+            )
+            continue
+        drop = 2.0 * (fit.loglik - chain.loglik)
+        if drop <= 0:
+            results[i] = StandardErrorError(
+                f"constrained refit for {name!r} did not lower the likelihood "
+                f"(drop {drop:.3g}): the unconstrained fit is not at its maximum"
+            )
+            continue
+        se = abs(float(fit.params.coefficients[i])) / np.sqrt(drop)
+        results[i] = (se, drop, not chain.converged)
+    return [results[i] for i in coefficients]
+
+
 def corrected_se(
     fit: FitResult,
     data: AggregatedData,
@@ -86,34 +137,13 @@ def corrected_se(
     shows that the fit is not at its maximum; that, and a constrained
     chain that degenerates, raise ``StandardErrorError``.
     """
-    design = fit.design
     if isinstance(coefficient, str):
-        coefficient = design.name_to_index[coefficient]
-    name = design.coefficients[coefficient].name
-    estimate = float(fit.params.coefficients[coefficient])
-    if abs(estimate) < 1e-12:
-        raise ValueError(f"coefficient {name!r} is already zero")
-    config = replace(config or FitConfig(), max_iter=_MAX_REFIT_ITER)
-
-    start = fit.params.copy()
-    start.coefficients[coefficient] = 0.0
-    chain = run_chain(
-        design, data, start, config,
-        label="constrained",
-        fixed_zero=(coefficient,),
-        initial_weights=fit.posteriors,
-    )
-    if chain.degenerate:
-        raise StandardErrorError(
-            f"constrained refit for {name!r} degenerated: {chain.message}"
-        )
-    drop = 2.0 * (fit.loglik - chain.loglik)
-    if drop <= 0:
-        raise StandardErrorError(
-            f"constrained refit for {name!r} did not lower the likelihood "
-            f"(drop {drop:.3g}): the unconstrained fit is not at its maximum"
-        )
-    return abs(estimate) / np.sqrt(drop), drop
+        coefficient = fit.design.name_to_index[coefficient]
+    (result,) = _constrained_refits(fit, data, [coefficient], config)
+    if isinstance(result, Exception):
+        raise result
+    se, drop, _ = result
+    return se, drop
 
 
 def hessian_standard_errors(fit: FitResult, data: AggregatedData):
@@ -181,6 +211,10 @@ def hessian_standard_errors(fit: FitResult, data: AggregatedData):
     return np.sqrt(np.diag(cov))[:p], info, cov
 
 
+def _add_note(row: CoefficientSE, note: str):
+    row.note = ((row.note + "; ") if row.note else "") + note
+
+
 def standard_error_report(
     fit: FitResult,
     data: AggregatedData,
@@ -190,7 +224,11 @@ def standard_error_report(
     """Assemble the per-coefficient SE table for the requested methods.
 
     Per-coefficient failures of the corrected procedure are recorded in
-    the row note instead of aborting the whole report.
+    the row note instead of aborting the whole report, and so is a
+    constrained refit that stopped at its iteration cap: its drop is kept,
+    but the refit had not reached the constrained maximum, so the drop is
+    too large and the corrected SE a lower bound. The refits of all
+    coefficients run as one stack.
     """
     design = fit.design
     methods = set(methods)
@@ -211,14 +249,18 @@ def standard_error_report(
                 row.se_hessian = float(hess[i])
         except StandardErrorError as exc:
             for row in rows:
-                row.note = (row.note or "") + f"hessian: {exc}"
+                _add_note(row, f"hessian: {exc}")
     if "corrected" in methods:
-        for i, row in enumerate(rows):
-            try:
-                se, drop = corrected_se(fit, data, i, config=config)
-            except (FitError, ValueError) as exc:
-                row.note = ((row.note + "; ") if row.note else "") + str(exc)
+        refits = _constrained_refits(fit, data, range(len(rows)), config)
+        for row, result in zip(rows, refits):
+            if isinstance(result, Exception):
+                _add_note(row, str(result))
                 continue
+            se, drop, capped = result
             row.se_corrected = float(se)
             row.lr_drop = float(drop)
+            if capped:
+                _add_note(row, f"constrained refit stopped at the {_MAX_REFIT_ITER}"
+                               "-iteration cap without converging, so the "
+                               "corrected SE is a lower bound")
     return StandardErrorReport(rows=rows)

@@ -30,6 +30,12 @@ it. Posterior weights and expected counts are (nnz, R) arrays whose rows
 follow ``Design.cell_set`` / ``Design.cell_pattern``; only
 ``Design.log_pattern_probs`` gives every (K, L, R) cell, for callers
 that want the whole table.
+
+The kernels of the fit (``block_effects``, ``log_normalizer``,
+``cell_log_probs``, ``score_means``, ``set_sums``, ``block_totals``)
+also take a leading stack of chains: coefficients (B, P) give item
+effects (B, K, R, J), cell arrays are (B, nnz, R), and so on, so that
+several EM chains of one design advance with one call per kernel.
 """
 
 from __future__ import annotations
@@ -232,21 +238,20 @@ class Design:
     def n_patterns(self) -> int:
         return self.data.space.size
 
-    def zero_parameters(self) -> Parameters:
-        R = self.n_classes
-        return Parameters(np.zeros(self.n_coefficients), np.full(R, 1.0 / R))
-
     def coefficient_matrix(self, coefficients: np.ndarray) -> np.ndarray:
-        """The coefficient vector as B, one row per design column, (Q, J - 1)."""
-        return np.asarray(coefficients).reshape(self.X.shape[-1], self.n_items - 1)
+        """The coefficient vector as B, one row per design column, (..., Q, J - 1)."""
+        coefficients = np.asarray(coefficients)
+        return coefficients.reshape(
+            coefficients.shape[:-1] + (self.X.shape[-1], self.n_items - 1)
+        )
 
     def block_effects(self, coefficients: np.ndarray) -> np.ndarray:
-        """Item effects a_kr = X_kr B per block, shaped (K, R, J)."""
+        """Item effects a_kr = X_kr B per block, shaped (..., K, R, J)."""
         K, R, Q = self.X.shape
-        a = np.zeros((K, R, self.n_items))
-        a[..., :-1] = (
-            self.X.reshape(K * R, Q) @ self.coefficient_matrix(coefficients)
-        ).reshape(K, R, -1)
+        B = self.coefficient_matrix(coefficients)
+        lead = B.shape[:-2]
+        a = np.zeros(lead + (K, R, self.n_items))
+        a[..., :-1] = (self.X.reshape(K * R, Q) @ B).reshape(lead + (K, R, -1))
         return a
 
     def item_effects(self, coefficients: np.ndarray) -> np.ndarray:
@@ -267,34 +272,51 @@ class Design:
     def log_normalizer(self, a: np.ndarray):
         """Per-block log-normalizers and pattern probabilities.
 
-        ``a`` holds the item effects (K, R, J). Returns log Z (K, R), with
-        Z_kr = sum_l exp(s_l . a_kr), and the pattern probabilities as one
-        row of L patterns per block, (K * R, L), in (set, class) order.
-        This is the only computation of the fit that visits every pattern.
+        ``a`` holds the item effects (..., K, R, J). Returns log Z
+        (..., K, R), with Z_kr = sum_l exp(s_l . a_kr), and the pattern
+        probabilities as one row of L patterns per block, (..., K * R, L),
+        in (set, class) order. All blocks of all chains are rows of one
+        product with the score matrix. This is the only computation of the
+        fit that visits every pattern.
         """
-        K, R, J = a.shape
-        p = a.reshape(K * R, J) @ self.S.T
+        K, R, J = a.shape[-3:]
+        p = a.reshape(-1, J) @ self.S.T
         shift = p.max(axis=1, keepdims=True)
         p -= shift
         np.exp(p, out=p)
         z = p.sum(axis=1, keepdims=True)
         p /= z
-        return (np.log(z) + shift).reshape(K, R), p
+        lead = a.shape[:-3]
+        return (np.log(z) + shift).reshape(lead + (K, R)), p.reshape(
+            lead + (K * R, -1)
+        )
+
+    def log_probs_at_cells(self, a: np.ndarray, log_z: np.ndarray) -> np.ndarray:
+        """log P at the observed cells, (..., nnz, R), from a and log Z.
+
+        ``a`` (..., K, R, J) and ``log_z`` (..., K, R) are the item effects
+        and log-normalizers of :meth:`log_normalizer`.
+        """
+        eta = np.einsum("nj,...nrj->...nr", self.cell_scores,
+                        a[..., self.cell_set, :, :])
+        return eta - log_z[..., self.cell_set, :]
 
     def cell_log_probs(self, coefficients: np.ndarray):
-        """log P at the observed cells, (nnz, R), and the block probabilities.
+        """log P at the observed cells, (..., nnz, R), and the block probabilities.
 
         The second value is the pattern-probability rows of
         :meth:`log_normalizer`.
         """
         a = self.block_effects(coefficients)
         log_z, p = self.log_normalizer(a)
-        eta = np.einsum("nj,nrj->nr", self.cell_scores, a[self.cell_set])
-        return eta - log_z[self.cell_set], p
+        return self.log_probs_at_cells(a, log_z), p
 
     def score_means(self, p: np.ndarray) -> np.ndarray:
-        """E[s] per block, (K, R, J), from the probability rows (K * R, L)."""
-        return (p @ self.S).reshape(self.n_sets, self.n_classes, self.n_items)
+        """E[s] per block, (..., K, R, J), from the probability rows (..., K * R, L)."""
+        lead = p.shape[:-2]
+        return (p.reshape(-1, p.shape[-1]) @ self.S).reshape(
+            lead + (self.n_sets, self.n_classes, self.n_items)
+        )
 
     def cell_values(self, x) -> np.ndarray:
         """Check a per-cell, per-class array at the observed cells, (nnz, R).
@@ -313,19 +335,27 @@ class Design:
             raise ValueError("cell array entries must be finite and nonnegative")
         return x
 
-    def set_sums(self, x: np.ndarray) -> np.ndarray:
-        """Per-set sums of a cell array (nnz, ...), shaped (K, ...)."""
-        out = np.zeros((self.n_sets,) + x.shape[1:])
-        out[self._observed_sets] = np.add.reduceat(x, self._set_starts, axis=0)
+    def set_sums(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
+        """Per-set sums of a cell array over its cell axis ``axis`` (length nnz).
+
+        The result has K in place of nnz on that axis.
+        """
+        shape = list(x.shape)
+        shape[axis] = self.n_sets
+        out = np.zeros(shape)
+        index = [slice(None)] * x.ndim
+        index[axis] = self._observed_sets
+        out[tuple(index)] = np.add.reduceat(x, self._set_starts, axis=axis)
         return out
 
     def block_totals(self, m: np.ndarray):
-        """Block totals m_plus (K, R) and score totals t (K, R, J) of cell counts m.
+        """Block totals m_plus (..., K, R) and score totals t (..., K, R, J).
 
-        t[k, r] = sum over the set's cells of m[cell, r] * s_l.
+        ``m`` holds cell counts (..., nnz, R), and t[k, r] = sum over the
+        set's cells of m[cell, r] * s_l.
         """
-        m_plus = self.set_sums(m)
-        t = self.set_sums(m[:, :, None] * self.cell_scores[:, None, :])
+        m_plus = self.set_sums(m, axis=-2)
+        t = self.set_sums(m[..., None] * self.cell_scores[:, None, :], axis=-3)
         return m_plus, t
 
     @functools.cached_property
@@ -407,8 +437,12 @@ def _posteriors(logp: np.ndarray, mixing: np.ndarray) -> np.ndarray:
 
 
 def _observed_loglik(design: Design, logp: np.ndarray, mixing: np.ndarray):
-    """Log-likelihood and deviance from log P at the observed cells (nnz, R)."""
-    loglik = float(design.cell_counts @ _log_mixture(logp, mixing))
+    """Log-likelihood and deviance from log P at the observed cells (..., nnz, R).
+
+    ``mixing`` broadcasts against ``logp``: (R,) for one chain, (B, 1, R)
+    for a stack, whose log-likelihoods and deviances are (B,) arrays.
+    """
+    loglik = _log_mixture(logp, mixing) @ design.cell_counts
     return loglik, 2.0 * (design.saturated_loglik - loglik)
 
 
@@ -416,12 +450,14 @@ def _coefficient_score(X: np.ndarray, t: np.ndarray, m_plus: np.ndarray,
                        mean: np.ndarray) -> np.ndarray:
     """Score over all coefficients: sum_kr X_kr' (t_kr - m_plus_kr E_kr[s]).
 
-    The (Q, J - 1) result keeps the non-reference items and is returned
-    flat in coefficient order.
+    The (Q, J - 1) result of each chain keeps the non-reference items and
+    is returned flat in coefficient order, (..., P).
     """
-    resid = (t - m_plus[:, :, None] * mean)[..., :-1]
+    resid = (t - m_plus[..., None] * mean)[..., :-1]
+    lead = resid.shape[:-3]
     Q = X.shape[-1]
-    return (X.reshape(-1, Q).T @ resid.reshape(-1, resid.shape[-1])).ravel()
+    score = X.reshape(-1, Q).T @ resid.reshape(lead + (-1, resid.shape[-1]))
+    return score.reshape(lead + (-1,))
 
 
 def posterior_weights(params: Parameters, design: Design) -> np.ndarray:
@@ -442,7 +478,8 @@ def mixture_loglik(
     """
     design.check_data(data)
     logp, _ = design.cell_log_probs(params.coefficients)
-    return _observed_loglik(design, logp, params.mixing)
+    loglik, deviance = _observed_loglik(design, logp, params.mixing)
+    return float(loglik), float(deviance)
 
 
 def mixture_score(

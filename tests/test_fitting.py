@@ -366,17 +366,127 @@ class TestObservedCells:
     def test_negative_drop_raises_after_one_refit(self, monkeypatch):
         design, data = self.instance()
         result = fit(design.spec, data, FitConfig(n_starts=2))
-        calls = []
-        refit = inference.run_chain
+        chains = []
+        refit = inference.run_chains
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return refit(*args, **kwargs)
+        def counted(design, data, starts, *args, **kwargs):
+            chains.extend(starts)
+            return refit(design, data, starts, *args, **kwargs)
 
-        monkeypatch.setattr(inference, "run_chain", counted)
+        monkeypatch.setattr(inference, "run_chains", counted)
         with pytest.raises(StandardErrorError, match="not at its maximum"):
             corrected_se(result, data, "A:class1")
-        assert len(calls) == 1
+        assert len(chains) == 1
+
+    @pytest.mark.parametrize("stack, options", [
+        (4, {}), (2, {}), (1, {}),
+        # chains that leave the stack early: a class mass or a class
+        # offset crosses its threshold, at a different iteration per chain
+        (4, {"degenerate_mass": 0.2}), (4, {"degenerate_offset": 2.0}),
+    ])
+    def test_stacked_chains_match_chains_run_alone(self, monkeypatch, stack,
+                                                   options):
+        design, data = self.instance()
+        config = FitConfig(n_starts=4, seed=0, **options)
+        blocks = design.n_sets * design.n_classes * design.n_patterns
+        monkeypatch.setattr(fitting, "_STACK_ENTRIES", stack * blocks)
+        stacks = []
+        run_stack = fitting._run_stack
+
+        def counted(design, starts, *args):
+            stacks.append(len(starts))
+            return run_stack(design, starts, *args)
+
+        monkeypatch.setattr(fitting, "_run_stack", counted)
+        result = fit(design.spec, data, config)
+        assert stacks == [stack] * (4 // stack)
+        seeds = chain_seeds(config.seed, config.n_starts)
+        for seed, summary in zip(seeds, result.chain_summaries):
+            alone = run_chain(design, data,
+                              init_start(seed, design, config.start_scale), config)
+            assert summary["iterations"] == alone.n_iterations
+            assert summary["converged"] == alone.converged
+            assert summary["degenerate"] == alone.degenerate
+            assert summary["message"] == alone.message
+            assert -0.5 * summary["minus_two_loglik"] == pytest.approx(
+                alone.loglik, abs=1e-9)
+
+    @pytest.mark.parametrize("options", [
+        {}, {"degenerate_mass": 0.2}, {"degenerate_mass": 0.3},
+        {"degenerate_offset": 2.0}, {"max_iter": 7}, {"max_iter": 0},
+    ])
+    def test_stacked_chains_follow_the_em_recursion(self, options):
+        # the EM loop written out from the public E step, M step and
+        # likelihood: a chain that degenerates reports its last completed
+        # iteration, keeping the parameters of a failed M step's start but
+        # moving to those of a step whose class offsets ran away
+        design, data = self.instance()
+        config = FitConfig(n_starts=4, seed=0, **options)
+        starts = [init_start(seed, design, config.start_scale)
+                  for seed in chain_seeds(config.seed, config.n_starts)]
+        chains = fitting.run_chains(design, data, starts, config)
+        for start, chain in zip(starts, chains):
+            params = start
+            loglik, dev = mixture_loglik(params, design, data)
+            n_iter, converged, degenerate = 0, False, False
+            for iteration in range(1, config.max_iter + 1):
+                try:
+                    params = m_step(posterior_weights(params, design), design, data,
+                                    start=params, config=config,
+                                    min_mass=config.degenerate_mass)
+                except fitting.DegenerateClassError:
+                    degenerate = True
+                    break
+                offsets = design.class_offsets(params.coefficients)
+                if np.abs(offsets).max() > config.degenerate_offset:
+                    degenerate = True
+                    break
+                loglik, new_dev = mixture_loglik(params, design, data)
+                n_iter = iteration
+                converged = abs(new_dev - dev) < config.tol
+                dev = new_dev
+                if converged:
+                    break
+            assert (chain.n_iterations, chain.converged, chain.degenerate) == (
+                n_iter, converged, degenerate)
+            assert chain.loglik == pytest.approx(loglik, abs=1e-9)
+            assert chain.params.coefficients == pytest.approx(
+                params.coefficients, abs=1e-9)
+            assert chain.params.mixing == pytest.approx(params.mixing, abs=1e-12)
+
+    def test_report_refits_match_corrected_se_alone(self):
+        # seed 3 leaves some refits rank deficient and one with a negative
+        # drop; the other refits of the stack must finish regardless
+        design, data = self.instance()
+        result = fit(design.spec, data, FitConfig(n_starts=2, seed=3))
+        report = standard_error_report(result, data, methods=("all",))
+        notes = 0
+        for i, row in enumerate(report.rows):
+            try:
+                se, drop = corrected_se(result, data, i)
+            except FitError as exc:
+                assert row.se_corrected is None and row.lr_drop is None
+                assert row.note == str(exc)
+                notes += 1
+                continue
+            assert row.note is None
+            assert row.se_corrected == pytest.approx(se, rel=1e-8)
+            assert row.lr_drop == pytest.approx(drop, rel=1e-8)
+        assert notes >= 2
+
+    def test_refit_at_the_cap_keeps_its_value_and_is_noted(self, monkeypatch):
+        design, data = self.instance()
+        result = fit(design.spec, data, FitConfig(n_starts=2))
+        report = standard_error_report(result, data, methods=("corrected",))
+        assert not any(row.note and "cap" in row.note for row in report.rows)
+        monkeypatch.setattr(inference, "_MAX_REFIT_ITER", 2)
+        capped = standard_error_report(result, data, methods=("corrected",))
+        noted = [row for row in capped.rows
+                 if row.note and "stopped at the 2-iteration cap" in row.note]
+        assert noted
+        for row in noted:
+            assert "lower bound" in row.note
+            assert row.se_corrected is not None and row.lr_drop > 0
 
     def test_rank_deficient_refit_lands_in_the_row_note(self):
         design, data = self.instance()
@@ -449,6 +559,27 @@ class TestFit:
         swapped.mixing[[0, 1]] = swapped.mixing[[1, 0]]
         relabeled, _ = mixture_loglik(swapped, design, data)
         assert relabeled == base
+
+    def test_best_chain_rule_on_forged_chains(self):
+        def chain(label, loglik, converged=True, degenerate=False):
+            return fitting._Chain(label=label, params=None, loglik=loglik,
+                                  deviance=-2.0 * loglik, trace=[],
+                                  converged=converged, degenerate=degenerate,
+                                  n_iterations=1)
+
+        best = fitting._best_chain
+        # a degenerate chain is passed over even with the highest loglik
+        assert best([chain("a", -10.0), chain("b", -1.0, degenerate=True),
+                     chain("c", -5.0)]).label == "c"
+        # a chain stopped by max_iter competes like a converged one
+        assert best([chain("a", -10.0), chain("b", -2.0, converged=False)]
+                    ).label == "b"
+        # ties go to the earlier start
+        assert best([chain("a", -3.0), chain("b", -3.0), chain("c", -4.0)]
+                    ).label == "a"
+        # with every chain degenerate, the best of them
+        assert best([chain("a", -3.0, degenerate=True),
+                     chain("b", -2.0, degenerate=True)]).label == "b"
 
     def test_bic_identity(self):
         design, data = small_design(2, (26, 9, 15, 4, 12, 6))
