@@ -55,15 +55,28 @@ def _load_config(path) -> dict:
         raise DataError("a --config file is required for this command")
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise DataError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise DataError(f"config {path} is not valid JSON: {exc}")
+    if not isinstance(cfg, dict):
+        raise DataError(f"config {path} must be a JSON object")
+    return cfg
+
+
+def _config_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; a ``DataError`` naming ``what`` if not."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataError(f"config {what} must be an integer, got {value!r}")
+    return value
 
 
 def _fit_config(cfg: dict, args) -> FitConfig:
-    options = dict(cfg.get("fit", {}))
+    options = cfg.get("fit", {})
+    if not isinstance(options, dict):
+        raise DataError("config 'fit' must be an object")
+    options = dict(options)
     known = {f.name for f in dataclass_fields(FitConfig)}
     unknown = set(options) - known
     if unknown:
@@ -85,8 +98,8 @@ def _fit_config(cfg: dict, args) -> FitConfig:
 
 def _item_columns(cfg: dict):
     items = cfg.get("items")
-    if not items or len(items) < 2:
-        raise DataError("config must declare at least two item columns")
+    if not isinstance(items, list) or len(items) < 2:
+        raise DataError("config 'items' must list at least two item columns")
     labels, columns = [], []
     for entry in items:
         if isinstance(entry, str):
@@ -101,10 +114,14 @@ def _item_columns(cfg: dict):
 def _covariates(cfg: dict):
     decls, columns = [], {}
     for entry in cfg.get("covariates", []):
+        levels = entry.get("levels")
+        if levels is not None and not isinstance(levels, list):
+            raise DataError(f"covariate {entry.get('name')!r}: levels must be "
+                            f"a list, got {levels!r}")
         decl = CovariateDecl(
             name=entry["name"],
             kind=entry.get("type", "factor"),
-            levels=tuple(entry["levels"]) if entry.get("levels") else None,
+            levels=tuple(levels) if levels else None,
         )
         decls.append(decl)
         columns[decl.name] = entry.get("column", decl.name)
@@ -255,8 +272,8 @@ def cmd_fit(args) -> int:
     cfg = _load_config(args.config)
     labels, ingest = _ingest(cfg, args)
     config = _fit_config(cfg, args)
-    n_classes = args.classes or cfg.get("classes", 1)
-    spec = ModelSpec(labels, tuple(cfg.get("terms", [])), int(n_classes))
+    n_classes = args.classes or _config_int(cfg.get("classes", 1), "'classes'")
+    spec = ModelSpec(labels, tuple(cfg.get("terms", [])), n_classes)
     outdir = _out_dir(cfg, args)
     result = fit_model(spec, ingest.data, config)
     _write_fit_outputs(
@@ -281,8 +298,11 @@ def cmd_search(args) -> int:
     if args.class_range is not None:
         class_range = list(range(args.class_range[0], args.class_range[1] + 1))
     elif cfg.get("class_range"):
-        lo, hi = cfg["class_range"]
-        class_range = list(range(int(lo), int(hi) + 1))
+        bounds = cfg["class_range"]
+        if not isinstance(bounds, list) or len(bounds) != 2:
+            raise DataError("config 'class_range' must be a list [lo, hi]")
+        lo, hi = (_config_int(x, "'class_range' entry") for x in bounds)
+        class_range = list(range(lo, hi + 1))
 
     if class_range is not None:
         spec = ModelSpec(labels, tuple(cfg.get("terms", [])), 1)

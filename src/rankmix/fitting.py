@@ -36,22 +36,29 @@ best final likelihood wins. Chains that collapse a class (vanishing mass
 or runaway offsets) are flagged degenerate and excluded from selection
 while any healthy chain exists.
 
-Independent chains of one design run as a stack with a leading chain
-axis B: a fit's random and warm starts, or the constrained refits of the
-corrected standard errors. Each kernel call (block effects, the
-normalizer, the moments and information, the Cholesky factors) serves
-the whole stack, while every chain keeps its own Newton steps, step
-halving, convergence test and iteration count; a chain leaves the stack
-when it converges, degenerates, hits ``max_iter`` or fails, and the
-others go on, so each chain takes exactly the iterations it takes alone.
-A stack holds as many chains as keep its pattern probabilities within
-``_STACK_ENTRIES`` entries. The accepted Newton trial's item effects and
-log Z give the log-likelihood and the next E step, which therefore need
-no normalizer of their own.
+Every EM iteration happens in one loop, ``_run_stack``, which runs
+independent chains of one design as a stack with a leading chain axis B:
+a fit's random and warm starts, or the constrained refits of the
+corrected standard errors. An iteration updates the masses, lets the
+chains whose smallest mass fell below ``degenerate_mass`` leave, runs one
+Newton solve (``_newton``) for the rest, and then one softmax over log P
+at the cells, taken at the accepted Newton trial's item effects and
+log Z, gives both the log-likelihood and the next iteration's posterior
+weights; neither needs a normalizer of its own. Each kernel call (block
+effects, the normalizer, the moments and information, the Cholesky
+factors) serves the whole stack, while every chain keeps its own Newton
+steps, step halving, convergence test and iteration count; a chain leaves
+the stack when it converges, degenerates, hits ``max_iter`` or fails, and
+the others go on, so each chain takes exactly the iterations it takes
+alone. A stack holds as many chains as keep its pattern probabilities
+within ``_STACK_ENTRIES`` entries. The public ``m_step`` is the same mass
+update and Newton solve for a stack of one chain.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -63,8 +70,7 @@ from .model import (
     ModelSpec,
     Parameters,
     _coefficient_score,
-    _observed_loglik,
-    _posteriors,
+    _mixture,
     bic,
     count_parameters,
     posterior_weights,
@@ -104,7 +110,7 @@ class DegenerateClassError(FitError):
 
 @dataclass
 class FitConfig:
-    """Tuning knobs for the multi-start EM fit."""
+    """Tuning knobs for the multi-start EM fit; a bad field raises ``ValueError``."""
 
     n_starts: int = 50
     max_iter: int = 500
@@ -118,10 +124,24 @@ class FitConfig:
     count_masses: bool = False
 
     def __post_init__(self):
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be >= 1")
-        if self.tol <= 0 or self.irls_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        integer, real = numbers.Integral, numbers.Real
+        for name, kind, ok, rule in (
+            ("n_starts", integer, lambda v: v >= 1, "an integer >= 1"),
+            ("max_iter", integer, lambda v: v >= 0, "an integer >= 0"),
+            ("irls_max_iter", integer, lambda v: v >= 1, "an integer >= 1"),
+            ("seed", integer, lambda v: v >= 0, "an integer >= 0"),
+            ("tol", real, lambda v: v > 0, "a finite number > 0"),
+            ("irls_tol", real, lambda v: v > 0, "a finite number > 0"),
+            ("start_scale", real, lambda v: v >= 0, "a finite number >= 0"),
+            ("degenerate_mass", real, lambda v: 0 <= v < 1, "a number in [0, 1)"),
+            ("degenerate_offset", real, lambda v: v > 0, "a finite number > 0"),
+            ("count_masses", bool, lambda v: True, "true or false"),
+        ):
+            value = getattr(self, name)
+            wrong_type = not isinstance(value, kind) or (
+                isinstance(value, bool) and kind is not bool)
+            if wrong_type or not math.isfinite(value) or not ok(value):
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass
@@ -208,17 +228,6 @@ def _rank_deficiency(info: np.ndarray, names: list[str]) -> RankDeficientDesignE
         for c in np.nonzero(v >= 0.3 * v.max())[0]:
             aliased.add(names[c])
     return RankDeficientDesignError(sorted(aliased))
-
-
-def _fixed_mask(design: Design, fixed_zero) -> np.ndarray:
-    """(B, P) mask of the coefficients each chain holds at zero.
-
-    ``fixed_zero`` lists one sequence of coefficient indices per chain.
-    """
-    fixed = np.zeros((len(fixed_zero), design.n_coefficients), dtype=bool)
-    for row, indices in zip(fixed, fixed_zero):
-        row[list(indices)] = True
-    return fixed
 
 
 def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -334,93 +343,35 @@ def _newton(m, design: Design, beta, fixed, tol: float, max_iter: int):
     return (*out, errors)
 
 
-def fit_structural(
-    m: np.ndarray,
-    design: Design,
-    start: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-    fixed_zero=(),
-) -> np.ndarray:
-    """Maximize sum m[cell, r] log P[cell, r] over the structural coefficients.
-
-    ``m`` holds the (possibly fractional) expected counts at the design's
-    observed cells, (nnz, R). ``fixed_zero`` names coefficient indices
-    constrained to zero (they take no step).
-
-    Each Newton step forms the information from the per-block covariance
-    of the net-win scores, Cov[s] = E[s s'] - E[s] E[s]', whose second
-    moments come from the design's score-product table. The block totals,
-    the observed score totals and the saturated part of the deviance
-    depend on ``m`` alone and are computed once per call, so a
-    step-halving trial needs only the block log-normalizers. This is the
-    Newton solve of a stack of one chain.
-    """
-    m = design.cell_values(m)
-    beta = np.zeros(design.n_coefficients)
-    if start is not None:
-        beta = np.asarray(start, dtype=np.float64)
-    beta, _, _, (error,) = _newton(m[None], design, beta[None],
-                                   _fixed_mask(design, [fixed_zero]), tol,
-                                   max_iter)
-    if error is not None:
-        raise error
-    return beta[0]
-
-
 def structural_information(
-    design: Design, coefficients: np.ndarray, m: np.ndarray, fixed_zero=()
+    design: Design, coefficients: np.ndarray, m: np.ndarray
 ) -> np.ndarray:
     """Fisher information of the expected-count multinomial at ``coefficients``.
 
     This is the information the final scoring pass sees with the posterior
     weights treated as known, with the per-(set, class) nuisance totals
     profiled out. ``m`` holds the expected counts at the observed cells,
-    (nnz, R), as in :func:`fit_structural`.
+    (nnz, R).
     """
-    free = np.nonzero(~_fixed_mask(design, [fixed_zero])[0])[0]
     m_plus = design.set_sums(design.cell_values(m))
     _, p = design.log_normalizer(design.block_effects(coefficients))
-    return _moments_information(p, design, m_plus)[1][np.ix_(free, free)]
+    return _moments_information(p, design, m_plus)[1]
 
 
-def _m_step_stack(w, design: Design, beta, fixed, config: FitConfig,
-                  min_mass: float):
-    """One M step of B chains: mixing weights, then the coefficients.
+def _mass_update(w, design: Design, min_mass: float):
+    """The mass half of the M step for B chains' posterior weights (B, nnz, R).
 
-    ``w`` (B, nnz, R) holds each chain's posterior weights, ``beta``
-    (B, P) its coefficients and ``fixed`` (B, P) the coefficients it
-    holds at zero. Returns the mixing weights (B, R), the coefficients,
-    item effects and log Z of :func:`_newton`, and per chain None, a
-    ``DegenerateClassError`` (a class mass below ``min_mass``; the chain
-    takes no Newton step) or the ``FitError`` of its Newton solve.
+    Returns the expected counts m = n w, the new masses (B, R), which are
+    the respondent-weighted posterior shares, and per chain None or the
+    message that a class mass fell below ``min_mass``.
     """
     m = design.cell_counts[:, None] * w
     mixing = m.sum(axis=1) / design.cell_counts.sum()
     mixing /= mixing.sum(axis=1, keepdims=True)
     low = mixing.min(axis=1)
-    mixing = np.maximum(mixing, 1e-300)
-    sick = np.nonzero(low < min_mass)[0]
-    if not sick.size:
-        return (mixing, *_newton(m, design, beta, fixed, config.irls_tol,
-                                 config.irls_max_iter))
-    healthy = np.ones(len(w), dtype=bool)
-    healthy[sick] = False
-    a = np.zeros(beta.shape[:1] + design.X.shape[:2] + (design.n_items,))
-    log_z = np.zeros(a.shape[:-1])
-    beta = beta.copy()
-    errors: list[FitError | None] = [None] * len(w)
-    if np.count_nonzero(healthy):
-        beta[healthy], a[healthy], log_z[healthy], solved = _newton(
-            m[healthy], design, beta[healthy], fixed[healthy], config.irls_tol,
-            config.irls_max_iter,
-        )
-        for j, error in zip(np.nonzero(healthy)[0], solved):
-            errors[j] = error
-    for j in sick:
-        errors[j] = DegenerateClassError(
-            f"class mass fell to {low[j]:.3g} (< {min_mass:g})")
-    return mixing, beta, a, log_z, errors
+    messages = [f"class mass fell to {x:.3g} (< {min_mass:g})" if x < min_mass
+                else None for x in low]
+    return m, np.maximum(mixing, 1e-300), messages
 
 
 def m_step(
@@ -430,24 +381,27 @@ def m_step(
     start: Parameters | None = None,
     config: FitConfig | None = None,
     min_mass: float = 0.0,
-    fixed_zero=(),
 ) -> Parameters:
     """One M step: update mixing weights, then refit the coefficients.
 
     ``w`` holds the posterior class weights at the design's observed
-    cells, (nnz, R). The mixing update is the
-    respondent-weighted posterior share sum_{l,k} n w / N, which maximizes
-    the expected complete-data likelihood of the aggregated mixture.
+    cells, (nnz, R). The mixing update is the respondent-weighted
+    posterior share sum_{l,k} n w / N, which maximizes the expected
+    complete-data likelihood of the aggregated mixture; a share below
+    ``min_mass`` raises ``DegenerateClassError``. The coefficients are
+    the Newton solve of the EM loop (see :func:`run_chains`) for one chain.
     """
     config = config or FitConfig()
     design.check_data(data)
-    w = design.cell_values(w)
+    m, mixing, (low_mass,) = _mass_update(design.cell_values(w)[None], design,
+                                          min_mass)
+    if low_mass is not None:
+        raise DegenerateClassError(low_mass)
     beta = (np.zeros(design.n_coefficients) if start is None
             else start.coefficients)
-    mixing, beta, _, _, (error,) = _m_step_stack(
-        w[None], design, beta[None], _fixed_mask(design, [fixed_zero]), config,
-        min_mass,
-    )
+    fixed = np.zeros((1, beta.size), dtype=bool)  # no coefficient held at 0
+    beta, _, _, (error,) = _newton(m, design, beta[None], fixed,
+                                   config.irls_tol, config.irls_max_iter)
     if error is not None:
         raise error
     return Parameters(beta[0], mixing[0])
@@ -470,14 +424,21 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, fixed,
                initial_weights, callback):
     """EM for a stack of chains; see :func:`run_chains`."""
     B = len(starts)
-    # the running chains and their state, one row per chain; one
-    # normalizer per parameter point gives the log-likelihood and the next
-    # E step's posterior weights
+
+    def e_step(logp, q):
+        """Log-likelihoods, deviances and posterior weights of the stack."""
+        log_mixture, w = _mixture(logp, q[:, None])
+        ll = log_mixture @ design.cell_counts
+        return ll, 2.0 * (design.saturated_loglik - ll), w
+
+    # the running chains and their state, one row per chain; w holds the
+    # posterior weights for each chain's next M step
     chains = np.arange(B)
     b = np.array([s.coefficients for s in starts], dtype=np.float64)
     q = np.array([s.mixing for s in starts], dtype=np.float64)
-    logp, _ = design.cell_log_probs(b)
-    ll, d = _observed_loglik(design, logp, q[:, None])
+    ll, d, w = e_step(design.cell_log_probs(b)[0], q)
+    if initial_weights is not None:
+        w = np.broadcast_to(initial_weights, w.shape)
     traces = [[float(x)] for x in d]
     # per chain, the final state, written when the chain leaves the stack
     beta, mixing, loglik, dev = b.copy(), q.copy(), ll.copy(), d.copy()
@@ -486,51 +447,51 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, fixed,
     messages: list[str | None] = [None] * B  # why a chain degenerated
     failures: list[FitError | None] = [None] * B
 
-    def leave(stop, iterations):
-        """Write the state of the stopping chains and drop them from the stack."""
-        nonlocal chains, b, q, ll, d, fixed, logp
+    def leave(stop, iterations, *rows):
+        """Write the stopping chains' state, drop them, keep the rest of ``rows``."""
+        nonlocal chains, b, q, ll, d, fixed
         done = chains[stop]
         beta[done], mixing[done], loglik[done], dev[done] = b[stop], q[stop], \
             ll[stop], d[stop]
         n_iter[done] = iterations
         keep = ~stop
-        chains, b, q, ll, d, fixed, logp = (
-            x[keep] for x in (chains, b, q, ll, d, fixed, logp))
+        chains, b, q, ll, d, fixed = (x[keep] for x in (chains, b, q, ll, d, fixed))
+        return [x[keep] for x in rows]
 
     for iteration in range(1, config.max_iter + 1):
         if not chains.size:
             break
-        if iteration == 1 and initial_weights is not None:
-            w = np.broadcast_to(initial_weights, logp.shape)
-        else:
-            w = _posteriors(logp, q[:, None])
         if callback is not None:
-            dense_w = _posteriors(design.log_pattern_probs(b[0]), q[0])
-        new_q, new_b, a, log_z, errors = _m_step_stack(
-            w, design, b, fixed, config, config.degenerate_mass)
-        # a chain whose M step failed keeps its last parameters; one whose
-        # class offsets ran away keeps the new ones
+            dense_w = _mixture(design.log_pattern_probs(b[0]), q[0])[1]
+        # M step: the masses, then the coefficients of the chains whose
+        # classes all kept their mass; the others keep their last parameters
+        m, new_q, low_mass = _mass_update(w, design, config.degenerate_mass)
+        sick = np.array([x is not None for x in low_mass])
+        if sick.any():
+            for j in np.nonzero(sick)[0]:
+                messages[chains[j]] = low_mass[j]
+            m, new_q = leave(sick, iteration - 1, m, new_q)
+            if not chains.size:
+                break
+        b, a, log_z, errors = _newton(m, design, b, fixed, config.irls_tol,
+                                      config.irls_max_iter)
+        q = new_q
+        # a chain whose Newton solve failed leaves with its error; one whose
+        # class offsets ran away leaves with the new parameters
         stop = np.array([e is not None for e in errors])
         for j in np.nonzero(stop)[0]:
-            if isinstance(errors[j], DegenerateClassError):
-                messages[chains[j]] = str(errors[j])
-            else:
-                failures[chains[j]] = errors[j]
-            new_b[j], new_q[j] = b[j], q[j]
-        b, q = new_b, new_q
+            failures[chains[j]] = errors[j]
         offsets = np.abs(design.coefficient_matrix(b)[:, design.n_covariate_columns:])
         offsets = offsets.max(axis=(1, 2), initial=0.0)
         for j in np.nonzero(~stop & (offsets > config.degenerate_offset))[0]:
             messages[chains[j]] = f"class offset reached {offsets[j]:.3g}"
             stop[j] = True
-        if np.count_nonzero(stop):
-            keep = ~stop
-            a, log_z = a[keep], log_z[keep]
-            leave(stop, iteration - 1)
+        if stop.any():
+            a, log_z = leave(stop, iteration - 1, a, log_z)
             if not chains.size:
                 break
-        logp = design.log_probs_at_cells(a, log_z)
-        ll, dev_new = _observed_loglik(design, logp, q[:, None])
+        # E step: one softmax gives the log-likelihood and the next weights
+        ll, dev_new, w = e_step(design.log_probs_at_cells(a, log_z), q)
         for c, x in zip(chains, dev_new):
             traces[c].append(float(x))
         if callback is not None:
@@ -541,8 +502,8 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, fixed,
         converged[chains[stop]] = True
         if iteration == config.max_iter:
             stop[:] = True
-        if np.count_nonzero(stop):
-            leave(stop, iteration)
+        if stop.any():
+            (w,) = leave(stop, iteration, w)
     return [
         failures[c] or _Chain(
             label=labels[c],
@@ -572,26 +533,29 @@ def run_chains(
     """Run independent EM chains of one design, stacked; one result per start.
 
     The chains advance together, one kernel call per step for the whole
-    stack, and each leaves the stack when it converges, degenerates or
-    raises; the others go on. Each takes exactly the iterations it takes
-    alone. Stacks hold as many chains as keep the pattern probabilities
-    within ``_STACK_ENTRIES`` entries; with a ``callback`` each chain runs
-    alone, so the callback sees each chain's iterations in one run.
+    stack (see the module docstring), and each takes exactly the
+    iterations it takes alone.
 
-    ``labels`` names the chains (default ``chain``), ``fixed_zero`` gives
-    each chain its own sequence of coefficient indices held at zero, and
-    ``initial_weights`` (nnz, R) replaces every chain's first E step (see
-    :func:`run_chain`). Returns, in start order, each chain's ``_Chain``
-    or the ``FitError`` that stopped it.
+    ``labels`` names the chains (default ``chain``), and ``fixed_zero``
+    gives each chain its own sequence of coefficient indices held at zero.
+    ``initial_weights`` (nnz, R) replaces every chain's first E step, which
+    is how constrained refits resume from a converged fit.
+    ``callback(iteration, params, w, loglik)`` receives the dense (K, L, R)
+    weights of each iteration's M step, built only for it; with a callback
+    each chain runs alone, so the callback sees each chain's iterations in
+    one run, and ``initial_weights`` cannot be given. Returns, in start
+    order, each chain's ``_Chain`` or the ``FitError`` that stopped it.
     """
     design.check_data(data)
     if callback is not None and initial_weights is not None:
-        raise ValueError("run_chain takes a callback or initial_weights, not both")
+        raise ValueError("run_chains takes a callback or initial_weights, not both")
     if initial_weights is not None:
         initial_weights = design.cell_values(initial_weights)
     n = len(starts)
     labels = ["chain"] * n if labels is None else list(labels)
-    fixed = _fixed_mask(design, [()] * n if fixed_zero is None else fixed_zero)
+    fixed = np.zeros((n, design.n_coefficients), dtype=bool)
+    for row, indices in zip(fixed, fixed_zero or ()):
+        row[list(indices)] = True
     block_entries = design.n_sets * design.n_classes * design.n_patterns
     size = 1 if callback is not None else max(1, _STACK_ENTRIES // block_entries)
     results = []
@@ -600,34 +564,6 @@ def run_chains(
         results += _run_stack(design, starts[lo:hi], config, labels[lo:hi],
                               fixed[lo:hi], initial_weights, callback)
     return results
-
-
-def run_chain(
-    design: Design,
-    data: AggregatedData,
-    start: Parameters,
-    config: FitConfig,
-    label: str = "chain",
-    callback: Callable | None = None,
-    fixed_zero=(),
-    initial_weights: np.ndarray | None = None,
-) -> _Chain:
-    """Run one EM chain to convergence (or the iteration cap).
-
-    ``initial_weights`` (nnz, R) lets the first M step consume given
-    posterior weights instead of an E step, which is how constrained
-    refits resume from a converged fit. The chain works on the observed
-    cells; ``callback(iteration, params, w, loglik)`` receives the dense
-    (K, L, R) weights of the iteration's M step, built only for it, so a
-    callback cannot be combined with ``initial_weights``. This is
-    :func:`run_chains` with one start.
-    """
-    (chain,) = run_chains(design, data, [start], config, labels=[label],
-                          callback=callback, fixed_zero=[fixed_zero],
-                          initial_weights=initial_weights)
-    if isinstance(chain, FitError):
-        raise chain
-    return chain
 
 
 def chain_seeds(base_seed: int, n_starts: int) -> list[int]:
@@ -720,10 +656,11 @@ def fit(
     )
 
 
-def split_largest_class(result: FitResult, new_design: Design,
-                        jitter: float = 0.0, seed: int = 0) -> Parameters:
+def split_largest_class(result: FitResult, jitter: float = 0.0,
+                        seed: int = 0) -> Parameters:
     """Warm start for one more class: duplicate the heaviest class.
 
+    The returned parameters belong to ``result.spec`` with one more class.
     The duplicate becomes the new reference class, so all offsets shift by
     the split class's offsets and the item mains absorb the shift. At the
     returned point the (R+1)-class likelihood equals the R-class optimum
@@ -731,16 +668,14 @@ def split_largest_class(result: FitResult, new_design: Design,
     deviance. ``jitter`` adds noise to the class offsets so EM can leave
     the symmetric stationary point.
     """
-    old_design = result.design
-    if new_design.spec != old_design.spec.with_classes(old_design.n_classes + 1):
-        raise ValueError("the new design must add one class to the fitted model")
+    design = result.design
     q = result.params.mixing
     c = int(np.argmax(q))
-    n_cov = old_design.n_covariate_columns
-    offsets = old_design.class_offsets(result.params.coefficients)[:-1].T  # (R, J-1)
+    n_cov = design.n_covariate_columns
+    offsets = design.class_offsets(result.params.coefficients)[:-1].T  # (R, J-1)
     shift = offsets[c]
     beta = np.vstack([
-        old_design.coefficient_matrix(result.params.coefficients)[:n_cov],
+        design.coefficient_matrix(result.params.coefficients)[:n_cov],
         offsets - shift,
     ])
     beta[0] += shift  # the intercept column holds the item mains
@@ -787,12 +722,9 @@ def _sweep(data: AggregatedData, config: FitConfig, models) -> SearchResult:
         extras = []
         if prev is not None and spec == prev.spec.with_classes(
                 prev.spec.n_classes + 1):
-            new_design = Design(spec, data)
-            extras.append(split_largest_class(prev, new_design))
-            extras.append(
-                split_largest_class(prev, new_design, jitter=0.05,
-                                    seed=config.seed + spec.n_classes)
-            )
+            extras.append(split_largest_class(prev))
+            extras.append(split_largest_class(prev, jitter=0.05,
+                                              seed=config.seed + spec.n_classes))
         try:
             res = fit(spec, data, config, extra_starts=extras)
         except FitError as exc:

@@ -27,7 +27,10 @@ log P_lkr = s_l . a_kr - log Z_kr, so the J! pattern space enters only
 through each (set, class) block's log-normalizer log Z_kr and its score
 moments, and ``Design.log_normalizer`` is the one kernel that enumerates
 it. Posterior weights and expected counts are (nnz, R) arrays whose rows
-follow ``Design.cell_set`` / ``Design.cell_pattern``; only
+follow ``Design.cell_set`` / ``Design.cell_pattern``. One softmax,
+``_mixture``, gives the log mixture log sum_r q_r P_r and the posterior
+weights to the EM loop, ``mixture_loglik``, ``posterior_weights`` and
+``mixture_score``. Only
 ``Design.log_pattern_probs`` gives every (K, L, R) cell, for callers
 that want the whole table.
 
@@ -418,32 +421,22 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
         return np.log(np.sum(e, axis=axis, keepdims=True)) + shift
 
 
-def _log_mixture(logp: np.ndarray, mixing: np.ndarray) -> np.ndarray:
-    """log sum_r q_r P_r over the last (class) axis of ``logp``."""
-    return _logsumexp(logp + np.log(mixing), axis=-1)[..., 0]
+def _mixture(logp: np.ndarray, mixing: np.ndarray):
+    """log sum_r q_r P_r and the posterior class weights, from one softmax.
 
-
-def _posteriors(logp: np.ndarray, mixing: np.ndarray) -> np.ndarray:
-    """Posterior class probabilities over the last axis; overwrites ``logp``.
-
-    A softmax in place: besides ``logp`` it allocates only arrays reduced
-    over the class axis.
+    ``logp`` holds log P with classes on the last axis, (..., R); it is
+    overwritten by the posterior weights. ``mixing`` broadcasts against
+    it: (R,) for one chain, (B, 1, R) for a stack. Returns the log
+    mixture (...) and the weights (..., R): one shift, one ``exp`` and one
+    row sum give both.
     """
     logp += np.log(mixing)
-    logp -= logp.max(axis=-1, keepdims=True)
+    shift = logp.max(axis=-1, keepdims=True)
+    logp -= shift
     np.exp(logp, out=logp)
-    logp /= logp.sum(axis=-1, keepdims=True)
-    return logp
-
-
-def _observed_loglik(design: Design, logp: np.ndarray, mixing: np.ndarray):
-    """Log-likelihood and deviance from log P at the observed cells (..., nnz, R).
-
-    ``mixing`` broadcasts against ``logp``: (R,) for one chain, (B, 1, R)
-    for a stack, whose log-likelihoods and deviances are (B,) arrays.
-    """
-    loglik = _log_mixture(logp, mixing) @ design.cell_counts
-    return loglik, 2.0 * (design.saturated_loglik - loglik)
+    total = logp.sum(axis=-1, keepdims=True)
+    logp /= total
+    return (np.log(total) + shift)[..., 0], logp
 
 
 def _coefficient_score(X: np.ndarray, t: np.ndarray, m_plus: np.ndarray,
@@ -463,7 +456,7 @@ def _coefficient_score(X: np.ndarray, t: np.ndarray, m_plus: np.ndarray,
 def posterior_weights(params: Parameters, design: Design) -> np.ndarray:
     """Posterior class probabilities at the observed cells, shaped (nnz, R)."""
     logp, _ = design.cell_log_probs(params.coefficients)
-    return _posteriors(logp, params.mixing)
+    return _mixture(logp, params.mixing)[1]
 
 
 def mixture_loglik(
@@ -478,8 +471,8 @@ def mixture_loglik(
     """
     design.check_data(data)
     logp, _ = design.cell_log_probs(params.coefficients)
-    loglik, deviance = _observed_loglik(design, logp, params.mixing)
-    return float(loglik), float(deviance)
+    loglik = float(_mixture(logp, params.mixing)[0] @ design.cell_counts)
+    return loglik, 2.0 * (design.saturated_loglik - loglik)
 
 
 def mixture_score(
@@ -495,7 +488,7 @@ def mixture_score(
     """
     design.check_data(data)
     logp, p = design.cell_log_probs(params.coefficients)
-    m = design.cell_counts[:, None] * _posteriors(logp, params.mixing)
+    m = design.cell_counts[:, None] * _mixture(logp, params.mixing)[1]
     m_plus, t = design.block_totals(m)
     score_coef = _coefficient_score(design.X, t, m_plus, design.score_means(p))
     score_mass = m.sum(axis=0)[:-1] - design.cell_counts.sum() * params.mixing[:-1]

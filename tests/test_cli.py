@@ -185,6 +185,54 @@ class TestFit:
         assert main(["fit", "--config", cfg]) == 1
         assert "warp" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_starts", "3"), ("tol", "abc"), ("max_iter", 2.5), ("seed", 1.5),
+        ("start_scale", "x"), ("irls_max_iter", 0),
+    ])
+    def test_bad_fit_option_exits_one_naming_it(self, tmp_path, sim_csv, capsys,
+                                                field, value):
+        cfg = fit_config(tmp_path, sim_csv, fit={"n_starts": 2, field: value})
+        assert main(["fit", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert field in err
+
+    def assert_one_error_line(self, argv, capsys, *words):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        for word in words:
+            assert word in err
+
+    def test_config_that_is_not_an_object_is_rejected(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "run.json", [1, 2])
+        self.assert_one_error_line(["fit", "--config", cfg], capsys, "JSON object")
+
+    def test_fit_options_that_are_not_an_object_are_rejected(self, tmp_path,
+                                                             sim_csv, capsys):
+        cfg = fit_config(tmp_path, sim_csv, fit=[1, 2])
+        self.assert_one_error_line(["fit", "--config", cfg], capsys, "'fit'")
+
+    def test_levels_that_are_not_a_list_are_rejected(self, tmp_path, sim_csv,
+                                                     capsys):
+        cfg = fit_config(tmp_path, sim_csv,
+                         covariates=[{"name": "grp", "type": "factor", "levels": 5}])
+        self.assert_one_error_line(["fit", "--config", cfg], capsys, "levels")
+
+    def test_fractional_class_count_is_rejected(self, tmp_path, sim_csv, capsys):
+        cfg = fit_config(tmp_path, sim_csv, classes=2.7)
+        self.assert_one_error_line(["fit", "--config", cfg], capsys, "'classes'")
+
+    def test_fractional_class_range_is_rejected(self, tmp_path, sim_csv, capsys):
+        cfg = fit_config(tmp_path, sim_csv, class_range=[1, 2.7])
+        self.assert_one_error_line(["search", "--config", cfg], capsys,
+                                   "class_range")
+
+    def test_items_that_are_not_a_list_are_rejected(self, tmp_path, sim_csv,
+                                                    capsys):
+        cfg = fit_config(tmp_path, sim_csv, items="ABC")
+        self.assert_one_error_line(["fit", "--config", cfg], capsys, "'items'")
+
     def test_corrected_se_csv(self, tmp_path, sim_csv):
         cfg = fit_config(tmp_path, sim_csv, classes=1, se_method="corrected")
         assert main(["fit", "--config", cfg]) == 0

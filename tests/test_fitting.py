@@ -12,10 +12,9 @@ from rankmix.fitting import (
     RankDeficientDesignError,
     chain_seeds,
     fit,
-    fit_structural,
     init_start,
     m_step,
-    run_chain,
+    run_chains,
     search_classes,
     compare_term_models,
     split_largest_class,
@@ -63,6 +62,23 @@ def at_cells(design, x):
 def two_class_params():
     # reference class effects (-0.3, 0.1, 0); first-class offsets on top
     return Parameters(np.array([-0.3, 0.1, 0.8, 0.1]), np.array([0.6, 0.4]))
+
+
+class TestFitConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("n_starts", 0), ("n_starts", True), ("n_starts", 2.0), ("max_iter", -1),
+        ("irls_max_iter", 0), ("seed", -1), ("seed", "1"), ("tol", 0.0),
+        ("tol", math.inf), ("irls_tol", math.nan), ("start_scale", -0.5),
+        ("degenerate_mass", 1.0), ("degenerate_offset", 0), ("count_masses", 1),
+    ])
+    def test_bad_field_raises_naming_it(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FitConfig(**{field: value})
+
+    def test_integral_and_real_values_are_accepted(self):
+        config = FitConfig(n_starts=np.int64(3), tol=1, start_scale=0,
+                           degenerate_mass=0.0, count_masses=True)
+        assert config.n_starts == 3 and config.tol == 1
 
 
 class TestInitStart:
@@ -186,14 +202,14 @@ class TestFitStructural:
 
     def test_divergence_error_when_steps_cannot_ascend(self, monkeypatch):
         design, data = small_design(1)
-        m = design.cell_counts[:, None]
+        w = np.ones((design.cell_set.size, 1))
 
         def explode(matrix, rhs):
             return np.full_like(rhs, 1e30)
 
         monkeypatch.setattr(fitting.np.linalg, "solve", explode)
         with pytest.raises(IrlsDivergenceError):
-            fit_structural(m, design)
+            m_step(w, design, data)
 
 
 class TestStructuralInformation:
@@ -237,23 +253,6 @@ class TestStructuralInformation:
         info = structural_information(design, coefs, at_cells(design, m))
         assert info == pytest.approx(-hess, rel=1e-5, abs=1e-5)
 
-    def test_fixed_zero_drops_rows_and_columns(self):
-        design, m, coefs = self.instance()
-        fixed = design.name_to_index["A:x"]
-        coefs[fixed] = 0.0
-        free = np.delete(np.arange(design.n_coefficients), fixed)
-
-        def loglik_free(v):
-            c = np.zeros(design.n_coefficients)
-            c[free] = v
-            return self.expected_count_loglik(design, m, c)
-
-        hess = oracles.numerical_hessian(loglik_free, coefs[free])
-        info = structural_information(design, coefs, at_cells(design, m),
-                                      fixed_zero=(fixed,))
-        assert info.shape == (free.size, free.size)
-        assert info == pytest.approx(-hess, rel=1e-5, abs=1e-5)
-
 
 class TestObservedCells:
     """The EM loop works on the cells with a nonzero count; these checks use
@@ -285,8 +284,8 @@ class TestObservedCells:
             seen.append((params.copy(), loglik))
 
         start = init_start(5, design, scale=1.0)
-        run_chain(design, data, start, FitConfig(max_iter=6, tol=1e-12),
-                  callback=record)
+        run_chains(design, data, [start], FitConfig(max_iter=6, tol=1e-12),
+                   callback=record)
         assert len(seen) == 6
         for params, loglik in seen:
             effects = design.item_effects(params.coefficients)
@@ -318,8 +317,8 @@ class TestObservedCells:
             m_step(w, other, data)
         w = posterior_weights(init_start(8, design), design)
         with pytest.raises(ValueError, match="not both"):
-            run_chain(design, data, init_start(8, design), FitConfig(),
-                      callback=lambda *args: None, initial_weights=w)
+            run_chains(design, data, [init_start(8, design)], FitConfig(),
+                       callback=lambda *args: None, initial_weights=w)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
     def test_non_finite_or_negative_weights_are_rejected(self, bad):
@@ -348,9 +347,9 @@ class TestObservedCells:
         monkeypatch.setattr(Design, "log_pattern_probs", counted)
         start = init_start(5, design)
         config = FitConfig(max_iter=4, tol=1e-12)
-        run_chain(design, data, start, config)
+        run_chains(design, data, [start], config)
         assert calls == []
-        run_chain(design, data, start, config, callback=lambda *args: None)
+        run_chains(design, data, [start], config, callback=lambda *args: None)
         assert len(calls) == 4
         # nor do the fit, the three SE procedures and the post-hoc tables
         calls.clear()
@@ -362,6 +361,23 @@ class TestObservedCells:
         for mode in ("expected", "hard"):
             crosstab(result, data, ["a", "b"] * 20, mode=mode)
         assert calls == []
+
+    def test_one_softmax_per_em_iteration(self, monkeypatch):
+        # the start's E step, then one per iteration: the softmax at the
+        # accepted Newton trial gives the log-likelihood and the next weights
+        design, data = self.instance()
+        calls = []
+        softmax = fitting._mixture
+
+        def counted(logp, mixing):
+            calls.append(logp.shape)
+            return softmax(logp, mixing)
+
+        monkeypatch.setattr(fitting, "_mixture", counted)
+        (chain,) = run_chains(design, data, [init_start(5, design)],
+                              FitConfig(max_iter=4, tol=1e-12))
+        assert chain.n_iterations == 4 and not chain.converged
+        assert calls == [(1, design.cell_set.size, 2)] * 5
 
     def test_negative_drop_raises_after_one_refit(self, monkeypatch):
         design, data = self.instance()
@@ -402,8 +418,9 @@ class TestObservedCells:
         assert stacks == [stack] * (4 // stack)
         seeds = chain_seeds(config.seed, config.n_starts)
         for seed, summary in zip(seeds, result.chain_summaries):
-            alone = run_chain(design, data,
-                              init_start(seed, design, config.start_scale), config)
+            (alone,) = run_chains(design, data,
+                                  [init_start(seed, design, config.start_scale)],
+                                  config)
             assert summary["iterations"] == alone.n_iterations
             assert summary["converged"] == alone.converged
             assert summary["degenerate"] == alone.degenerate
@@ -633,20 +650,13 @@ class TestSearch:
         spec = ModelSpec(("A", "B", "C"), terms, 2)
         result = fit(spec, data, FitConfig(n_starts=4, seed=8))
         new_design = Design(spec.with_classes(3), data)
-        warm = split_largest_class(result, new_design)
+        warm = split_largest_class(result)
         loglik, _ = mixture_loglik(warm, new_design, data)
         assert loglik == pytest.approx(result.loglik, abs=1e-9)
         # the jittered copy moves the 2 x 2 class offsets and nothing else
-        jittered = split_largest_class(result, new_design, jitter=0.05)
+        jittered = split_largest_class(result, jitter=0.05)
         moved = np.nonzero(jittered.coefficients != warm.coefficients)[0]
         assert [new_design.coefficients[i].kind for i in moved] == ["class"] * 4
-
-    def test_split_needs_one_more_class(self):
-        data = self.search_data()
-        spec = ModelSpec(("A", "B", "C"), (), 2)
-        result = fit(spec, data, FitConfig(n_starts=2, seed=8))
-        with pytest.raises(ValueError, match="one class"):
-            split_largest_class(result, Design(spec.with_classes(4), data))
 
     def test_errors_do_not_abort_sweep(self, monkeypatch):
         data = self.search_data()
