@@ -103,17 +103,25 @@ def _item_columns(cfg: dict):
     labels, columns = [], []
     for entry in items:
         if isinstance(entry, str):
-            labels.append(entry)
-            columns.append(entry)
-        else:
-            labels.append(entry["label"])
-            columns.append(entry.get("column", entry["label"]))
+            entry = {"label": entry}
+        if not (isinstance(entry, dict) and isinstance(entry.get("label"), str)
+                and isinstance(entry.get("column", ""), str)):
+            raise DataError("config 'items' entries must be column names or "
+                            f"objects with a string 'label', got {entry!r}")
+        labels.append(entry["label"])
+        columns.append(entry.get("column", entry["label"]))
     return tuple(labels), tuple(columns)
 
 
 def _covariates(cfg: dict):
+    entries = cfg.get("covariates", [])
+    if not isinstance(entries, list):
+        raise DataError("config 'covariates' must be a list")
     decls, columns = [], {}
-    for entry in cfg.get("covariates", []):
+    for entry in entries:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
+            raise DataError("config 'covariates' entries must be objects with "
+                            f"a string 'name', got {entry!r}")
         levels = entry.get("levels")
         if levels is not None and not isinstance(levels, list):
             raise DataError(f"covariate {entry.get('name')!r}: levels must be "
@@ -272,7 +280,8 @@ def cmd_fit(args) -> int:
     cfg = _load_config(args.config)
     labels, ingest = _ingest(cfg, args)
     config = _fit_config(cfg, args)
-    n_classes = args.classes or _config_int(cfg.get("classes", 1), "'classes'")
+    n_classes = (args.classes if args.classes is not None
+                 else _config_int(cfg.get("classes", 1), "'classes'"))
     spec = ModelSpec(labels, tuple(cfg.get("terms", [])), n_classes)
     outdir = _out_dir(cfg, args)
     result = fit_model(spec, ingest.data, config)

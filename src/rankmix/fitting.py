@@ -23,13 +23,17 @@ X_c (t - n E[s])_i to the score, n X_c X_d Cov[s]_ij to the information
 entry of (c, i) and (d, j), and t . a - n log Z to the expected-count
 log-likelihood, with Cov[s] = E[s s'] - E[s] E[s]'. The pattern space
 enters only through ``Design.log_normalizer``, which gives each block's
-log Z and p: a step-halving trial needs log Z alone, and the accepted
-trial's p gives E[s] by one matrix product with the score matrix and
-E[s s'] by one with the per-pattern table of score products s_i s_j.
-The posterior weights, here and in ``FitResult.posteriors``, are
-(nnz, R) rows aligned with ``Design.cell_set`` / ``Design.cell_pattern``.
-No (K, L, R) array is built unless a callback asks for the dense
-posterior weights.
+log Z and its pattern weights, proportional to p, in one pass over the
+patterns: a step-halving trial needs log Z alone, and the accepted
+trial's weights give the block totals, E[s] and E[s s'] together by one
+matrix product with the design's moment table [1 | s | s_i s_j]. The
+accepted trial's item effects, log Z and weights are carried, not
+recomputed: the E step reads the first two, the next Newton solve starts
+from all three, so no normalizer runs between M steps. The posterior
+weights, here and in ``FitResult.posteriors`` (the best chain's last E
+step), are (nnz, R) rows aligned with ``Design.cell_set`` /
+``Design.cell_pattern``. No (K, L, R) array is built unless a callback
+asks for the dense posterior weights.
 
 Several independent chains are run from random starts; the chain with the
 best final likelihood wins. Chains that collapse a class (vanishing mass
@@ -50,8 +54,8 @@ factors) serves the whole stack, while every chain keeps its own Newton
 steps, step halving, convergence test and iteration count; a chain leaves
 the stack when it converges, degenerates, hits ``max_iter`` or fails, and
 the others go on, so each chain takes exactly the iterations it takes
-alone. A stack holds as many chains as keep its pattern probabilities
-within ``_STACK_ENTRIES`` entries. The public ``m_step`` is the same mass
+alone. A stack holds as many chains as keep its pattern weights within
+``_STACK_ENTRIES`` entries. The public ``m_step`` is the same mass
 update and Newton solve for a stack of one chain.
 """
 
@@ -73,7 +77,6 @@ from .model import (
     _mixture,
     bic,
     count_parameters,
-    posterior_weights,
 )
 
 
@@ -185,31 +188,31 @@ def init_start(seed, design: Design, scale: float = 0.5) -> Parameters:
 
 
 # Chains of one design advance as one stack while their pattern
-# probabilities, B x K x R x L doubles, stay within this many entries
+# weights, B x K x R x L doubles, stay within this many entries
 # (8 MB); a design whose blocks alone exceed it runs one chain at a time.
 _STACK_ENTRIES = 1_000_000
 
 
-def _moments_information(p: np.ndarray, design: Design, m_plus: np.ndarray):
+def _moments_information(w: np.ndarray, design: Design, m_plus: np.ndarray):
     """Per-block score means E[s] (..., K, R, J) and the information (..., P, P).
 
-    ``p`` holds the pattern probabilities as one row per (set, class)
-    block, (..., K * R, L), as :meth:`Design.log_normalizer` returns them,
-    and ``m_plus`` the block totals (..., K, R). The entry for
-    coefficients (c, i) and (d, j) is
-    sum_kr m_plus[k, r] X_krc X_krd Cov_kr[s]_ij over the non-reference
-    items, one matrix product of the weighted column products with the
-    block covariances Cov[s] = E[s s'] - E[s] E[s]', whose second moments
-    come from one product with the design's score-product table.
+    ``w`` holds the pattern weights as one row per (set, class) block,
+    (..., K * R, L), as :meth:`Design.log_normalizer` returns them, and
+    ``m_plus`` the block totals (..., K, R). The entry for coefficients
+    (c, i) and (d, j) is sum_kr m_plus[k, r] X_krc X_krd Cov_kr[s]_ij over
+    the non-reference items, one matrix product of the weighted column
+    products with the block covariances Cov[s] = E[s s'] - E[s] E[s]',
+    whose moments come from one product of ``w`` with the design's moment
+    table.
     """
     lead = m_plus.shape[:-2]
-    KR = p.shape[-2]
+    KR = w.shape[-2]
     J1 = design.n_items - 1
     Q = design.X.shape[-1]
-    mean = design.score_means(p)
+    mean, second = design.score_moments(w)
     free_mean = mean[..., :-1].reshape(-1, J1)
-    cov = p.reshape(-1, p.shape[-1]) @ design.score_products
-    cov -= (free_mean[:, :, None] * free_mean[:, None, :]).reshape(len(cov), -1)
+    cov = second - (free_mean[:, :, None] * free_mean[:, None, :]).reshape(
+        len(second), -1)
     X = design.X.reshape(KR, Q)
     weights = (m_plus.reshape(-1, KR, 1) * X)[..., :, None] * X[:, None, :]
     info = np.swapaxes(weights.reshape(-1, KR, Q * Q), 1, 2) @ cov.reshape(
@@ -236,46 +239,56 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x.reshape(n, 1, -1) @ y.reshape(n, -1, 1))[:, 0, 0]
 
 
-def _newton(m, design: Design, beta, fixed, tol: float, max_iter: int):
+def _newton(m, design: Design, beta, start: list, fixed, tol: float,
+            max_iter: int):
     """Maximize sum m[b, cell, r] log P over the coefficients of B chains.
 
     ``m`` (B, nnz, R) holds each chain's expected counts, ``beta`` (B, P)
-    its start and ``fixed`` (B, P) the coefficients it holds at zero.
-    Each chain takes its own Newton steps with its own step halving and
-    stops by its own deviance change; the stack shrinks as chains stop.
-    A fixed coefficient gets an identity row and column in the
-    information and a zero score, so its step is exactly zero.
+    its start and ``fixed`` (B, P) the coefficients it holds at zero,
+    which must be zero in ``beta``. ``start`` is the list [a, log Z,
+    pattern weights] of :meth:`Design.log_normalizer` at ``beta``; it is
+    emptied, so that the weights are freed by the first moment product,
+    before the first trial allocates its own. Each chain takes its own
+    Newton steps with its own step halving and stops by its own deviance
+    change; the stack shrinks as chains stop. A fixed coefficient gets an
+    identity row and column in the information and a zero score, so its
+    step is exactly zero.
 
-    Returns the coefficients (B, P), the item effects (B, K, R, J) and
-    log Z (B, K, R) at them (the accepted trial's, so the caller needs no
-    further normalizer), and per chain None or the ``FitError`` that
-    stopped it.
+    Returns the coefficients (B, P), the item effects (B, K, R, J), log Z
+    (B, K, R) and the pattern weights (B, K * R, L) at them (the accepted
+    trial's, so the caller needs no further normalizer), and per chain
+    None or the ``FitError`` that stopped it.
     """
-    beta = np.where(fixed, 0.0, beta)
+    a, log_z, w = start
+    start.clear()
     m_plus, observed = design.block_totals(m)
     with np.errstate(divide="ignore", invalid="ignore"):
         cell_totals = np.take(m_plus, design.cell_set, axis=-2)
         saturated = np.where(m > 0, m * np.log(m / cell_totals), 0.0).sum(
             axis=(1, 2))
 
-    def deviance(b, observed, m_plus, saturated):
-        """Deviances at coefficients ``b``, with a, log Z and p there."""
-        a = design.block_effects(b)
-        log_z, p_b = design.log_normalizer(a)
+    def deviance(a, log_z, observed, m_plus, saturated):
         # sum m log P = sum_kr (t . a - m_plus log Z)
         loglik = _row_dots(observed, a) - _row_dots(m_plus, log_z)
-        return 2.0 * (saturated - loglik), a, log_z, p_b
+        return 2.0 * (saturated - loglik)
+
+    def trial_at(b, observed, m_plus, saturated):
+        """Deviances at coefficients ``b``, with a, log Z and the weights there."""
+        a = design.block_effects(b)
+        log_z, w = design.log_normalizer(a)
+        return deviance(a, log_z, observed, m_plus, saturated), a, log_z, w
 
     errors: list[FitError | None] = [None] * len(beta)
     # the chains still stepping; every array below has one row per chain
     chains = np.arange(len(beta))
     free_pairs = ~(fixed[:, :, None] | fixed[:, None, :])
     identity = np.eye(fixed.shape[1])
-    dev, a, log_z, p = deviance(beta, observed, m_plus, saturated)
+    dev = deviance(a, log_z, observed, m_plus, saturated)
     out = [beta.copy(), a.copy(), log_z.copy()]
+    out_w = None  # the final weights, once a chain has stopped
     for iteration in range(1, max_iter + 1):
-        mean, info = _moments_information(p, design, m_plus)
-        del p  # freed before the trials allocate theirs
+        mean, info = _moments_information(w, design, m_plus)
+        del w  # freed before the trials allocate theirs
         info = np.where(free_pairs, info, identity)
         score = _coefficient_score(design.X, observed, m_plus, mean)
         score[fixed] = 0.0
@@ -303,7 +316,7 @@ def _newton(m, design: Design, beta, fixed, tol: float, max_iter: int):
         # every chain still rising after h halvings has step 2^-h
         bound = dev + 1e-10 * (np.abs(dev) + 1.0)
         trial = beta + direction
-        dev_try, a, log_z, p = deviance(trial, observed, m_plus, saturated)
+        dev_try, a, log_z, w = trial_at(trial, observed, m_plus, saturated)
         rising = ~(dev_try <= bound)
         for halvings in range(1, 40):
             if not np.count_nonzero(rising):
@@ -311,11 +324,11 @@ def _newton(m, design: Design, beta, fixed, tol: float, max_iter: int):
             j = np.nonzero(rising)[0]
             trial[j] = beta[j] + 0.5 ** halvings * direction[j]
             if len(j) == len(chains):
-                del p  # every trial was rejected: free its probabilities first
-                dev_try, a, log_z, p = deviance(trial, observed, m_plus,
+                del w  # every trial was rejected: free its weights first
+                dev_try, a, log_z, w = trial_at(trial, observed, m_plus,
                                                 saturated)
             else:
-                dev_try[j], a[j], log_z[j], p[j] = deviance(
+                dev_try[j], a[j], log_z[j], w[j] = trial_at(
                     trial[j], observed[j], m_plus[j], saturated[j])
             rising[j] = ~(dev_try[j] <= bound[j])
         stop = np.abs(dev - dev_try) <= tol * np.maximum(np.abs(dev_try), 1.0)
@@ -331,16 +344,23 @@ def _newton(m, design: Design, beta, fixed, tol: float, max_iter: int):
         beta, dev = trial, dev_try
         stopped = np.count_nonzero(stop)
         if stopped:
+            done = chains[stop]
             for kept, new in zip(out, (beta, a, log_z)):
-                kept[chains[stop]] = new[stop]
+                kept[done] = new[stop]
+            if out_w is None and stopped == len(out[0]):
+                out_w = w  # the whole stack stops at once: no copy
+            else:
+                if out_w is None:
+                    out_w = np.empty((len(out[0]),) + w.shape[1:])
+                out_w[done] = w[stop]
             if stopped == len(chains):
                 break
             going = ~stop
-            chains, beta, dev, p, m_plus, observed, saturated, fixed, \
-                free_pairs = (x[going] for x in (chains, beta, dev, p, m_plus,
+            chains, beta, dev, w, m_plus, observed, saturated, fixed, \
+                free_pairs = (x[going] for x in (chains, beta, dev, w, m_plus,
                                                  observed, saturated, fixed,
                                                  free_pairs))
-    return (*out, errors)
+    return (*out, out_w, errors)
 
 
 def structural_information(
@@ -354,8 +374,8 @@ def structural_information(
     (nnz, R).
     """
     m_plus = design.set_sums(design.cell_values(m))
-    _, p = design.log_normalizer(design.block_effects(coefficients))
-    return _moments_information(p, design, m_plus)[1]
+    _, w = design.log_normalizer(design.block_effects(coefficients))
+    return _moments_information(w, design, m_plus)[1]
 
 
 def _mass_update(w, design: Design, min_mass: float):
@@ -400,8 +420,10 @@ def m_step(
     beta = (np.zeros(design.n_coefficients) if start is None
             else start.coefficients)
     fixed = np.zeros((1, beta.size), dtype=bool)  # no coefficient held at 0
-    beta, _, _, (error,) = _newton(m, design, beta[None], fixed,
-                                   config.irls_tol, config.irls_max_iter)
+    a = design.block_effects(beta[None])
+    beta, _, _, _, (error,) = _newton(m, design, beta[None],
+                                      [a, *design.log_normalizer(a)], fixed,
+                                      config.irls_tol, config.irls_max_iter)
     if error is not None:
         raise error
     return Parameters(beta[0], mixing[0])
@@ -418,6 +440,7 @@ class _Chain:
     degenerate: bool
     n_iterations: int
     message: str | None = None
+    posteriors: np.ndarray | None = None  # (nnz, R), at params
 
 
 def _run_stack(design: Design, starts, config: FitConfig, labels, fixed,
@@ -425,23 +448,28 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, fixed,
     """EM for a stack of chains; see :func:`run_chains`."""
     B = len(starts)
 
-    def e_step(logp, q):
-        """Log-likelihoods, deviances and posterior weights of the stack."""
-        log_mixture, w = _mixture(logp, q[:, None])
+    def e_step(a, log_z, q):
+        """Log-likelihoods, deviances and posterior weights at a and log Z."""
+        log_mixture, w = _mixture(design.log_probs_at_cells(a, log_z), q[:, None])
         ll = log_mixture @ design.cell_counts
         return ll, 2.0 * (design.saturated_loglik - ll), w
 
     # the running chains and their state, one row per chain; w holds the
-    # posterior weights for each chain's next M step
+    # posterior weights for each chain's next M step, and at_b the item
+    # effects, log Z and pattern weights at b, where the next Newton solve
+    # starts (only at_b holds the weights, which that solve frees)
     chains = np.arange(B)
-    b = np.array([s.coefficients for s in starts], dtype=np.float64)
+    b = np.where(fixed, 0.0, [s.coefficients for s in starts])
     q = np.array([s.mixing for s in starts], dtype=np.float64)
-    ll, d, w = e_step(design.cell_log_probs(b)[0], q)
+    a = design.block_effects(b)
+    at_b = [a, *design.log_normalizer(a)]
+    ll, d, w = e_step(*at_b[:2], q)
+    # per chain, the final state, written when the chain leaves the stack
+    beta, mixing, loglik, dev = b.copy(), q.copy(), ll.copy(), d.copy()
+    posteriors = w
     if initial_weights is not None:
         w = np.broadcast_to(initial_weights, w.shape)
     traces = [[float(x)] for x in d]
-    # per chain, the final state, written when the chain leaves the stack
-    beta, mixing, loglik, dev = b.copy(), q.copy(), ll.copy(), d.copy()
     n_iter = np.zeros(B, dtype=int)
     converged = np.zeros(B, dtype=bool)
     messages: list[str | None] = [None] * B  # why a chain degenerated
@@ -449,13 +477,14 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, fixed,
 
     def leave(stop, iterations, *rows):
         """Write the stopping chains' state, drop them, keep the rest of ``rows``."""
-        nonlocal chains, b, q, ll, d, fixed
+        nonlocal chains, b, q, ll, d, w, fixed
         done = chains[stop]
-        beta[done], mixing[done], loglik[done], dev[done] = b[stop], q[stop], \
-            ll[stop], d[stop]
+        beta[done], mixing[done], loglik[done], dev[done], posteriors[done] = \
+            b[stop], q[stop], ll[stop], d[stop], w[stop]
         n_iter[done] = iterations
         keep = ~stop
-        chains, b, q, ll, d, fixed = (x[keep] for x in (chains, b, q, ll, d, fixed))
+        chains, b, q, ll, d, w, fixed = (x[keep] for x in (chains, b, q, ll, d,
+                                                            w, fixed))
         return [x[keep] for x in rows]
 
     for iteration in range(1, config.max_iter + 1):
@@ -470,44 +499,50 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, fixed,
         if sick.any():
             for j in np.nonzero(sick)[0]:
                 messages[chains[j]] = low_mass[j]
-            m, new_q = leave(sick, iteration - 1, m, new_q)
+            m, new_q, *at_b = leave(sick, iteration - 1, m, new_q, *at_b)
             if not chains.size:
                 break
-        b, a, log_z, errors = _newton(m, design, b, fixed, config.irls_tol,
-                                      config.irls_max_iter)
+        b, *at_b, errors = _newton(m, design, b, at_b, fixed, config.irls_tol,
+                                   config.irls_max_iter)
         q = new_q
-        # a chain whose Newton solve failed leaves with its error; one whose
-        # class offsets ran away leaves with the new parameters
-        stop = np.array([e is not None for e in errors])
-        for j in np.nonzero(stop)[0]:
-            failures[chains[j]] = errors[j]
-        offsets = np.abs(design.coefficient_matrix(b)[:, design.n_covariate_columns:])
-        offsets = offsets.max(axis=(1, 2), initial=0.0)
-        for j in np.nonzero(~stop & (offsets > config.degenerate_offset))[0]:
-            messages[chains[j]] = f"class offset reached {offsets[j]:.3g}"
-            stop[j] = True
-        if stop.any():
-            a, log_z = leave(stop, iteration - 1, a, log_z)
+        # a chain whose Newton solve failed leaves with its error
+        failed = np.array([e is not None for e in errors])
+        if failed.any():
+            for j in np.nonzero(failed)[0]:
+                failures[chains[j]] = errors[j]
+            at_b = leave(failed, iteration - 1, *at_b)
             if not chains.size:
                 break
         # E step: one softmax gives the log-likelihood and the next weights
-        ll, dev_new, w = e_step(design.log_probs_at_cells(a, log_z), q)
+        ll_new, dev_new, w = e_step(*at_b[:2], q)
+        # a chain whose class offsets ran away leaves with the new parameters
+        offsets = np.abs(design.coefficient_matrix(b)[:, design.n_covariate_columns:])
+        offsets = offsets.max(axis=(1, 2), initial=0.0)
+        runaway = offsets > config.degenerate_offset
+        if runaway.any():
+            for j in np.nonzero(runaway)[0]:
+                messages[chains[j]] = f"class offset reached {offsets[j]:.3g}"
+            ll_new, dev_new, *at_b = leave(runaway, iteration - 1, ll_new,
+                                           dev_new, *at_b)
+            if not chains.size:
+                break
         for c, x in zip(chains, dev_new):
             traces[c].append(float(x))
         if callback is not None:
             callback(iteration, Parameters(b[0].copy(), q[0].copy()), dense_w,
-                     float(ll[0]))
+                     float(ll_new[0]))
         stop = np.abs(dev_new - d) < config.tol
-        d = dev_new
+        ll, d = ll_new, dev_new
         converged[chains[stop]] = True
         if iteration == config.max_iter:
             stop[:] = True
         if stop.any():
-            (w,) = leave(stop, iteration, w)
+            at_b = leave(stop, iteration, *at_b)
     return [
         failures[c] or _Chain(
             label=labels[c],
             params=Parameters(beta[c].copy(), mixing[c].copy()),
+            posteriors=posteriors[c].copy(),
             loglik=float(loglik[c]),
             deviance=float(dev[c]),
             trace=traces[c],
@@ -640,7 +675,7 @@ def fit(
         spec=spec,
         design=design,
         params=best.params,
-        posteriors=posterior_weights(best.params, design),
+        posteriors=best.posteriors,
         loglik=best.loglik,
         deviance=best.deviance,
         minus_two_loglik=minus_two,

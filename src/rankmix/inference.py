@@ -24,6 +24,7 @@ from .fitting import (
     FitConfig,
     FitError,
     FitResult,
+    _moments_information,
     run_chains,
     structural_information,
 )
@@ -175,11 +176,11 @@ def hessian_standard_errors(fit: FitResult, data: AggregatedData):
     p = design.n_coefficients
 
     complete = np.zeros((p + R - 1, p + R - 1))
-    complete[:p, :p] = structural_information(design, beta, m)
+    _, weights = design.log_normalizer(design.block_effects(beta))
+    mean, complete[:p, :p] = _moments_information(weights, design,
+                                                  design.set_sums(m))
     complete[p:, p:] = n.sum() * (np.diag(q) - np.outer(q, q))
 
-    _, probs = design.log_normalizer(design.block_effects(beta))
-    mean = design.score_means(probs)
     resid = (design.cell_scores[:, None, :] - mean[design.cell_set])[..., :-1]
     X = design.X[design.cell_set]  # (nnz, R, Q)
     g = np.concatenate(

@@ -26,16 +26,19 @@ nonzero count, which ``Design`` lists once, sorted by set. At a cell,
 log P_lkr = s_l . a_kr - log Z_kr, so the J! pattern space enters only
 through each (set, class) block's log-normalizer log Z_kr and its score
 moments, and ``Design.log_normalizer`` is the one kernel that enumerates
-it. Posterior weights and expected counts are (nnz, R) arrays whose rows
-follow ``Design.cell_set`` / ``Design.cell_pattern``. One softmax,
-``_mixture``, gives the log mixture log sum_r q_r P_r and the posterior
-weights to the EM loop, ``mixture_loglik``, ``posterior_weights`` and
-``mixture_score``. Only
+it: one product, one ``exp`` and one row sum give log Z and the pattern
+weights (unnormalized), and one product of those weights with the
+design's moment table gives every block's E[s] and E[s s']
+(``Design.score_moments``). Posterior weights and expected counts are
+(nnz, R) arrays whose rows follow ``Design.cell_set`` /
+``Design.cell_pattern``. One softmax, ``_mixture``, gives the log
+mixture log sum_r q_r P_r and the posterior weights to the EM loop,
+``mixture_loglik``, ``posterior_weights`` and ``mixture_score``. Only
 ``Design.log_pattern_probs`` gives every (K, L, R) cell, for callers
 that want the whole table.
 
 The kernels of the fit (``block_effects``, ``log_normalizer``,
-``cell_log_probs``, ``score_means``, ``set_sums``, ``block_totals``)
+``cell_log_probs``, ``score_moments``, ``set_sums``, ``block_totals``)
 also take a leading stack of chains: coefficients (B, P) give item
 effects (B, K, R, J), cell arrays are (B, nnz, R), and so on, so that
 several EM chains of one design advance with one call per kernel.
@@ -137,7 +140,7 @@ class Design:
     coefficient vector is B in row-major order (design column outer, item
     inner).
 
-    Also built: the per-pattern table of net-win score products and the
+    Also built: the per-pattern moment table [1 | s | s_i s_j] and the
     observed-cell layout, the set, pattern, count and score row of every
     cell with a nonzero count, sorted by set.
     """
@@ -150,13 +153,20 @@ class Design:
         self.spec = spec
         self.data = data
         self.S = data.space.score_matrix()  # (L, J)
-        # s_li * s_lj per pattern over the non-reference items, (L, (J-1)^2):
-        # one product with the pattern probabilities gives every block's
-        # second score moments
+        L, J = self.S.shape
+        # [S' ; 1], (J + 1, L): [a, -shift] times it is s_l . a - shift
+        self._shifted_scores = np.vstack([self.S.T, np.ones(L)])
+        # the largest s . a over all J! patterns pairs the sorted effects
+        # with the sorted scores 1 - J, 3 - J, ..., J - 1
+        self._score_ramp = np.arange(1.0 - J, J, 2.0)
+        # [1 | s | s_i s_j over the non-reference items] per pattern,
+        # (L, 1 + J + (J-1)^2): one product with the pattern weights gives
+        # every block's total, first and second score moments
         free_scores = self.S[:, :-1]
-        self.score_products = (
-            free_scores[:, :, None] * free_scores[:, None, :]
-        ).reshape(self.S.shape[0], -1)
+        self.moment_table = np.hstack([
+            np.ones((L, 1)), self.S,
+            (free_scores[:, :, None] * free_scores[:, None, :]).reshape(L, -1),
+        ])
         # np.nonzero walks the table row by row, so the cells come sorted
         # by set and each set's cells are one contiguous run
         self.cell_set, self.cell_pattern = np.nonzero(data.counts)
@@ -273,26 +283,30 @@ class Design:
         return e
 
     def log_normalizer(self, a: np.ndarray):
-        """Per-block log-normalizers and pattern probabilities.
+        """Per-block log-normalizers and pattern weights.
 
         ``a`` holds the item effects (..., K, R, J). Returns log Z
         (..., K, R), with Z_kr = sum_l exp(s_l . a_kr), and the pattern
-        probabilities as one row of L patterns per block, (..., K * R, L),
-        in (set, class) order. All blocks of all chains are rows of one
-        product with the score matrix. This is the only computation of the
-        fit that visits every pattern.
+        weights exp(s_l . a_kr - shift_kr), proportional to the pattern
+        probabilities, as one row of L patterns per block, (..., K * R, L),
+        in (set, class) order. The shift is the largest s_l . a_kr, found
+        without a pass over the patterns: the space holds every ranking,
+        so it is the sorted effects times the sorted scores. All blocks of
+        all chains are rows of one product with the score matrix, which
+        subtracts the shift too; an ``exp`` in place and one row sum
+        follow. This is the only computation of the fit that visits every
+        pattern.
         """
         K, R, J = a.shape[-3:]
-        p = a.reshape(-1, J) @ self.S.T
-        shift = p.max(axis=1, keepdims=True)
-        p -= shift
-        np.exp(p, out=p)
-        z = p.sum(axis=1, keepdims=True)
-        p /= z
         lead = a.shape[:-3]
-        return (np.log(z) + shift).reshape(lead + (K, R)), p.reshape(
-            lead + (K * R, -1)
-        )
+        rows = np.empty((a.size // J, J + 1))
+        rows[:, :J] = a.reshape(-1, J)
+        shift = np.sort(rows[:, :J], axis=1) @ self._score_ramp
+        rows[:, J] = -shift
+        w = rows @ self._shifted_scores
+        np.exp(w, out=w)
+        log_z = np.log(w.sum(axis=1)) + shift
+        return log_z.reshape(lead + (K, R)), w.reshape(lead + (K * R, -1))
 
     def log_probs_at_cells(self, a: np.ndarray, log_z: np.ndarray) -> np.ndarray:
         """log P at the observed cells, (..., nnz, R), from a and log Z.
@@ -305,21 +319,30 @@ class Design:
         return eta - log_z[..., self.cell_set, :]
 
     def cell_log_probs(self, coefficients: np.ndarray):
-        """log P at the observed cells, (..., nnz, R), and the block probabilities.
+        """log P at the observed cells, (..., nnz, R), and the block weights.
 
-        The second value is the pattern-probability rows of
+        The second value is the pattern-weight rows of
         :meth:`log_normalizer`.
         """
         a = self.block_effects(coefficients)
-        log_z, p = self.log_normalizer(a)
-        return self.log_probs_at_cells(a, log_z), p
+        log_z, w = self.log_normalizer(a)
+        return self.log_probs_at_cells(a, log_z), w
 
-    def score_means(self, p: np.ndarray) -> np.ndarray:
-        """E[s] per block, (..., K, R, J), from the probability rows (..., K * R, L)."""
-        lead = p.shape[:-2]
-        return (p.reshape(-1, p.shape[-1]) @ self.S).reshape(
-            lead + (self.n_sets, self.n_classes, self.n_items)
-        )
+    def score_moments(self, w: np.ndarray):
+        """Per-block score moments from the pattern weights (..., K * R, L).
+
+        Returns E[s] (..., K, R, J) and E[s_i s_j] over the non-reference
+        items, one row per block, (N, (J-1)^2) with N all blocks of all
+        chains: one product of the weights of :meth:`log_normalizer` with
+        ``moment_table``, divided by its first column, the weights' total.
+        """
+        J = self.n_items
+        sums = w.reshape(-1, w.shape[-1]) @ self.moment_table
+        sums /= sums[:, :1]
+        # a copy, so that the means do not keep the whole product alive
+        mean = sums[:, 1:J + 1].reshape(
+            w.shape[:-2] + (self.n_sets, self.n_classes, J)).copy()
+        return mean, sums[:, J + 1:]
 
     def cell_values(self, x) -> np.ndarray:
         """Check a per-cell, per-class array at the observed cells, (nnz, R).
@@ -487,10 +510,11 @@ def mixture_score(
     blocks; the mass block is N * (posterior share - q).
     """
     design.check_data(data)
-    logp, p = design.cell_log_probs(params.coefficients)
+    logp, weights = design.cell_log_probs(params.coefficients)
     m = design.cell_counts[:, None] * _mixture(logp, params.mixing)[1]
     m_plus, t = design.block_totals(m)
-    score_coef = _coefficient_score(design.X, t, m_plus, design.score_means(p))
+    score_coef = _coefficient_score(design.X, t, m_plus,
+                                    design.score_moments(weights)[0])
     score_mass = m.sum(axis=0)[:-1] - design.cell_counts.sum() * params.mixing[:-1]
     return np.concatenate([score_coef, score_mass])
 

@@ -233,6 +233,29 @@ class TestFit:
         cfg = fit_config(tmp_path, sim_csv, items="ABC")
         self.assert_one_error_line(["fit", "--config", cfg], capsys, "'items'")
 
+    @pytest.mark.parametrize("items", [
+        ["A", "B", 5], ["A", "B", {"column": "C"}], ["A", "B", {"label": 3}],
+    ])
+    def test_malformed_item_entry_is_rejected(self, tmp_path, sim_csv, capsys,
+                                              items):
+        cfg = fit_config(tmp_path, sim_csv, items=items)
+        self.assert_one_error_line(["fit", "--config", cfg], capsys, "'items'")
+
+    @pytest.mark.parametrize("covariates", [
+        ["grp"], [{"type": "factor"}], {"name": "grp"},
+    ])
+    def test_malformed_covariate_entry_is_rejected(self, tmp_path, sim_csv,
+                                                   capsys, covariates):
+        cfg = fit_config(tmp_path, sim_csv, covariates=covariates)
+        self.assert_one_error_line(["fit", "--config", cfg], capsys,
+                                   "'covariates'")
+
+    def test_zero_classes_flag_is_not_ignored(self, tmp_path, sim_csv, capsys):
+        cfg = fit_config(tmp_path, sim_csv)  # a 2-class config
+        self.assert_one_error_line(["fit", "--config", cfg, "--classes", "0"],
+                                   capsys, "n_classes must be >= 1")
+        assert not (tmp_path / "out" / "fit.json").exists()
+
     def test_corrected_se_csv(self, tmp_path, sim_csv):
         cfg = fit_config(tmp_path, sim_csv, classes=1, se_method="corrected")
         assert main(["fit", "--config", cfg]) == 0

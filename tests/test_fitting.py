@@ -379,6 +379,42 @@ class TestObservedCells:
         assert chain.n_iterations == 4 and not chain.converged
         assert calls == [(1, design.cell_set.size, 2)] * 5
 
+    @pytest.mark.parametrize("options", [
+        {}, {"max_iter": 0},
+        # every chain degenerates: one leaves at a low class mass, with its
+        # last E step's parameters, the others at a class offset, with the
+        # parameters of a Newton solve
+        {"degenerate_mass": 0.2}, {"degenerate_offset": 2.0},
+    ])
+    def test_posteriors_are_the_best_chains_last_e_step(self, options):
+        design, data = self.instance()
+        result = fit(design.spec, data, FitConfig(n_starts=4, **options))
+        want = posterior_weights(result.params, result.design)
+        assert np.abs(result.posteriors - want).max() < 1e-12
+
+    def test_each_normalizer_call_is_at_new_coefficients(self, monkeypatch):
+        # one at the start, then one per Newton trial: no Newton solve
+        # re-evaluates the accepted trial it starts from, and the fit's
+        # posteriors need none
+        design, data = self.instance()
+        points, normalizer_calls = set(), []
+        block_effects, normalizer = Design.block_effects, Design.log_normalizer
+
+        def effects_at(self, coefficients):
+            points.add(np.asarray(coefficients).tobytes())
+            return block_effects(self, coefficients)
+
+        def counted(self, a):
+            normalizer_calls.append(1)
+            return normalizer(self, a)
+
+        monkeypatch.setattr(Design, "block_effects", effects_at)
+        monkeypatch.setattr(Design, "log_normalizer", counted)
+        result = fit(design.spec, data,
+                     FitConfig(n_starts=1, max_iter=3, tol=1e-12))
+        assert result.n_iterations == 3
+        assert len(normalizer_calls) == len(points) >= 1 + 3
+
     def test_negative_drop_raises_after_one_refit(self, monkeypatch):
         design, data = self.instance()
         result = fit(design.spec, data, FitConfig(n_starts=2))

@@ -39,6 +39,12 @@ LOGLIK_3 = -37.67487554724647
 DEVIANCE_3 = 3.135621701050013
 
 
+def design_for_items(n_items):
+    """A one-set, one-class design over every ranking of ``n_items`` items."""
+    data = make_data(n_items, np.ones(math.factorial(n_items)))
+    return Design(ModelSpec(tuple("ABCDEF"[:n_items])), data), data
+
+
 def design_for(counts, n_classes=1, factor_levels=None, terms=()):
     counts = np.asarray(counts)
     n_items = {6: 3, 24: 4}[counts.shape[-1]]
@@ -162,6 +168,53 @@ class TestPatternProbs:
         direct = np.exp(eta - eta.max())
         direct /= direct.sum()
         assert base == pytest.approx(direct, abs=1e-10)
+
+
+class TestLogNormalizer:
+    """The one kernel over the pattern space, against brute-force enumeration."""
+
+    @staticmethod
+    def enumerated(effects):
+        """log Z, E[s] and E[s_i s_j] over the non-reference items, from the
+        pairwise-product oracle and net wins counted off each order vector."""
+        j = effects.size
+        probs = oracles.ranking_probabilities(effects)
+        scores = np.zeros((probs.size, j))
+        for l, order in enumerate(oracles.enumerate_order_vectors(j)):
+            for pos, item in enumerate(order):
+                scores[l, item] = (j - 1 - pos) - pos
+        # p_l = exp(s_l . a) / Z at any pattern; the most likely is exact
+        mode = np.argmax(probs)
+        log_z = scores[mode] @ effects - math.log(probs[mode])
+        free = scores[:, :-1]
+        second = np.einsum("l,li,lj->ij", probs, free, free)
+        return log_z, probs @ scores, second.ravel()
+
+    @pytest.mark.parametrize("n_items", [2, 3, 4, 5, 6])
+    def test_log_z_and_moments_match_enumeration(self, n_items):
+        design, _ = design_for_items(n_items)
+        rng = np.random.default_rng(n_items)
+        blocks = np.array([
+            np.zeros(n_items),
+            rng.normal(0.0, 1.0, n_items),
+            rng.normal(0.0, 3.0, n_items),
+            # effects of +-50: exp(s . a) overflows without the shift
+            50.0 * rng.choice([-1.0, 1.0], n_items),
+            np.linspace(-50.0, 50.0, n_items),
+        ])
+        # a stack of blocks, each its own chain of one set and one class
+        log_z, w = design.log_normalizer(blocks[:, None, None, :])
+        mean, second = design.score_moments(w)
+        assert np.isfinite(log_z).all()
+        # the shift is the largest s . a, so each block's top weight is 1
+        assert w.max(axis=-1) == pytest.approx(np.ones((len(blocks), 1)),
+                                               rel=1e-12)
+        for b, effects in enumerate(blocks):
+            want_log_z, want_mean, want_second = self.enumerated(effects)
+            assert log_z[b, 0, 0] == pytest.approx(want_log_z, rel=1e-12,
+                                                   abs=1e-12)
+            assert mean[b, 0, 0] == pytest.approx(want_mean, abs=1e-12)
+            assert second[b] == pytest.approx(want_second, abs=1e-12)
 
 
 class TestLogsumexp:
