@@ -52,14 +52,18 @@ def write_csv(path, header, rows):
     _atomic_write(path, buf.getvalue())
 
 
+def write_classes_csv(path, data: AggregatedData, assigned, posterior):
+    """One line per respondent row: its cell's set, pattern, hard class and
+    posterior. ``assigned`` and ``posterior`` are per observed cell, and each
+    cell's text is formatted once, as ``csv.writer`` would write it."""
+    cell_text = [f"{k},{l},{a},{p:.10g}\n" for k, l, a, p in zip(
+        data.cell_set.tolist(), data.cell_pattern.tolist(),
+        assigned.tolist(), posterior.tolist())]
+    _atomic_write(path, "respondent,set,pattern,assigned_class,posterior\n" + "".join(
+        [f"{i},{cell_text[c]}" for i, c in enumerate(data.row_cells.tolist(), 1)]))
+
+
 def data_summary(data: AggregatedData) -> dict:
-    factor_names = [d.name for d in data.declarations if d.kind == "factor"]
-    cont_names = [d.name for d in data.declarations if d.kind == "continuous"]
-    sets = []
-    for s in data.covariate_sets:
-        entry = dict(zip(factor_names, s.factor_levels))
-        entry.update(zip(cont_names, s.continuous_values))
-        sets.append(entry)
     return {
         "n_items": data.space.n_items,
         "n_patterns": data.space.size,
@@ -67,7 +71,7 @@ def data_summary(data: AggregatedData) -> dict:
         "n_cells": data.n_cells,
         "n_respondents": data.n_total,
         "n_rejected_rows": data.n_rejected,
-        "covariate_sets": sets,
+        "covariate_sets": data.set_covariates(),
         "continuous_scale": {
             name: {"mean": m, "scale": s}
             for name, (m, s) in sorted(data.continuous_scale.items())
@@ -160,10 +164,7 @@ def read_fit_document(path) -> dict:
 
 
 def se_report_rows(report) -> list[dict]:
-    return [
-        {k: v for k, v in asdict(row).items()}
-        for row in report.rows
-    ]
+    return [asdict(row) for row in report.rows]
 
 
 def search_rows(result: SearchResult) -> list[dict]:

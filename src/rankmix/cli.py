@@ -65,11 +65,30 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _config_int(value, what: str) -> int:
-    """``value`` if it is a JSON integer; a ``DataError`` naming ``what`` if not."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DataError(f"config {what} must be an integer, got {value!r}")
-    return value
+_JSON_KINDS = {int: "an integer", str: "a string", bool: "true or false",
+               list: "a list of names"}
+
+
+def _config_value(value, what: str, kind: type = int):
+    """``value`` if it has the JSON type ``kind`` (a list of strings for
+    ``list``, as a tuple); a ``DataError`` naming ``what`` if not."""
+    if not (isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
+            and (kind is not list or all(isinstance(v, str) for v in value))):
+        raise DataError(f"config {what} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return tuple(value) if kind is list else value
+
+
+def _config_path(cfg: dict, args, key: str, what: str) -> str:
+    """The ``--key`` flag, else config ``key``: a nonempty string."""
+    path = getattr(args, key) or cfg.get(key)
+    if not path:
+        raise DataError(f"no {what} given (config '{key}' or --{key})")
+    return _config_value(path, f"'{key}'", str)
+
+
+def _continuity(cfg: dict, args) -> bool:
+    return _config_value(cfg.get("continuity_correction", False),
+                         "'continuity_correction'", bool) or args.continuity_correction
 
 
 def _fit_config(cfg: dict, args) -> FitConfig:
@@ -91,7 +110,7 @@ def _fit_config(cfg: dict, args) -> FitConfig:
         options["max_iter"] = args.max_iter
     if getattr(args, "count_masses", False):
         options["count_masses"] = True
-    if cfg.get("count_masses"):
+    if _config_value(cfg.get("count_masses", False), "'count_masses'", bool):
         options["count_masses"] = True
     return FitConfig(**options)
 
@@ -137,13 +156,12 @@ def _covariates(cfg: dict):
 
 
 def _ingest(cfg: dict, args):
-    input_path = args.input or cfg.get("input")
-    if not input_path:
-        raise DataError("no input CSV given (config 'input' or --input)")
+    input_path = _config_path(cfg, args, "input", "input CSV")
     labels, columns = _item_columns(cfg)
     decls, cov_columns = _covariates(cfg)
     space = enumerate_transitive_patterns(
-        len(labels), max_items=int(cfg.get("max_items", MAX_ITEMS_DEFAULT))
+        len(labels),
+        max_items=_config_value(cfg.get("max_items", MAX_ITEMS_DEFAULT), "'max_items'"),
     )
     ingest = read_ranking_csv(
         input_path,
@@ -152,7 +170,7 @@ def _ingest(cfg: dict, args):
         decls,
         covariate_columns=cov_columns,
         ranking_format=cfg.get("ranking_format", "ranks"),
-        extra_columns=tuple(cfg.get("crosstab", [])),
+        extra_columns=_config_value(cfg.get("crosstab", []), "'crosstab'", list),
     )
     return labels, ingest
 
@@ -167,9 +185,7 @@ def _se_methods(cfg: dict, args):
 
 
 def _out_dir(cfg: dict, args) -> str:
-    out = args.out or cfg.get("out")
-    if not out:
-        raise DataError("no output directory given (config 'out' or --out)")
+    out = _config_path(cfg, args, "out", "output directory")
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -201,9 +217,7 @@ def _write_fit_outputs(
     )
     artifacts.write_json(os.path.join(outdir, "fit.json"), doc)
 
-    factor_names = [d.name for d in data.declarations if d.kind == "factor"]
-    cont_names = [d.name for d in data.declarations if d.kind == "continuous"]
-    cov_names = factor_names + cont_names
+    cov_names = data.covariate_names("factor") + data.covariate_names("continuous")
     artifacts.write_csv(
         os.path.join(outdir, "worths.csv"),
         ["class", "set"] + cov_names + ["item", "worth"],
@@ -226,16 +240,8 @@ def _write_fit_outputs(
                 for r in se_rows
             ],
         )
-    assignments = posthoc.assign_classes(result, data)
-    artifacts.write_csv(
-        os.path.join(outdir, "classes.csv"),
-        ["respondent", "set", "pattern", "assigned_class", "posterior"],
-        [
-            [i + 1, int(assignments.set_index[i]), int(assignments.pattern_index[i]),
-             int(assignments.assigned[i]), f"{assignments.posterior[i]:.10g}"]
-            for i in range(assignments.assigned.size)
-        ],
-    )
+    artifacts.write_classes_csv(os.path.join(outdir, "classes.csv"), data,
+                                *posthoc.cell_assignments(result, data))
 
     names = list(extra_columns)
     for name in names:
@@ -256,18 +262,13 @@ def _write_fit_outputs(
         for cls in range(R - 1):
             for i in range(1, len(hard.row_labels)):
                 try:
-                    value = posthoc.log_odds_ratio(
-                        hard, cls, R - 1, i, 0, continuity=continuity
-                    )
-                    rows.append(
-                        [name, hard.row_labels[i], hard.row_labels[0],
-                         cls + 1, R, f"{value:.10g}"]
-                    )
-                except DataError:
-                    rows.append(
-                        [name, hard.row_labels[i], hard.row_labels[0],
-                         cls + 1, R, ""]
-                    )
+                    value = posthoc.log_odds_ratio(hard, cls, R - 1, i, 0,
+                                                   continuity=continuity)
+                    value = f"{value:.10g}"
+                except DataError:  # a zero cell without the continuity correction
+                    value = ""
+                rows.append([name, hard.row_labels[i], hard.row_labels[0], cls + 1, R,
+                             value])
         artifacts.write_csv(
             os.path.join(outdir, f"logodds{suffix}.csv"),
             ["column", "category", "baseline", "class", "reference_class",
@@ -281,15 +282,14 @@ def cmd_fit(args) -> int:
     labels, ingest = _ingest(cfg, args)
     config = _fit_config(cfg, args)
     n_classes = (args.classes if args.classes is not None
-                 else _config_int(cfg.get("classes", 1), "'classes'"))
-    spec = ModelSpec(labels, tuple(cfg.get("terms", [])), n_classes)
+                 else _config_value(cfg.get("classes", 1), "'classes'"))
+    spec = ModelSpec(labels, _config_value(cfg.get("terms", []), "'terms'", list), n_classes)
+    continuity = _continuity(cfg, args)
     outdir = _out_dir(cfg, args)
     result = fit_model(spec, ingest.data, config)
     _write_fit_outputs(
         outdir, result, ingest.data, config,
-        _se_methods(cfg, args), ingest.extra_columns,
-        continuity=bool(args.continuity_correction
-                        or cfg.get("continuity_correction", False)),
+        _se_methods(cfg, args), ingest.extra_columns, continuity=continuity,
     )
     if not result.converged:
         print("warning: EM did not converge; artifacts written", file=sys.stderr)
@@ -301,6 +301,7 @@ def cmd_search(args) -> int:
     cfg = _load_config(args.config)
     labels, ingest = _ingest(cfg, args)
     config = _fit_config(cfg, args)
+    continuity = _continuity(cfg, args)
     outdir = _out_dir(cfg, args)
 
     class_range = None
@@ -310,14 +311,21 @@ def cmd_search(args) -> int:
         bounds = cfg["class_range"]
         if not isinstance(bounds, list) or len(bounds) != 2:
             raise DataError("config 'class_range' must be a list [lo, hi]")
-        lo, hi = (_config_int(x, "'class_range' entry") for x in bounds)
+        lo, hi = (_config_value(x, "'class_range' entry") for x in bounds)
         class_range = list(range(lo, hi + 1))
 
     if class_range is not None:
-        spec = ModelSpec(labels, tuple(cfg.get("terms", [])), 1)
+        spec = ModelSpec(labels, _config_value(cfg.get("terms", []), "'terms'", list), 1)
         search = search_classes(spec, ingest.data, config, class_range)
     elif cfg.get("models"):
-        term_sets = [(m["label"], tuple(m.get("terms", ()))) for m in cfg["models"]]
+        models = cfg["models"]
+        if not (isinstance(models, list) and all(
+                isinstance(m, dict) and isinstance(m.get("label"), str)
+                for m in models)):
+            raise DataError("config 'models' must list objects with a string "
+                            f"'label', got {models!r}")
+        term_sets = [(m["label"], _config_value(m.get("terms", []), "'models' terms", list))
+                     for m in models]
         search = compare_term_models(labels, ingest.data, config, term_sets)
     else:
         raise DataError("search needs a class range or a 'models' list")
@@ -342,9 +350,7 @@ def cmd_search(args) -> int:
     best = search.fits[search.best_key]
     _write_fit_outputs(
         outdir, best, ingest.data, config,
-        _se_methods(cfg, args), ingest.extra_columns,
-        continuity=bool(args.continuity_correction
-                        or cfg.get("continuity_correction", False)),
+        _se_methods(cfg, args), ingest.extra_columns, continuity=continuity,
         search_rows=rows,
     )
     if not best.converged:
@@ -396,9 +402,7 @@ def _truth_from_config(cfg: dict, args) -> SyntheticTruth:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     truth = _truth_from_config(cfg, args)
-    out_csv = args.out or cfg.get("out")
-    if not out_csv:
-        raise DataError("no output CSV given (config 'out' or --out)")
+    out_csv = _config_path(cfg, args, "out", "output CSV")
     rows = generate_rows(truth)
     cov_names = [c.name for c in truth.covariates]
     artifacts.write_csv(

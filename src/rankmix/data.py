@@ -1,11 +1,13 @@
-"""Aggregation of raw ranking rows into the (pattern x covariate set) table.
+"""Aggregation of raw ranking rows into the observed (set, pattern) cells.
 
 Respondents sharing the same observed covariate combination form one
 covariate set; the data enter the model as counts n[k, l] of respondents
-per (covariate set k, pattern l) cell. Continuous covariates are centered
-and scaled here so downstream IRLS sees standardized columns; the scale
-is kept so raw-scale coefficients can be reported back. All rows are checked
-at once with array operations; a failing row is rechecked alone for its error.
+per (covariate set k, pattern l) cell, stored only where nonzero, as a list
+of cells sorted by (set, pattern) that no other module rebuilds.
+Continuous covariates are centered and scaled here so downstream IRLS sees
+standardized columns; the scale is kept so raw-scale coefficients can be
+reported back. All rows are checked at once with array operations; a
+failing row is rechecked alone for its error.
 """
 
 from __future__ import annotations
@@ -76,32 +78,50 @@ class CovariateSet:
     continuous_values: tuple[float, ...]  # raw scale, one per continuous covariate
 
 
+def _of_kind(declarations, kind: str) -> list[CovariateDecl]:
+    return [d for d in declarations if d.kind == kind]
+
+
 @dataclass
 class AggregatedData:
-    """Counts per (covariate set, pattern) plus the set definitions.
+    """The observed (set, pattern, count) cells plus the set definitions.
 
-    ``row_cells`` retains the (set, pattern) cell of each accepted input
-    row so post-hoc per-respondent analyses stay possible after
-    aggregation.
+    The cells are those with a nonzero count, sorted by (set, pattern).
+    ``row_cells`` holds each accepted input row's index into them, so
+    post-hoc per-respondent analyses stay possible after aggregation.
     """
 
     space: PatternSpace
     declarations: tuple[CovariateDecl, ...]
     covariate_sets: tuple[CovariateSet, ...]
-    counts: np.ndarray  # (K, L) nonnegative ints
+    cell_set: np.ndarray  # (nnz,) ints, as are cell_pattern and cell_counts
+    cell_pattern: np.ndarray
+    cell_counts: np.ndarray
     continuous_scale: dict[str, tuple[float, float]] = field(default_factory=dict)
-    row_cells: np.ndarray | None = None  # (N_rows, 2) of (set index, pattern index)
+    row_cells: np.ndarray | None = None  # (N_rows,) cell index of each row
     n_rejected: int = 0
 
     def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.shape != (len(self.covariate_sets), self.space.size):
-            raise DataError(
-                f"count table shape {self.counts.shape} does not match "
-                f"{len(self.covariate_sets)} covariate sets x {self.space.size} patterns"
-            )
-        if np.any(self.counts < 0):
-            raise DataError("negative cell count")
+        cells = [np.asarray(x, dtype=np.int64)
+                 for x in (self.cell_set, self.cell_pattern, self.cell_counts)]
+        self.cell_set, self.cell_pattern, self.cell_counts = cells
+        if cells[0].ndim != 1 or len({c.shape for c in cells}) > 1:
+            raise DataError("cell sets, patterns and counts must be equal-length vectors")
+        K, L = self.n_sets, self.space.size
+        if np.any((self.cell_set < 0) | (self.cell_set >= K)
+                  | (self.cell_pattern < 0) | (self.cell_pattern >= L)):
+            raise DataError(f"a cell lies outside {K} covariate sets x {L} patterns")
+        if np.any(self.cell_counts <= 0):
+            raise DataError("cell counts must be positive")
+        if np.any(np.diff(self.cell_set * L + self.cell_pattern) <= 0):
+            raise DataError("cells must be sorted by (set, pattern) and distinct")
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The dense (K, L) count table, built anew on each read."""
+        table = np.zeros((self.n_sets, self.space.size), dtype=np.int64)
+        table[self.cell_set, self.cell_pattern] = self.cell_counts
+        return table
 
     @property
     def n_sets(self) -> int:
@@ -109,14 +129,24 @@ class AggregatedData:
 
     @property
     def n_total(self) -> int:
-        return int(self.counts.sum())
+        return int(self.cell_counts.sum())
 
     @property
     def n_cells(self) -> int:
-        return self.counts.size
+        return self.n_sets * self.space.size
+
+    def covariate_names(self, kind: str) -> list[str]:
+        """Declared "factor" or "continuous" names, in the sets' value order."""
+        return [d.name for d in _of_kind(self.declarations, kind)]
+
+    def set_covariates(self) -> list[dict]:
+        """Per set, {covariate: value}: factor levels, then raw continuous values."""
+        names = self.covariate_names("factor") + self.covariate_names("continuous")
+        return [dict(zip(names, s.factor_levels + s.continuous_values))
+                for s in self.covariate_sets]
 
     def factor_level_order(self, name: str) -> tuple[str, ...]:
-        for pos, decl in enumerate(d for d in self.declarations if d.kind == "factor"):
+        for pos, decl in enumerate(_of_kind(self.declarations, "factor")):
             if decl.name == name:
                 seen = {s.factor_levels[pos] for s in self.covariate_sets}
                 return tuple(sorted(seen) if decl.levels is None else decl.levels)
@@ -124,7 +154,7 @@ class AggregatedData:
 
     def standardized_continuous(self, name: str) -> np.ndarray:
         """Centered and scaled values of a continuous covariate, one per set."""
-        names = [d.name for d in self.declarations if d.kind == "continuous"]
+        names = self.covariate_names("continuous")
         if name not in names:
             raise DataError(f"no continuous covariate named {name!r}")
         pos = names.index(name)
@@ -161,8 +191,8 @@ def _aggregate(space, values, covariates, declarations, recheck_ranks, where,
     bad = (~np.all(np.sort(values, axis=1) == np.arange(1, n_items + 1), axis=1)
            if values.shape[1:] == (n_items,) else np.ones(n, dtype=bool))
     # a row's key: factor levels, then continuous values, each coded by rank
-    factor_decls = [d for d in declarations if d.kind == "factor"]
-    cont_decls = [d for d in declarations if d.kind == "continuous"]
+    factor_decls = _of_kind(declarations, "factor")
+    cont_decls = _of_kind(declarations, "continuous")
     columns, codes = [], []
     for decl in factor_decls + cont_decls:
         raw = covariates[decl.name]
@@ -187,9 +217,11 @@ def _aggregate(space, values, covariates, declarations, recheck_ranks, where,
     ranks = values.astype(np.int64)
     if orders:
         ranks = np.argsort(ranks, axis=1) + 1  # the inverse permutation, 1-based
-    patterns = _lehmer_code(ranks)
-    n_sets, n_patterns, nf = len(first), space.size, len(factor_decls)
-    counts = np.bincount(set_index * n_patterns + patterns, minlength=n_sets * n_patterns)
+    # a row's cell as one sortable number, set-major; only this module knows it
+    flat = set_index * space.size + _lehmer_code(ranks)
+    cells, cell_counts = np.unique(flat, return_counts=True)
+    cell_set, cell_pattern = np.divmod(cells, space.size)
+    nf = len(factor_decls)
     sets = tuple(  # in key order; values from the set's first row
         CovariateSet(k, tuple(c[i] for c in columns[:nf]),
                      tuple(float(c[i]) for c in columns[nf:]))
@@ -197,9 +229,9 @@ def _aggregate(space, values, covariates, declarations, recheck_ranks, where,
     # standardize continuous covariates over respondents, not over sets
     scale = {d.name: (float(x.mean()), float(x.std()) or 1.0)
              for d, x in zip(cont_decls, columns[nf:])}
-    return AggregatedData(space, declarations, sets, counts.reshape(n_sets, n_patterns),
+    return AggregatedData(space, declarations, sets, cell_set, cell_pattern, cell_counts,
                           continuous_scale=scale, n_rejected=n_rejected,
-                          row_cells=np.column_stack((set_index, patterns)))
+                          row_cells=np.searchsorted(cells, flat))
 
 
 def _recheck_row(i, where, recheck_ranks, covariates, ordered):

@@ -13,7 +13,7 @@ halving inside the scoring loop.
 
 Because the pattern model is log-linear in the net-win score vector s,
 the data enter each fit only through the observed cells (the (set,
-pattern) pairs with a nonzero count, listed once by ``Design``): the E
+pattern) pairs with a nonzero count, as the data store them): the E
 step, the log-likelihood and the expected counts are (nnz, R) arrays
 there. The item effects of a (set, class) block are a = X B, with X
 the block's row of the design matrix (see ``Design``), so each

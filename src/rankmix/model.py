@@ -22,7 +22,8 @@ observed-data likelihood multiplies sum_r q_r P_lkr over cells to the
 power n_lk.
 
 The fit works on the observed cells, the (set, pattern) pairs with a
-nonzero count, which ``Design`` lists once, sorted by set. At a cell,
+nonzero count, which ``AggregatedData`` stores sorted by (set, pattern)
+and ``Design`` takes as they are. At a cell,
 log P_lkr = s_l . a_kr - log Z_kr, so the J! pattern space enters only
 through each (set, class) block's log-normalizer log Z_kr and its score
 moments, and ``Design.log_normalizer`` is the one kernel that enumerates
@@ -140,9 +141,9 @@ class Design:
     coefficient vector is B in row-major order (design column outer, item
     inner).
 
-    Also built: the per-pattern moment table [1 | s | s_i s_j] and the
-    observed-cell layout, the set, pattern, count and score row of every
-    cell with a nonzero count, sorted by set.
+    Also built: the per-pattern moment table [1 | s | s_i s_j] and, for
+    the data's observed cells (sorted by set, then pattern), their counts
+    as floats, their score rows and the start of each set's run of cells.
     """
 
     def __init__(self, spec: ModelSpec, data: AggregatedData):
@@ -167,12 +168,9 @@ class Design:
             np.ones((L, 1)), self.S,
             (free_scores[:, :, None] * free_scores[:, None, :]).reshape(L, -1),
         ])
-        # np.nonzero walks the table row by row, so the cells come sorted
-        # by set and each set's cells are one contiguous run
-        self.cell_set, self.cell_pattern = np.nonzero(data.counts)
-        self.cell_counts = data.counts[self.cell_set, self.cell_pattern].astype(
-            np.float64
-        )
+        # the cells are sorted by set, so each set's cells are one contiguous run
+        self.cell_set, self.cell_pattern = data.cell_set, data.cell_pattern
+        self.cell_counts = data.cell_counts.astype(np.float64)
         self.cell_scores = self.S[self.cell_pattern]  # (nnz, J)
         self._observed_sets, self._set_starts = np.unique(
             self.cell_set, return_index=True
@@ -188,8 +186,8 @@ class Design:
                 for j, label in enumerate(spec.item_labels[:-1])
             )
 
-        factor_names = [d.name for d in data.declarations if d.kind == "factor"]
-        cont_names = [d.name for d in data.declarations if d.kind == "continuous"]
+        factor_names = data.covariate_names("factor")
+        cont_names = data.covariate_names("continuous")
 
         add_column(np.ones((K, 1)), "item", "")
         for term in spec.terms:
@@ -396,8 +394,10 @@ class Design:
 
     def check_data(self, data: AggregatedData):
         """Raise unless ``data`` holds the count table the design was built on."""
-        if data is not self.data and not np.array_equal(data.counts,
-                                                        self.data.counts):
+        if data is not self.data and not (
+                (data.n_sets, data.space.size) == (self.n_sets, self.n_patterns)
+                and all(np.array_equal(getattr(data, a), getattr(self.data, a))
+                        for a in ("cell_set", "cell_pattern", "cell_counts"))):
             raise DataError("data do not match the count table of the design")
 
     def class_offsets(self, coefficients: np.ndarray) -> np.ndarray:

@@ -3,7 +3,9 @@
 Class shares, hard assignment of respondents to classes, cross-tabs of
 class membership against external covariates (expected or hard counts),
 observed log-odds ratios from those tables, and worth tables per
-(covariate set, class) for plotting.
+(covariate set, class) for plotting. The posteriors of a fit are held per
+observed cell of the data; a per-respondent result picks each row's cell
+through ``data.row_cells``.
 """
 
 from __future__ import annotations
@@ -35,12 +37,9 @@ class ClassSummary:
     offset_upper: np.ndarray | None = None
 
 
-def class_summary(
-    fit: FitResult,
-    data: AggregatedData,
-    se_report: StandardErrorReport | None = None,
-    z_value: float = 1.96,
-) -> ClassSummary:
+def class_summary(fit: FitResult, data: AggregatedData,
+                  se_report: StandardErrorReport | None = None,
+                  z_value: float = 1.96) -> ClassSummary:
     fit.design.check_data(data)
     w = fit.posteriors
     counts = fit.design.cell_counts
@@ -57,13 +56,7 @@ def class_summary(
         # reference entries get estimate 0 and SE 0, so their bounds are 0
         half_width = z_value * fit.design.class_offsets(se)
         lower, upper = offsets - half_width, offsets + half_width
-    return ClassSummary(
-        pattern_shares=pattern_shares,
-        respondent_shares=respondent_shares,
-        offsets=offsets,
-        offset_lower=lower,
-        offset_upper=upper,
-    )
+    return ClassSummary(pattern_shares, respondent_shares, offsets, lower, upper)
 
 
 @dataclass
@@ -81,31 +74,19 @@ class AssignmentTable:
     posterior: np.ndarray
 
 
-def _row_cells(fit: FitResult, data: AggregatedData) -> np.ndarray:
-    """Row of ``fit.posteriors`` for each respondent row of ``data``.
-
-    The observed cells are sorted by (set, pattern), so a binary search
-    on the flat cell index finds each respondent's cell.
-    """
-    design = fit.design
-    design.check_data(data)
-    L = design.n_patterns
-    cells = design.cell_set * L + design.cell_pattern
-    return np.searchsorted(cells, data.row_cells[:, 0] * L + data.row_cells[:, 1])
+def cell_assignments(fit: FitResult, data: AggregatedData):
+    """The hard class (1-based, ties to the lowest) and its posterior per
+    observed cell of ``data``: two (nnz,) vectors."""
+    fit.design.check_data(data)
+    return np.argmax(fit.posteriors, axis=1) + 1, np.max(fit.posteriors, axis=1)
 
 
 def assign_classes(fit: FitResult, data: AggregatedData) -> AssignmentTable:
-    if data.row_cells is None:
+    if (rows := data.row_cells) is None:
         raise DataError("aggregated data has no per-respondent rows to assign")
-    rows = _row_cells(fit, data)
-    w = fit.posteriors
-    return AssignmentTable(
-        set_index=data.row_cells[:, 0].copy(),
-        pattern_index=data.row_cells[:, 1].copy(),
-        # argmax takes the first max: lowest class
-        assigned=np.argmax(w, axis=1)[rows] + 1,
-        posterior=np.max(w, axis=1)[rows],
-    )
+    assigned, posterior = cell_assignments(fit, data)
+    return AssignmentTable(data.cell_set[rows], data.cell_pattern[rows],
+                           assigned[rows], posterior[rows])
 
 
 @dataclass
@@ -117,25 +98,21 @@ class CrossTab:
     mode: str
 
 
-def crosstab(
-    fit: FitResult,
-    data: AggregatedData,
-    categories,
-    mode: str = "expected",
-) -> CrossTab:
+def crosstab(fit: FitResult, data: AggregatedData, categories,
+             mode: str = "expected") -> CrossTab:
     """Cross-classify class membership with an external covariate.
 
     ``categories`` must align with the accepted respondent rows. Expected
     mode sums posterior weights, so row totals match category sizes up to
     rounding; hard mode counts argmax assignments and matches exactly.
     """
-    if data.row_cells is None:
+    if (rows := data.row_cells) is None:
         raise DataError("aggregated data has no per-respondent rows")
     categories = list(categories)
-    if len(categories) != data.row_cells.shape[0]:
+    if len(categories) != rows.size:
         raise DataError(
             f"external column has {len(categories)} values for "
-            f"{data.row_cells.shape[0]} respondents"
+            f"{rows.size} respondents"
         )
     if mode not in ("expected", "hard"):
         raise ValueError(f"unknown crosstab mode {mode!r}")
@@ -144,9 +121,10 @@ def crosstab(
                               return_inverse=True)
     table = np.zeros((labels.size, fit.design.n_classes))
     if mode == "expected":
-        np.add.at(table, codes, fit.posteriors[_row_cells(fit, data)])
+        fit.design.check_data(data)
+        np.add.at(table, codes, fit.posteriors[rows])
     else:
-        np.add.at(table, (codes, assign_classes(fit, data).assigned - 1), 1.0)
+        np.add.at(table, (codes, cell_assignments(fit, data)[0][rows] - 1), 1.0)
     return CrossTab(row_labels=labels.tolist(), table=table, mode=mode)
 
 
@@ -164,15 +142,9 @@ def log_odds_ratio(
     adds 0.5 to each referenced cell, which sparse hard-count tables may
     need; without it a zero cell raises.
     """
-    cells = np.array(
-        [
-            tab.table[row_a, class_a],
-            tab.table[row_b, class_b],
-            tab.table[row_a, class_b],
-            tab.table[row_b, class_a],
-        ],
-        dtype=np.float64,
-    )
+    cells = np.array([tab.table[row_a, class_a], tab.table[row_b, class_b],
+                      tab.table[row_a, class_b], tab.table[row_b, class_a]],
+                     dtype=np.float64)
     if continuity:
         cells = cells + 0.5
     if np.any(cells <= 0):
@@ -200,22 +172,11 @@ def worth_table(fit: FitResult, data: AggregatedData) -> list[dict]:
     """
     design = fit.design
     effects = design.item_effects(fit.params.coefficients)  # (J, K, R)
-    factor_names = [d.name for d in data.declarations if d.kind == "factor"]
-    cont_names = [d.name for d in data.declarations if d.kind == "continuous"]
     rows = []
-    for k, cset in enumerate(data.covariate_sets):
-        covs = dict(zip(factor_names, cset.factor_levels))
-        covs.update(zip(cont_names, cset.continuous_values))
+    for k, covs in enumerate(data.set_covariates()):
         for r in range(design.n_classes):
             pi = worths(effects[:, k, r])
             for j, label in enumerate(design.spec.item_labels):
-                rows.append(
-                    {
-                        "class": r + 1,
-                        "set": k,
-                        **covs,
-                        "item": label,
-                        "worth": float(pi[j]),
-                    }
-                )
+                rows.append({"class": r + 1, "set": k, **covs, "item": label,
+                             "worth": float(pi[j])})
     return rows

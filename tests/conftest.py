@@ -1,6 +1,17 @@
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import settings
+
+# Hypothesis imports this module (and libcst with it) to report a failing
+# example. Under the suite's error::DeprecationWarning filter that import
+# raises inside pytest's report hook and ends the whole session, hiding the
+# example, so it is imported once here with its deprecation warnings off.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from rankmix.data import AggregatedData, CovariateDecl, CovariateSet
 from rankmix.rankings import enumerate_transitive_patterns
@@ -16,6 +27,15 @@ def shared_space(n_items):
     if n_items not in _SPACES:
         _SPACES[n_items] = enumerate_transitive_patterns(n_items)
     return _SPACES[n_items]
+
+
+def table_cells(counts):
+    """The observed cells of a dense (K, L) count table, as AggregatedData
+    keyword arguments."""
+    counts = np.asarray(counts)
+    cell_set, cell_pattern = np.nonzero(counts)
+    return dict(cell_set=cell_set, cell_pattern=cell_pattern,
+                cell_counts=counts[cell_set, cell_pattern])
 
 
 def make_data(n_items, counts, factor_levels=None, factor_name="g"):
@@ -42,7 +62,7 @@ def make_data(n_items, counts, factor_levels=None, factor_name="g"):
         space=space,
         declarations=decls,
         covariate_sets=sets,
-        counts=counts,
+        **table_cells(counts),
     )
 
 

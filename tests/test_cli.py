@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -7,8 +9,11 @@ import pytest
 
 from rankmix import artifacts
 from rankmix.cli import main
-from rankmix.fitting import FitConfig, fit
+from rankmix.data import AggregatedData, CovariateDecl, read_ranking_csv
+from rankmix.fitting import FitConfig, fit, search_classes
 from rankmix.model import ModelSpec
+from rankmix.posthoc import assign_classes
+from rankmix.rankings import enumerate_transitive_patterns
 
 from conftest import make_data
 
@@ -255,6 +260,57 @@ class TestFit:
         self.assert_one_error_line(["fit", "--config", cfg, "--classes", "0"],
                                    capsys, "n_classes must be >= 1")
         assert not (tmp_path / "out" / "fit.json").exists()
+
+    @pytest.mark.parametrize("command, overrides, field", [
+        ("search", {"models": ["x"]}, "'models'"),
+        ("search", {"models": [{"label": "m", "terms": "grp"}]}, "'models'"),
+        ("fit", {"out": 3}, "'out'"),
+        ("fit", {"input": 3}, "'input'"),
+        ("fit", {"count_masses": "false"}, "'count_masses'"),
+        ("fit", {"continuity_correction": "false"}, "'continuity_correction'"),
+        ("fit", {"terms": "grp"}, "'terms'"),
+        ("search", {"terms": "grp", "class_range": [1, 2]}, "'terms'"),
+        ("fit", {"crosstab": "grp"}, "'crosstab'"),
+        ("fit", {"max_items": 2.5}, "'max_items'"),
+    ])
+    def test_config_value_of_wrong_type_exits_one(self, tmp_path, sim_csv, capsys,
+                                                  command, overrides, field):
+        cfg = fit_config(tmp_path, sim_csv, **overrides)
+        self.assert_one_error_line([command, "--config", cfg], capsys, field)
+        assert not (tmp_path / "out" / "fit.json").exists()
+
+    def test_classes_csv_matches_csv_writer(self, tmp_path, sim_csv):
+        cfg = fit_config(tmp_path, sim_csv)
+        assert main(["fit", "--config", cfg]) == 0
+        # reference: the same fit, one csv.writer row per respondent
+        ingest = read_ranking_csv(sim_csv, enumerate_transitive_patterns(3),
+                                  ("A", "B", "C"), [CovariateDecl("grp", "factor")])
+        result = fit(ModelSpec(("A", "B", "C"), ("grp",), 2), ingest.data,
+                     FitConfig(n_starts=3, seed=4))
+        table = assign_classes(result, ingest.data)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["respondent", "set", "pattern", "assigned_class", "posterior"])
+        writer.writerows(
+            [i + 1, int(table.set_index[i]), int(table.pattern_index[i]),
+             int(table.assigned[i]), f"{table.posterior[i]:.10g}"]
+            for i in range(table.assigned.size))
+        assert (tmp_path / "out" / "classes.csv").read_text() == buf.getvalue()
+        assert table.assigned.size == 300
+
+    def test_fit_and_search_never_build_the_dense_table(self, tmp_path, sim_csv,
+                                                         monkeypatch):
+        def dense_table(data):
+            raise AssertionError("the dense (set, pattern) table was built")
+
+        monkeypatch.setattr(AggregatedData, "counts", property(dense_table))
+        cfg = fit_config(tmp_path, sim_csv, crosstab=["grp"])
+        assert main(["fit", "--config", cfg, "--se-method", "all"]) == 0
+        data = read_ranking_csv(sim_csv, enumerate_transitive_patterns(3),
+                                ("A", "B", "C"), [CovariateDecl("grp", "factor")]).data
+        search = search_classes(ModelSpec(("A", "B", "C"), ("grp",), 1), data,
+                                FitConfig(n_starts=2, seed=1), [1, 2])
+        assert search.best_key in (1, 2)
 
     def test_corrected_se_csv(self, tmp_path, sim_csv):
         cfg = fit_config(tmp_path, sim_csv, classes=1, se_method="corrected")

@@ -4,14 +4,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rankmix.data import (
+    AggregatedData,
     CovariateDecl,
+    CovariateSet,
     DataError,
     RankingValidationError,
     aggregate,
     read_ranking_csv,
 )
 
-from conftest import shared_space
+from conftest import make_data, shared_space
 
 
 def rows_of(rankings, covs_list=None):
@@ -130,7 +132,8 @@ class TestAggregate:
         sd = float(x.std())
 
         assert np.array_equal(data.counts, counts)
-        assert data.row_cells.tolist() == [list(c) for c in row_cells]
+        assert list(zip(data.cell_set[data.row_cells].tolist(),
+                        data.cell_pattern[data.row_cells].tolist())) == row_cells
         assert [(s.index, s.factor_levels, s.continuous_values)
                 for s in data.covariate_sets] == [
             (k, key[:2], key[2:]) for k, key in enumerate(sets)
@@ -143,6 +146,48 @@ class TestAggregate:
         data = aggregate(space, rows_of(rankings), [])
         assert data.counts.sum() == len(rankings)
         assert data.counts.min() >= 0
+
+
+class TestObservedCells:
+    def cells(self, cell_set, cell_pattern, cell_counts):
+        sets = (CovariateSet(0, ("a",), ()), CovariateSet(1, ("b",), ()))
+        return AggregatedData(shared_space(3), (CovariateDecl("g", "factor"),), sets,
+                              cell_set, cell_pattern, cell_counts)
+
+    def test_counts_round_trip(self):
+        counts = np.array([[0, 2, 0, 0, 1, 0], [3, 0, 0, 0, 0, 4]])
+        data = make_data(3, counts, factor_levels=["a", "b"])
+        assert data.cell_set.tolist() == [0, 0, 1, 1]
+        assert data.cell_pattern.tolist() == [1, 4, 0, 5]
+        assert data.cell_counts.tolist() == [2, 1, 3, 4]
+        assert np.array_equal(data.counts, counts)
+        assert (data.n_total, data.n_cells) == (10, 12)
+        rebuilt = self.cells(data.cell_set, data.cell_pattern, data.cell_counts)
+        assert np.array_equal(rebuilt.counts, counts)
+
+    @pytest.mark.parametrize("cells, message", [
+        (([0, 0, 1], [4, 1, 0], [1, 1, 1]), "sorted"),  # unsorted
+        (([1, 0], [0, 3], [1, 1]), "sorted"),  # sets out of order
+        (([0, 0, 1], [1, 1, 0], [1, 1, 1]), "distinct"),  # duplicate cell
+        (([0, 2], [0, 0], [1, 1]), "outside"),  # set out of range
+        (([0, 1], [0, 6], [1, 1]), "outside"),  # pattern out of range
+        (([0, -1], [0, 0], [1, 1]), "outside"),
+        (([0, 1], [0, 0], [1, 0]), "positive"),  # zero count
+        (([0, 1], [0, 0], [1, -2]), "positive"),
+        (([0, 1], [0, 0], [1]), "vectors"),
+        (([[0, 1]], [[0, 0]], [[1, 1]]), "vectors"),
+    ])
+    def test_bad_cells_raise(self, cells, message):
+        with pytest.raises(DataError, match=message):
+            self.cells(*cells)
+
+    def test_row_cells_index_the_cells(self, space3):
+        rankings = [[3, 1, 2], [1, 2, 3], [3, 1, 2], [2, 1, 3]]
+        data = aggregate(space3, rows_of(rankings), [])
+        assert data.row_cells.shape == (4,)
+        patterns = [space3.rankings.tolist().index(r) for r in rankings]
+        assert data.cell_pattern[data.row_cells].tolist() == patterns
+        assert np.array_equal(np.bincount(data.row_cells), data.cell_counts)
 
 
 class TestCsvIngest:

@@ -244,6 +244,20 @@ class TestReport:
         assert "zero" in report.rows[0].note
         assert report.by_name("B").se_corrected is not None
 
+    def test_recovery_study_script_runs(self):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        out = subprocess.run(
+            [sys.executable, str(root / "scripts" / "recovery_study.py"),
+             "--reps", "1", "--n", "2000", "--max-classes", "2", "--starts", "1"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert lines[0].startswith("rep  0  selected R=")
+        assert "R=1: BIC" in lines[0] and "R=2: BIC" in lines[0]
+        assert "replications" in out.stdout
+
     def test_se_methods_study_script_runs(self):
         root = pathlib.Path(__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(root / "src"))

@@ -20,7 +20,7 @@ from rankmix.model import (
     worths,
 )
 
-from conftest import make_data, shared_space
+from conftest import make_data, shared_space, table_cells
 import oracles
 
 # brute-force pattern probabilities for J=3, effects (0.5, 0.2, 0),
@@ -406,7 +406,7 @@ class TestParameterCount:
                 CovariateDecl("SEX", "factor"),
             ),
             covariate_sets=tuple(sets),
-            counts=counts,
+            **table_cells(counts),
         )
         return data
 

@@ -181,7 +181,8 @@ class TestCrossTab:
                     enumerate(zip(design.cell_set, design.cell_pattern))}
         assigned = assign_classes(result, data).assigned
         reference = np.zeros((2, design.n_classes))
-        for cat, (k, l), a in zip(categories, data.row_cells, assigned):
+        pairs = zip(data.cell_set[data.row_cells], data.cell_pattern[data.row_cells])
+        for cat, (k, l), a in zip(categories, pairs, assigned):
             pos = tab.row_labels.index(str(cat))
             if mode == "expected":
                 reference[pos] += result.posteriors[cell_row[(k, l)]]
