@@ -1,3 +1,9 @@
+import csv
+import math
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,6 +18,7 @@ from rankmix.data import (
     aggregate,
     read_ranking_csv,
 )
+from rankmix.rankings import order_to_ranks, validate_ranks
 
 from conftest import make_data, shared_space
 
@@ -295,3 +302,111 @@ class TestCsvIngest:
             path, space3, ["a", "b", "c"], [], extra_columns=("country",)
         )
         assert res.extra_columns["country"] == ["AT", "IT"]
+
+
+# CSV text for the reader property: the header names the items a, b, c, the
+# factors g (declared levels y, x) and h, the continuous x and the extra e;
+# a repeated name is read from its last column, so the first one holds noise
+CSV_HEADERS = [
+    ("a", "b", "c", "g", "h", "x", "e"),
+    ("e", "x", "c", "a", "h", "b", "g"),
+    ("g", "a", "b", "c", "h", "x", "e", "g"),
+    ("a", "b", "c", "z", "g", "h", "x", "e", "a"),
+]
+CSV_NOISE = ["", " ", "\t", "\u3000", "\x1c", "\x85", "\xa0", "\u200b", "\x00", "2.0", "2.5", "inf",
+             "1e20", "-1", "nan", "abc", "q"]
+CSV_DECLS = {"g": CovariateDecl("g", "factor", levels=("y", "x")),
+             "h": CovariateDecl("h", "factor"), "x": CovariateDecl("x", "continuous")}
+
+
+@st.composite
+def csv_texts(draw):
+    header = draw(st.sampled_from(CSV_HEADERS))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+            continue
+        ranks = draw(st.permutations(["1", "2", "3"]))
+        cells = dict(zip("abc", ranks), g=draw(st.sampled_from(["x", "y"])),
+                     h=draw(st.sampled_from(["10", "9", "u"])),
+                     x=draw(st.sampled_from(["0.5", "-1", " 2"])), e="AT", z="z")
+        record = [cells[name] if name not in header[i + 1:] else "q"
+                  for i, name in enumerate(header)]
+        for pos in draw(st.lists(st.integers(0, len(record) - 1), max_size=2)):
+            record[pos] = draw(st.sampled_from(CSV_NOISE))
+        n = len(record)
+        record = (record + ["7"])[:draw(st.sampled_from([n, n, n, n - 1, n + 1, 1]))]
+        lines.append(",".join(record))
+    return "\n".join(lines) + "\n"
+
+
+def _csv_reference(path, space, items, decls, ranking_format, extra_columns):
+    """``read_ranking_csv`` one record at a time, on ``csv.DictReader`` and
+    ``aggregate``; a record's line is its position among the non-blank records
+    (DictReader skips blank lines), counting the header as line 1."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        records = list(csv.DictReader(fh))
+    used = [*items, *(d.name for d in decls)]
+    accepted = [(line, rec) for line, rec in enumerate(records, start=2)
+                if all(rec[c] is not None and rec[c].strip() for c in used)]
+    rows, rank_error = [], None
+    for line, rec in accepted:
+        try:
+            values = []
+            for cell in (rec[c] for c in items):
+                value = float(cell)
+                if not (math.isfinite(value) and value.is_integer()
+                        and abs(value) < 2.0**63):
+                    raise ValueError(f"rank cell {cell.strip()!r} is not an integer rank")
+                values.append(int(value))
+            values = np.array(values, dtype=np.int64)
+            ranks = order_to_ranks(values - 1) if ranking_format == "orders" else values
+            validate_ranks(ranks, len(items))
+        except ValueError as exc:
+            rank_error = RankingValidationError(f"line {line}: {exc}")
+            break
+        rows.append((ranks, {d.name: rec[d.name] for d in decls}))
+    if rows or rank_error is None:
+        try:
+            data = aggregate(space, rows, decls)
+        except ValueError as exc:
+            message = re.sub(r"^row (\d+)",
+                             lambda m: f"line {accepted[int(m[1]) - 1][0]}", str(exc))
+            raise type(exc)(message) from exc
+    if rank_error is not None:
+        raise rank_error
+    extras = {name: [rec[name] for _, rec in accepted] for name in extra_columns}
+    data.n_rejected = len(records) - len(accepted)
+    return data, extras, data.n_rejected
+
+
+def _outcome(call):
+    """The call's (data, extra columns, n_rejected), or its error's type and message."""
+    try:
+        result = call()
+    except (DataError, RankingValidationError) as exc:
+        return type(exc), str(exc)
+    if not isinstance(result, tuple):
+        result = result.data, result.extra_columns, result.n_rejected
+    data, extras, n_rejected = result
+    return (data.cell_set.tolist(), data.cell_pattern.tolist(), data.cell_counts.tolist(),
+            data.row_cells.tolist(), data.covariate_sets, data.continuous_scale,
+            data.declarations, data.n_rejected, extras, n_rejected)
+
+
+class TestCsvReaderProperty:
+    @given(csv_texts(), st.lists(st.sampled_from(sorted(CSV_DECLS)), unique=True),
+           st.sampled_from(["ranks", "orders"]),
+           st.sampled_from([(), ("e",), ("e", "h")]))
+    def test_matches_dict_reader_reference(self, text, names, ranking_format, extras):
+        space, decls = shared_space(3), [CSV_DECLS[n] for n in names]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_text(text, encoding="utf-8")
+            got = _outcome(lambda: read_ranking_csv(
+                path, space, ["a", "b", "c"], decls, ranking_format=ranking_format,
+                extra_columns=extras))
+            want = _outcome(lambda: _csv_reference(
+                path, space, ["a", "b", "c"], decls, ranking_format, extras))
+        assert got == want
