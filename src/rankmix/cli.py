@@ -66,16 +66,17 @@ def _load_config(path) -> dict:
 
 
 _JSON_KINDS = {int: "an integer", str: "a string", bool: "true or false",
-               list: "a list of names"}
+               list: "a list of names", dict: "a list of objects"}
 
 
 def _config_value(value, what: str, kind: type = int):
-    """``value`` if it has the JSON type ``kind`` (a list of strings for
-    ``list``, as a tuple); a ``DataError`` naming ``what`` if not."""
-    if not (isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
-            and (kind is not list or all(isinstance(v, str) for v in value))):
+    """``value`` if it has the JSON type ``kind`` (a list of strings for ``list``,
+    of objects for ``dict``, as a tuple); a ``DataError`` naming ``what`` if not."""
+    entries = {list: str, dict: dict}.get(kind)
+    if not (isinstance(value, list) and all(isinstance(v, entries) for v in value) if entries
+            else isinstance(value, kind) and isinstance(value, bool) == (kind is bool)):
         raise DataError(f"config {what} must be {_JSON_KINDS[kind]}, got {value!r}")
-    return tuple(value) if kind is list else value
+    return tuple(value) if entries else value
 
 
 def _config_path(cfg: dict, args, key: str, what: str) -> str:
@@ -363,10 +364,10 @@ def cmd_search(args) -> int:
 def _truth_from_config(cfg: dict, args) -> SyntheticTruth:
     classes = tuple(
         ClassTruth(prob=float(c["prob"]), worths=tuple(float(w) for w in c["worths"]))
-        for c in cfg.get("classes", [])
+        for c in _config_value(cfg.get("classes", []), "'classes'", dict)
     )
     covariates = []
-    for entry in cfg.get("covariates", []):
+    for entry in _config_value(cfg.get("covariates", []), "'covariates'", dict):
         kind = entry.get("type", "factor")
         values = entry.get("levels" if kind == "factor" else "values")
         if values is None:
@@ -389,12 +390,12 @@ def _truth_from_config(cfg: dict, args) -> SyntheticTruth:
                 else None,
             )
         )
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else _config_value(cfg.get("seed", 0), "'seed'")
     return SyntheticTruth(
-        item_labels=tuple(cfg["items"]),
+        item_labels=_config_value(cfg.get("items"), "'items'", list),
         classes=classes,
         covariates=tuple(covariates),
-        n=int(cfg.get("n", 0)),
+        n=_config_value(cfg.get("n", 0), "'n'"),
         seed=seed,
     )
 

@@ -6,8 +6,8 @@ per (covariate set k, pattern l) cell, stored only where nonzero, as a list
 of cells sorted by (set, pattern) that no other module rebuilds.
 Continuous covariates are centered and scaled here so downstream IRLS sees
 standardized columns; the scale is kept so raw-scale coefficients can be
-reported back. All rows are checked at once with array operations; a
-failing row is rechecked alone for its error.
+reported back. Columns are coded through their distinct values, which are
+checked, converted and sorted once; a failing row is rechecked alone.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat, zip_longest
 
 import numpy as np
 
@@ -50,6 +51,16 @@ def _floats(values: np.ndarray) -> np.ndarray:
         return values.astype(np.float64)
     except (TypeError, ValueError):
         return np.vectorize(_float_or_nan, otypes=[np.float64])(values)
+
+
+def _coded(cells, sort=False) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of ``cells`` as an object array, first seen first
+    or sorted, and each entry's index into them: one dict lookup per entry."""
+    index = dict.fromkeys(cells)
+    distinct = sorted(index) if sort else list(index)
+    index.update(zip(distinct, range(len(distinct))))
+    return (np.fromiter(distinct, object, len(distinct)),
+            np.fromiter(map(index.__getitem__, cells), np.intp, len(cells)))
 
 
 @dataclass(frozen=True)
@@ -173,76 +184,79 @@ def aggregate(space: PatternSpace, rows, declarations) -> AggregatedData:
     """
     rows, declarations = list(rows), tuple(declarations)
     rank_rows = [ranks for ranks, _ in rows]
-    covariates = {d.name: np.fromiter((c.get(d.name, _MISSING) for _, c in rows),
-                                      dtype=object, count=len(rows)) for d in declarations}
-    return _aggregate(space, np.array(rank_rows, dtype=object), covariates, declarations,
-                      lambda i: validate_ranks(rank_rows[i], space.n_items),
+    # each row is its own entry: equal values may still print apart (1 and 1.0)
+    covariates = {d.name: (np.fromiter((c.get(d.name, _MISSING) for _, c in rows), object,
+                                       len(rows)), np.arange(len(rows))) for d in declarations}
+    return _aggregate(space, _floats(np.array(rank_rows, dtype=object)), covariates,
+                      declarations, lambda i: validate_ranks(rank_rows[i], space.n_items),
                       lambda i: f"row {i + 1}")
 
 
 def _aggregate(space, values, covariates, declarations, recheck_ranks, where,
                orders=False, n_rejected=0) -> AggregatedData:
-    """Aggregate raw rank rows (order rows with ``orders``) and covariates, held
-    in object arrays; failing rows are checked again in order until one raises."""
+    """Aggregate float rank rows (order rows with ``orders``) and covariates, each as
+    distinct values and row codes; failing rows are rechecked in order until one raises."""
     n, n_items = len(values), space.n_items
     if n == 0:
         raise DataError("no usable rows to aggregate")
-    values = _floats(values)  # rows of unequal length read as one NaN each
     bad = (~np.all(np.sort(values, axis=1) == np.arange(1, n_items + 1), axis=1)
            if values.shape[1:] == (n_items,) else np.ones(n, dtype=bool))
     # a row's key: factor levels, then continuous values, each coded by rank
-    factor_decls = _of_kind(declarations, "factor")
-    cont_decls = _of_kind(declarations, "continuous")
-    columns, codes = [], []
-    for decl in factor_decls + cont_decls:
-        raw = covariates[decl.name]
-        factor = decl.kind == "factor"
-        column = np.fromiter(map(str, raw), object, n) if factor else _floats(raw)
-        observed, code = np.unique(column, return_inverse=True)
-        bad |= raw == _MISSING
-        if not factor:
-            bad |= ~np.isfinite(column)
-        elif decl.levels is not None:
-            bad |= ~np.array([lev in decl.levels for lev in observed], dtype=bool)[code]
-        columns.append(column)
-        codes.append(code)
+    ordered = _of_kind(declarations, "factor") + _of_kind(declarations, "continuous")
+    columns = []  # per covariate: each distinct value as read, its rank, row codes
+    for decl in ordered:
+        distinct, codes = covariates[decl.name]
+        if decl.kind == "factor":
+            read = [str(v) for v in distinct]
+            rank = _coded(read, sort=True)[1]
+            ok = np.array([v is not _MISSING and (decl.levels is None or level in decl.levels)
+                           for v, level in zip(distinct, read)], dtype=bool)
+        else:
+            read = _floats(distinct)
+            rank = np.unique(read, return_inverse=True)[1]
+            ok = np.isfinite(read)  # a missing value reads as NaN
+        bad |= ~ok[codes]
+        columns.append((read, rank, codes))
     for i in np.flatnonzero(bad):  # raises at the first row that truly fails
-        _recheck_row(i, where(i), recheck_ranks, covariates, factor_decls + cont_decls)
+        _recheck_row(i, where(i), recheck_ranks, covariates, ordered)
     if bad.any():  # only if the array checks and the scalar checks disagree
         raise AssertionError(f"{where(int(np.argmax(bad)))} fails the array checks only")
 
-    keys = np.column_stack(codes) if codes else np.zeros((n, 0), dtype=np.int64)
-    _, first, set_index = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    set_index = set_index.reshape(n)
+    # fold the key column by column: sets in lexicographic order, the key below n
+    set_index, first = np.zeros(n, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    for _, rank, codes in columns:
+        _, first, set_index = np.unique(set_index * (int(rank.max()) + 1) + rank[codes],
+                                        return_index=True, return_inverse=True)
     ranks = values.astype(np.int64)
     if orders:
         ranks = np.argsort(ranks, axis=1) + 1  # the inverse permutation, 1-based
     # a row's cell as one sortable number, set-major; only this module knows it
     flat = set_index * space.size + _lehmer_code(ranks)
-    cells, cell_counts = np.unique(flat, return_counts=True)
+    cells, row_cells, cell_counts = np.unique(flat, return_inverse=True, return_counts=True)
     cell_set, cell_pattern = np.divmod(cells, space.size)
-    nf = len(factor_decls)
+    nf = len(_of_kind(declarations, "factor"))
     sets = tuple(  # in key order; values from the set's first row
-        CovariateSet(k, tuple(c[i] for c in columns[:nf]),
-                     tuple(float(c[i]) for c in columns[nf:]))
+        CovariateSet(k, tuple(read[codes[i]] for read, _, codes in columns[:nf]),
+                     tuple(float(read[codes[i]]) for read, _, codes in columns[nf:]))
         for k, i in enumerate(first.tolist()))
     # standardize continuous covariates over respondents, not over sets
     scale = {d.name: (float(x.mean()), float(x.std()) or 1.0)
-             for d, x in zip(cont_decls, columns[nf:])}
+             for d, x in zip(ordered[nf:], (read[codes] for read, _, codes in columns[nf:]))}
     return AggregatedData(space, declarations, sets, cell_set, cell_pattern, cell_counts,
                           continuous_scale=scale, n_rejected=n_rejected,
-                          row_cells=np.searchsorted(cells, flat))
+                          row_cells=row_cells)
 
 
 def _recheck_row(i, where, recheck_ranks, covariates, ordered):
     """Row ``i``'s scalar checks in their original order; errors cite ``where``."""
+    values = {name: distinct[codes[i]] for name, (distinct, codes) in covariates.items()}
     try:
         recheck_ranks(i)
-        for name, column in covariates.items():
-            if column[i] is _MISSING:
+        for name, value in values.items():
+            if value is _MISSING:
                 raise DataError(f"missing covariate {name!r}")
         for decl in ordered:  # factors, then continuous covariates
-            value = covariates[decl.name][i]
+            value = values[decl.name]
             if decl.kind == "continuous":
                 _continuous_value(decl.name, value)
             elif decl.levels is not None and str(value) not in decl.levels:
@@ -302,31 +316,32 @@ def read_ranking_csv(
         for col in [*item_columns, *covariate_columns.values(), *extra_columns]:
             if col not in header:
                 raise DataError(f"{path}: column {col!r} not in header")
-        # the records of csv.DictReader: blank lines skipped, absent fields None
-        records = (row + [None] * (len(header) - len(row)) for row in reader if row)
-        table = np.array(list(zip(*records)) or [()] * len(header), dtype=object)
-    column = {name: table[i] for i, name in enumerate(header)}  # a repeated name: its last
-    used = np.array([column[c] for c in
-                     [*item_columns, *(covariate_columns[d.name] for d in declarations)]])
-    text = used.astype(str)  # drops trailing NULs: a cell that loses one is not blank
-    blank = np.equal(used, None) | ((np.char.strip(text) == "") & (text == used))
-    accepted = ~blank.any(axis=0)
-    lines = np.flatnonzero(accepted) + 2  # the header is line 1
-    texts = used[: len(item_columns), accepted].T
-    del used, text  # only the accepted cells are needed from here on
+        records = list(filter(None, reader))  # blank lines skipped, as by csv.DictReader
+    n_records = len(records)
+    used = [*item_columns, *(covariate_columns[d.name] for d in declarations)]
+    # name -> (distinct cells, each record's code), coded as each column is
+    # transposed; absent fields read as None, a repeated name keeps its last
+    column = {name: _coded(cells) for name, cells in zip(header, chain(
+        zip_longest(*records), repeat((None,) * n_records))) if name in {*used, *extra_columns}}
+    del records
+    blank = np.any([np.array([v is None or not v.strip() for v in cells], dtype=bool)[codes]
+                    for cells, codes in map(column.get, used)], axis=0)
+    lines = np.flatnonzero(~blank) + 2  # the header is line 1
+    column = {name: (distinct, codes[~blank]) for name, (distinct, codes) in column.items()}
+    items = [column[name] for name in item_columns]
 
     def recheck_ranks(i):
-        values = np.array([_rank_cell(cell) for cell in texts[i]], dtype=np.int64)
+        values = np.array([_rank_cell(cells[codes[i]]) for cells, codes in items], np.int64)
         # order columns hold 1-based item positions by preference
         ranks = order_to_ranks(values - 1) if ranking_format == "orders" else values
         validate_ranks(ranks, space.n_items)
 
-    n_rejected = table.shape[1] - len(lines)
+    n_rejected = n_records - len(lines)
     data = _aggregate(
-        space, texts,
-        {d.name: column[covariate_columns[d.name]][accepted] for d in declarations},
+        space, np.column_stack([_floats(cells)[codes] for cells, codes in items]),
+        {d.name: column[covariate_columns[d.name]] for d in declarations},
         declarations, recheck_ranks, lambda i: f"line {lines[i]}",
         orders=ranking_format == "orders", n_rejected=n_rejected,
     )
-    extras = {name: column[name][accepted].tolist() for name in extra_columns}
+    extras = {name: column[name][0][column[name][1]].tolist() for name in extra_columns}
     return IngestResult(data=data, extra_columns=extras, n_rejected=n_rejected)

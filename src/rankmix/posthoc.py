@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import AggregatedData, DataError
+from .data import AggregatedData, DataError, _coded
 from .fitting import FitResult
 from .inference import StandardErrorReport
 from .model import worths
@@ -117,8 +117,7 @@ def crosstab(fit: FitResult, data: AggregatedData, categories,
     if mode not in ("expected", "hard"):
         raise ValueError(f"unknown crosstab mode {mode!r}")
     # labels sort as strings, so category 10 comes before category 9
-    labels, codes = np.unique(np.array([str(c) for c in categories], dtype=str),
-                              return_inverse=True)
+    labels, codes = _coded(list(map(str, categories)), sort=True)
     table = np.zeros((labels.size, fit.design.n_classes))
     if mode == "expected":
         fit.design.check_data(data)

@@ -114,8 +114,8 @@ def _lehmer_code(ranks: np.ndarray) -> np.ndarray:
     the order vector, sum over items i of #{j < i: r_j > r_i} * (J - r_i)!."""
     j = ranks.shape[-1]
     factorials = np.array([math.factorial(k) for k in range(j)], dtype=np.int64)
-    inversions = np.tril(ranks[..., :, None] < ranks[..., None, :], -1).sum(axis=-1)
-    return (inversions * factorials[j - ranks]).sum(axis=-1)
+    inversions = [sum(ranks[..., k] > ranks[..., i] for k in range(i)) for i in range(1, j)]
+    return sum(n * factorials[j - ranks[..., i]] for i, n in enumerate(inversions, 1))
 
 
 @dataclass(frozen=True, eq=False)

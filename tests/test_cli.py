@@ -80,6 +80,19 @@ class TestSimulate:
         assert (tmp_path / "empty.csv").read_text() == "A,B,C,grp\n"
         assert json.loads((tmp_path / "empty.truth.json").read_text())["n"] == 0
 
+    @pytest.mark.parametrize("field, value", [
+        ("items", "ABC"), ("n", 20.7), ("seed", "9"),
+        ("classes", {"prob": 1.0, "worths": [0.5, 0.3, 0.2]}), ("covariates", ["grp"]),
+    ])
+    def test_config_value_of_wrong_type_exits_one(self, tmp_path, capsys, field,
+                                                  value):
+        cfg = dict(SIM_CONFIG, out=str(tmp_path / "sim.csv"), **{field: value})
+        assert main(["simulate", "--config", write_json(tmp_path / "c.json", cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert f"'{field}'" in err
+        assert not (tmp_path / "sim.csv").exists()
+
     def test_seed_reproducible_bytes(self, tmp_path):
         cfg = dict(SIM_CONFIG, n=50, out=str(tmp_path / "a.csv"))
         main(["simulate", "--config", write_json(tmp_path / "a.json", cfg)])
@@ -311,6 +324,19 @@ class TestFit:
         search = search_classes(ModelSpec(("A", "B", "C"), ("grp",), 1), data,
                                 FitConfig(n_starts=2, seed=1), [1, 2])
         assert search.best_key in (1, 2)
+
+    def test_fit_never_sorts_python_objects(self, tmp_path, sim_csv, monkeypatch):
+        def guarded(sort):
+            def call(a, *args, **kwargs):
+                if np.asarray(a).dtype == object:
+                    raise AssertionError(f"numpy.{sort.__name__} sorted Python objects")
+                return sort(a, *args, **kwargs)
+            return call
+
+        for name in ("unique", "sort"):
+            monkeypatch.setattr(np, name, guarded(getattr(np, name)))
+        cfg = fit_config(tmp_path, sim_csv, crosstab=["grp"])
+        assert main(["fit", "--config", cfg, "--se-method", "all"]) == 0
 
     def test_corrected_se_csv(self, tmp_path, sim_csv):
         cfg = fit_config(tmp_path, sim_csv, classes=1, se_method="corrected")

@@ -313,8 +313,8 @@ CSV_HEADERS = [
     ("g", "a", "b", "c", "h", "x", "e", "g"),
     ("a", "b", "c", "z", "g", "h", "x", "e", "a"),
 ]
-CSV_NOISE = ["", " ", "\t", "\u3000", "\x1c", "\x85", "\xa0", "\u200b", "\x00", "2.0", "2.5", "inf",
-             "1e20", "-1", "nan", "abc", "q"]
+CSV_NOISE = ["", " ", "\t", "\u3000", "\x1c", "\x85", "\xa0", "\u200b", "\x00",
+             "2.0", "2.5", "inf", "1e20", "-1", "nan", "abc", "q"]
 CSV_DECLS = {"g": CovariateDecl("g", "factor", levels=("y", "x")),
              "h": CovariateDecl("h", "factor"), "x": CovariateDecl("x", "continuous")}
 
