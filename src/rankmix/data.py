@@ -185,8 +185,8 @@ def aggregate(space: PatternSpace, rows, declarations) -> AggregatedData:
     rows, declarations = list(rows), tuple(declarations)
     rank_rows = [ranks for ranks, _ in rows]
     # each row is its own entry: equal values may still print apart (1 and 1.0)
-    covariates = {d.name: (np.fromiter((c.get(d.name, _MISSING) for _, c in rows), object,
-                                       len(rows)), np.arange(len(rows))) for d in declarations}
+    covariates = {d.name: (np.fromiter((c.get(d.name, _MISSING) for _, c in rows), object),
+                           np.arange(len(rows))) for d in declarations}
     return _aggregate(space, _floats(np.array(rank_rows, dtype=object)), covariates,
                       declarations, lambda i: validate_ranks(rank_rows[i], space.n_items),
                       lambda i: f"row {i + 1}")
@@ -317,13 +317,13 @@ def read_ranking_csv(
             if col not in header:
                 raise DataError(f"{path}: column {col!r} not in header")
         records = list(filter(None, reader))  # blank lines skipped, as by csv.DictReader
-    n_records = len(records)
     used = [*item_columns, *(covariate_columns[d.name] for d in declarations)]
     # name -> (distinct cells, each record's code), coded as each column is
     # transposed; absent fields read as None, a repeated name keeps its last
-    column = {name: _coded(cells) for name, cells in zip(header, chain(
-        zip_longest(*records), repeat((None,) * n_records))) if name in {*used, *extra_columns}}
-    del records
+    columns = chain(zip_longest(*records), repeat((None,) * len(records)))
+    column = {name: _coded(cells) for name, cells in zip(header, columns)
+              if name in {*used, *extra_columns}}
+    del records, columns  # the iterators hold every record
     blank = np.any([np.array([v is None or not v.strip() for v in cells], dtype=bool)[codes]
                     for cells, codes in map(column.get, used)], axis=0)
     lines = np.flatnonzero(~blank) + 2  # the header is line 1
@@ -336,7 +336,7 @@ def read_ranking_csv(
         ranks = order_to_ranks(values - 1) if ranking_format == "orders" else values
         validate_ranks(ranks, space.n_items)
 
-    n_rejected = n_records - len(lines)
+    n_rejected = blank.size - len(lines)
     data = _aggregate(
         space, np.column_stack([_floats(cells)[codes] for cells, codes in items]),
         {d.name: column[covariate_columns[d.name]] for d in declarations},
