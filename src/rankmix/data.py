@@ -171,7 +171,9 @@ class AggregatedData:
         pos = names.index(name)
         raw = np.array([s.continuous_values[pos] for s in self.covariate_sets])
         mean, scale = self.continuous_scale[name]
-        return (raw - mean) / scale
+        # in units of a power of two, as in _mean_std, so no difference overflows
+        e = int(np.frexp(np.abs(raw).max())[1])
+        return (np.ldexp(raw, -e) - np.ldexp(mean, -e)) / np.ldexp(scale, -e)
 
 
 def aggregate(space: PatternSpace, rows, declarations) -> AggregatedData:
@@ -218,7 +220,7 @@ def _aggregate(space, values, covariates, declarations, recheck_ranks, where,
         bad |= ~ok[codes]
         columns.append((read, rank, codes))
     for i in np.flatnonzero(bad):  # raises at the first row that truly fails
-        _recheck_row(i, where(i), recheck_ranks, covariates, ordered)
+        _recheck_row(i, where, recheck_ranks, covariates, ordered)
     if bad.any():  # only if the array checks and the scalar checks disagree
         raise AssertionError(f"{where(int(np.argmax(bad)))} fails the array checks only")
 
@@ -240,15 +242,23 @@ def _aggregate(space, values, covariates, declarations, recheck_ranks, where,
                      tuple(float(read[codes[i]]) for read, _, codes in columns[nf:]))
         for k, i in enumerate(first.tolist()))
     # standardize continuous covariates over respondents, not over sets
-    scale = {d.name: (float(x.mean()), float(x.std()) or 1.0)
-             for d, x in zip(ordered[nf:], (read[codes] for read, _, codes in columns[nf:]))}
+    scale = {d.name: _mean_std(read[codes])
+             for d, (read, _, codes) in zip(ordered[nf:], columns[nf:])}
     return AggregatedData(space, declarations, sets, cell_set, cell_pattern, cell_counts,
                           continuous_scale=scale, n_rejected=n_rejected,
                           row_cells=row_cells)
 
 
+def _mean_std(x: np.ndarray) -> tuple[float, float]:
+    """Mean and standard deviation (1 in place of 0) of finite values, in units
+    of a power of two near max |x|: exact, and no sum or square overflows."""
+    e = int(np.frexp(np.abs(x).max())[1])
+    y = np.ldexp(x, -e)
+    return float(np.ldexp(y.mean(), e)), float(np.ldexp(y.std(), e)) or 1.0
+
+
 def _recheck_row(i, where, recheck_ranks, covariates, ordered):
-    """Row ``i``'s scalar checks in their original order; errors cite ``where``."""
+    """Row ``i``'s scalar checks in their original order; errors cite ``where(i)``."""
     values = {name: distinct[codes[i]] for name, (distinct, codes) in covariates.items()}
     try:
         recheck_ranks(i)
@@ -264,7 +274,7 @@ def _recheck_row(i, where, recheck_ranks, covariates, ordered):
                     f"level {str(value)!r} not among declared levels of {decl.name!r}")
     except ValueError as exc:
         kind = DataError if isinstance(exc, DataError) else RankingValidationError
-        raise kind(f"{where}: {exc}") from exc
+        raise kind(f"{where(i)}: {exc}") from exc
 
 
 @dataclass
@@ -280,6 +290,17 @@ def _rank_cell(text: str) -> int:
     if not (math.isfinite(value) and value.is_integer() and abs(value) < 2.0**63):
         raise ValueError(f"rank cell {text.strip()!r} is not an integer rank")
     return int(value)
+
+
+def _record_lines(path) -> list[int]:
+    """Each non-blank CSV record's first line, header first; read for errors only."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader, starts, end = csv.reader(fh), [], 0
+        for record in reader:
+            if record:
+                starts.append(end + 1)
+            end = reader.line_num
+    return starts
 
 
 def read_ranking_csv(
@@ -326,7 +347,7 @@ def read_ranking_csv(
     del records, columns  # the iterators hold every record
     blank = np.any([np.array([v is None or not v.strip() for v in cells], dtype=bool)[codes]
                     for cells, codes in map(column.get, used)], axis=0)
-    lines = np.flatnonzero(~blank) + 2  # the header is line 1
+    accepted = np.flatnonzero(~blank)  # each accepted row's record index
     column = {name: (distinct, codes[~blank]) for name, (distinct, codes) in column.items()}
     items = [column[name] for name in item_columns]
 
@@ -336,11 +357,12 @@ def read_ranking_csv(
         ranks = order_to_ranks(values - 1) if ranking_format == "orders" else values
         validate_ranks(ranks, space.n_items)
 
-    n_rejected = blank.size - len(lines)
+    n_rejected = blank.size - len(accepted)
     data = _aggregate(
         space, np.column_stack([_floats(cells)[codes] for cells, codes in items]),
         {d.name: column[covariate_columns[d.name]] for d in declarations},
-        declarations, recheck_ranks, lambda i: f"line {lines[i]}",
+        declarations, recheck_ranks,
+        lambda i: f"line {_record_lines(path)[accepted[i] + 1]}",
         orders=ranking_format == "orders", n_rejected=n_rejected,
     )
     extras = {name: column[name][0][column[name][1]].tolist() for name in extra_columns}

@@ -13,27 +13,26 @@ halving inside the scoring loop.
 
 Because the pattern model is log-linear in the net-win score vector s,
 the data enter each fit only through the observed cells (the (set,
-pattern) pairs with a nonzero count, as the data store them): the E
-step, the log-likelihood and the expected counts are (nnz, R) arrays
-there. The item effects of a (set, class) block are a = X B, with X
-the block's row of the design matrix (see ``Design``), so each
-coefficient is one (design column c, item i) pair. A block with expected
-total n, observed score total t and pattern probabilities p contributes
-X_c (t - n E[s])_i to the score, n X_c X_d Cov[s]_ij to the information
-entry of (c, i) and (d, j), and t . a - n log Z to the expected-count
-log-likelihood, with Cov[s] = E[s s'] - E[s] E[s]'. The pattern space
-enters only through ``Design.log_normalizer``, which gives each block's
-log Z and its pattern weights, proportional to p, in one pass over the
-patterns: a step-halving trial needs log Z alone, and the accepted
-trial's weights give the block totals, E[s] and E[s s'] together by one
-matrix product with the design's moment table [1 | s | s_i s_j]. The
-accepted trial's item effects, log Z and weights are carried, not
-recomputed: the E step reads the first two, the next Newton solve starts
-from all three, so no normalizer runs between M steps. The posterior
-weights, here and in ``FitResult.posteriors`` (the best chain's last E
-step), are (nnz, R) rows aligned with ``Design.cell_set`` /
-``Design.cell_pattern``. No (K, L, R) array is built unless a callback
-asks for the dense posterior weights.
+pattern) pairs with a nonzero count, as the data store them). The item
+effects of a (set, class) block are a = X B, with X the block's row of
+the design matrix (see ``Design``), so each coefficient is one (design
+column c, item i) pair. A block with expected total n, observed score
+total t and pattern probabilities p contributes X_c (t - n E[s])_i to
+the score, n X_c X_d Cov[s]_ij to the information entry of (c, i) and
+(d, j), and t . a - n log Z to the expected-count log-likelihood, with
+Cov[s] = E[s s'] - E[s] E[s]'. The pattern space enters only through
+``Design.log_normalizer``, which gives each block's log Z, its pattern
+weights (proportional to p) and log P at the cells in one pass over the
+patterns: a step-halving trial needs log Z alone, the accepted trial's
+weights give E[s] and E[s s'] by one product with the design's moment
+table [1 | s | s_i s_j], and its log P gives the E step, so no
+normalizer runs between M steps. In the loop, log P, the posterior
+weights and the expected counts are class-major (B, R, nnz) arrays:
+sums over classes run over a short leading axis, sums over cells over
+contiguous runs. Chains enter and leave the stack as (nnz, R) rows
+aligned with ``Design.cell_set`` / ``Design.cell_pattern``
+(``initial_weights``, ``FitResult.posteriors``). No (K, L, R) array is
+built unless a callback asks for the dense posterior weights.
 
 Several independent chains are run from random starts; the chain with the
 best final likelihood wins. Chains that collapse a class (vanishing mass
@@ -45,18 +44,17 @@ independent chains of one design as a stack with a leading chain axis B:
 a fit's random and warm starts, or the constrained refits of the
 corrected standard errors. An iteration updates the masses, lets the
 chains whose smallest mass fell below ``degenerate_mass`` leave, runs one
-Newton solve (``_newton``) for the rest, and then one softmax over log P
-at the cells, taken at the accepted Newton trial's item effects and
-log Z, gives both the log-likelihood and the next iteration's posterior
-weights; neither needs a normalizer of its own. Each kernel call (block
-effects, the normalizer, the moments and information, the Cholesky
-factors) serves the whole stack, while every chain keeps its own Newton
-steps, step halving, convergence test and iteration count; a chain leaves
-the stack when it converges, degenerates, hits ``max_iter`` or fails, and
-the others go on, so each chain takes exactly the iterations it takes
-alone. A stack holds as many chains as keep its pattern weights within
-``_STACK_ENTRIES`` entries. The public ``m_step`` is the same mass
-update and Newton solve for a stack of one chain.
+Newton solve (``_newton``) for the rest, and then one softmax over the
+accepted Newton trial's log P at the cells gives both the log-likelihood
+and the next iteration's posterior weights. Each kernel call (block
+effects, the normalizer, the moments and information, the Cholesky test,
+the Newton solve) serves the whole stack, while every chain keeps its own
+Newton steps, step halving, convergence test and iteration count; a chain
+leaves the stack when it converges, degenerates, hits ``max_iter`` or
+fails, and the others go on, so each chain takes exactly the iterations
+it takes alone. A stack holds as many chains as keep its pattern
+weights within ``_STACK_ENTRIES`` entries. The public ``m_step`` is the
+same mass update and Newton solve for a stack of one chain.
 """
 
 from __future__ import annotations
@@ -193,19 +191,26 @@ def init_start(seed, design: Design, scale: float = 0.5) -> Parameters:
 _STACK_ENTRIES = 1_000_000
 
 
-def _moments_information(w: np.ndarray, design: Design, m_plus: np.ndarray):
-    """Per-block score means E[s] (..., K, R, J) and the information (..., P, P).
+def _column_products(design: Design, m_plus: np.ndarray) -> np.ndarray:
+    """The information's block weights m_plus[k, r] X_krc X_krd, (B, K * R, Q * Q)."""
+    K, R, Q = design.X.shape
+    X = design.X.reshape(K * R, Q)
+    return ((m_plus.reshape(-1, K * R, 1) * X)[..., :, None]
+            * X[:, None, :]).reshape(-1, K * R, Q * Q)
+
+
+def _moments_information(w: np.ndarray, design: Design, products: np.ndarray):
+    """Per-block score means E[s] (..., K, R, J) and the information (B, P, P).
 
     ``w`` holds the pattern weights as one row per (set, class) block,
     (..., K * R, L), as :meth:`Design.log_normalizer` returns them, and
-    ``m_plus`` the block totals (..., K, R). The entry for coefficients
-    (c, i) and (d, j) is sum_kr m_plus[k, r] X_krc X_krd Cov_kr[s]_ij over
-    the non-reference items, one matrix product of the weighted column
-    products with the block covariances Cov[s] = E[s s'] - E[s] E[s]',
-    whose moments come from one product of ``w`` with the design's moment
-    table.
+    ``products`` the :func:`_column_products` of the block totals. The
+    entry for coefficients (c, i) and (d, j) is sum_kr m_plus[k, r]
+    X_krc X_krd Cov_kr[s]_ij over the non-reference items, one matrix
+    product of the column products with the block covariances
+    Cov[s] = E[s s'] - E[s] E[s]', whose moments come from one product of
+    ``w`` with the design's moment table.
     """
-    lead = m_plus.shape[:-2]
     KR = w.shape[-2]
     J1 = design.n_items - 1
     Q = design.X.shape[-1]
@@ -213,12 +218,9 @@ def _moments_information(w: np.ndarray, design: Design, m_plus: np.ndarray):
     free_mean = mean[..., :-1].reshape(-1, J1)
     cov = second - (free_mean[:, :, None] * free_mean[:, None, :]).reshape(
         len(second), -1)
-    X = design.X.reshape(KR, Q)
-    weights = (m_plus.reshape(-1, KR, 1) * X)[..., :, None] * X[:, None, :]
-    info = np.swapaxes(weights.reshape(-1, KR, Q * Q), 1, 2) @ cov.reshape(
-        -1, KR, J1 * J1)
+    info = np.swapaxes(products, 1, 2) @ cov.reshape(-1, KR, J1 * J1)
     info = info.reshape(-1, Q, Q, J1, J1).transpose(0, 1, 3, 2, 4)
-    return mean, info.reshape(lead + (Q * J1, Q * J1))
+    return mean, info.reshape(-1, Q * J1, Q * J1)
 
 
 def _rank_deficiency(info: np.ndarray, names: list[str]) -> RankDeficientDesignError:
@@ -241,31 +243,34 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _newton(m, design: Design, beta, start: list, fixed, tol: float,
             max_iter: int):
-    """Maximize sum m[b, cell, r] log P over the coefficients of B chains.
+    """Maximize sum m[b, r, cell] log P over the coefficients of B chains.
 
-    ``m`` (B, nnz, R) holds each chain's expected counts, ``beta`` (B, P)
-    its start and ``fixed`` (B, P) the coefficients it holds at zero,
-    which must be zero in ``beta``. ``start`` is the list [a, log Z,
-    pattern weights] of :meth:`Design.log_normalizer` at ``beta``; it is
-    emptied, so that the weights are freed by the first moment product,
-    before the first trial allocates its own. Each chain takes its own
-    Newton steps with its own step halving and stops by its own deviance
-    change; the stack shrinks as chains stop. A fixed coefficient gets an
-    identity row and column in the information and a zero score, so its
-    step is exactly zero.
+    ``m`` (B, R, nnz) holds each chain's expected counts, class-major,
+    ``beta`` (B, P) its start and ``fixed`` (B, P) the coefficients it
+    holds at zero, which must be zero in ``beta``. ``start`` is the list
+    [a, log Z, pattern weights] of :meth:`Design.log_normalizer` at
+    ``beta``; it is emptied, so that the weights are freed by the first
+    moment product, before the first trial allocates its own. Each chain
+    takes its own Newton steps with its own step halving and stops by its
+    own deviance change; the stack shrinks as chains stop. A fixed
+    coefficient gets an identity row and column in the information and a
+    zero score, so its step is exactly zero. A chain whose information
+    fails the Cholesky test takes a zero step and leaves with its error.
 
-    Returns the coefficients (B, P), the item effects (B, K, R, J), log Z
-    (B, K, R) and the pattern weights (B, K * R, L) at them (the accepted
-    trial's, so the caller needs no further normalizer), and per chain
-    None or the ``FitError`` that stopped it.
+    Returns the coefficients (B, P), and the normalizer's arrays there (the
+    accepted trial's, so the caller needs no further normalizer): the item
+    effects (B, K, R, J), log Z (B, K, R), the pattern weights
+    (B, K * R, L) and the cells' log P (B, R, nnz); and per chain None or
+    the ``FitError`` that stopped it.
     """
     a, log_z, w = start
     start.clear()
+    n = len(beta)
     m_plus, observed = design.block_totals(m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cell_totals = np.take(m_plus, design.cell_set, axis=-2)
-        saturated = np.where(m > 0, m * np.log(m / cell_totals), 0.0).sum(
-            axis=(1, 2))
+    # sum m log(m / m_plus) over the cells, where 0 log 0 = 0
+    ratio = np.divide(m, np.take(m_plus.swapaxes(-1, -2), design.cell_set, axis=-1),
+                      out=np.ones_like(m), where=m > 0)
+    saturated = (m * np.log(ratio)).sum(axis=(1, 2))
 
     def deviance(a, log_z, observed, m_plus, saturated):
         # sum m log P = sum_kr (t . a - m_plus log Z)
@@ -273,50 +278,48 @@ def _newton(m, design: Design, beta, start: list, fixed, tol: float,
         return 2.0 * (saturated - loglik)
 
     def trial_at(b, observed, m_plus, saturated):
-        """Deviances at coefficients ``b``, with a, log Z and the weights there."""
+        """Deviances at coefficients ``b``, with the normalizer's arrays there."""
         a = design.block_effects(b)
-        log_z, w = design.log_normalizer(a)
-        return deviance(a, log_z, observed, m_plus, saturated), a, log_z, w
+        log_z, w, logp = design.log_normalizer(a)
+        return deviance(a, log_z, observed, m_plus, saturated), a, log_z, w, logp
 
-    errors: list[FitError | None] = [None] * len(beta)
+    errors: list[FitError | None] = [None] * n
     # the chains still stepping; every array below has one row per chain
-    chains = np.arange(len(beta))
+    chains = np.arange(n)
     free_pairs = ~(fixed[:, :, None] | fixed[:, None, :])
     identity = np.eye(fixed.shape[1])
+    products = _column_products(design, m_plus)
     dev = deviance(a, log_z, observed, m_plus, saturated)
-    out = [beta.copy(), a.copy(), log_z.copy()]
-    out_w = None  # the final weights, once a chain has stopped
+    out = None  # per chain, where it stopped, once a chain has stopped
     for iteration in range(1, max_iter + 1):
-        mean, info = _moments_information(w, design, m_plus)
+        mean, info = _moments_information(w, design, products)
         del w  # freed before the trials allocate theirs
         info = np.where(free_pairs, info, identity)
         score = _coefficient_score(design.X, observed, m_plus, mean)
         score[fixed] = 0.0
         failed = []
         try:
-            lower = np.linalg.cholesky(info)
+            np.linalg.cholesky(info)
         except np.linalg.LinAlgError:
             # find the failing chains; they take a zero step and leave
-            lower = np.zeros_like(info)
             for j, c in enumerate(chains):
                 try:
-                    lower[j] = np.linalg.cholesky(info[j])
+                    np.linalg.cholesky(info[j])
                 except np.linalg.LinAlgError:
                     free = np.nonzero(~fixed[j])[0]
                     errors[c] = _rank_deficiency(info[j][np.ix_(free, free)],
                                                  [design.coefficients[i].name
                                                   for i in free])
                     failed.append(j)
-                    lower[j] = identity
+                    info[j] = identity
                     score[j] = 0.0
-        direction = np.linalg.solve(
-            np.swapaxes(lower, -1, -2), np.linalg.solve(lower, score[..., None])
-        )[..., 0]
+        direction = np.linalg.solve(info, score[..., None])[..., 0]
 
         # every chain still rising after h halvings has step 2^-h
         bound = dev + 1e-10 * (np.abs(dev) + 1.0)
         trial = beta + direction
-        dev_try, a, log_z, w = trial_at(trial, observed, m_plus, saturated)
+        dev_try, a, log_z, w, logp = trial_at(trial, observed, m_plus,
+                                              saturated)
         rising = ~(dev_try <= bound)
         for halvings in range(1, 40):
             if not np.count_nonzero(rising):
@@ -325,42 +328,38 @@ def _newton(m, design: Design, beta, start: list, fixed, tol: float,
             trial[j] = beta[j] + 0.5 ** halvings * direction[j]
             if len(j) == len(chains):
                 del w  # every trial was rejected: free its weights first
-                dev_try, a, log_z, w = trial_at(trial, observed, m_plus,
-                                                saturated)
+                dev_try, a, log_z, w, logp = trial_at(trial, observed, m_plus,
+                                                      saturated)
             else:
-                dev_try[j], a[j], log_z[j], w[j] = trial_at(
+                dev_try[j], a[j], log_z[j], w[j], logp[j] = trial_at(
                     trial[j], observed[j], m_plus[j], saturated[j])
             rising[j] = ~(dev_try[j] <= bound[j])
         stop = np.abs(dev - dev_try) <= tol * np.maximum(np.abs(dev_try), 1.0)
-        if np.count_nonzero(rising):
-            for j in np.nonzero(rising)[0]:
-                errors[chains[j]] = IrlsDivergenceError(iteration, dev[j],
-                                                        dev_try[j])
-            stop |= rising
-        if failed:
-            stop[failed] = True
+        for j in np.nonzero(rising)[0]:
+            errors[chains[j]] = IrlsDivergenceError(iteration, dev[j], dev_try[j])
+        stop |= rising
+        stop[failed] = True
         if iteration == max_iter:
             stop[:] = True
         beta, dev = trial, dev_try
         stopped = np.count_nonzero(stop)
+        if stopped == n:  # the whole stack stops at once: no copies
+            return beta, a, log_z, w, logp, errors
         if stopped:
+            state = (beta, a, log_z, w, logp)
+            if out is None:
+                out = [np.empty((n,) + x.shape[1:]) for x in state]
             done = chains[stop]
-            for kept, new in zip(out, (beta, a, log_z)):
+            for kept, new in zip(out, state):
                 kept[done] = new[stop]
-            if out_w is None and stopped == len(out[0]):
-                out_w = w  # the whole stack stops at once: no copy
-            else:
-                if out_w is None:
-                    out_w = np.empty((len(out[0]),) + w.shape[1:])
-                out_w[done] = w[stop]
             if stopped == len(chains):
                 break
             going = ~stop
             chains, beta, dev, w, m_plus, observed, saturated, fixed, \
-                free_pairs = (x[going] for x in (chains, beta, dev, w, m_plus,
-                                                 observed, saturated, fixed,
-                                                 free_pairs))
-    return (*out, out_w, errors)
+                free_pairs, products = (
+                    x[going] for x in (chains, beta, dev, w, m_plus, observed,
+                                       saturated, fixed, free_pairs, products))
+    return (*out, errors)
 
 
 def structural_information(
@@ -374,23 +373,22 @@ def structural_information(
     (nnz, R).
     """
     m_plus = design.set_sums(design.cell_values(m))
-    _, w = design.log_normalizer(design.block_effects(coefficients))
-    return _moments_information(w, design, m_plus)[1]
+    w = design.log_normalizer(design.block_effects(coefficients))[1]
+    return _moments_information(w, design, _column_products(design, m_plus))[1][0]
 
 
 def _mass_update(w, design: Design, min_mass: float):
-    """The mass half of the M step for B chains' posterior weights (B, nnz, R).
+    """The mass half of the M step for B chains' posterior weights (B, R, nnz).
 
-    Returns the expected counts m = n w, the new masses (B, R), which are
-    the respondent-weighted posterior shares, and per chain None or the
-    message that a class mass fell below ``min_mass``.
+    Returns the expected counts m = n w (B, R, nnz), the new masses (B, R),
+    which are the respondent-weighted posterior shares, and per chain None
+    or the message that a class mass fell below ``min_mass``.
     """
-    m = design.cell_counts[:, None] * w
-    mixing = m.sum(axis=1) / design.cell_counts.sum()
+    m = w * design.cell_counts
+    mixing = m.sum(axis=-1) / design.n_respondents
     mixing /= mixing.sum(axis=1, keepdims=True)
-    low = mixing.min(axis=1)
     messages = [f"class mass fell to {x:.3g} (< {min_mass:g})" if x < min_mass
-                else None for x in low]
+                else None for x in mixing.min(axis=1).tolist()]
     return m, np.maximum(mixing, 1e-300), messages
 
 
@@ -413,17 +411,17 @@ def m_step(
     """
     config = config or FitConfig()
     design.check_data(data)
-    m, mixing, (low_mass,) = _mass_update(design.cell_values(w)[None], design,
-                                          min_mass)
+    m, mixing, (low_mass,) = _mass_update(design.cell_values(w).T[None],
+                                          design, min_mass)
     if low_mass is not None:
         raise DegenerateClassError(low_mass)
     beta = (np.zeros(design.n_coefficients) if start is None
             else start.coefficients)
     fixed = np.zeros((1, beta.size), dtype=bool)  # no coefficient held at 0
     a = design.block_effects(beta[None])
-    beta, _, _, _, (error,) = _newton(m, design, beta[None],
-                                      [a, *design.log_normalizer(a)], fixed,
-                                      config.irls_tol, config.irls_max_iter)
+    beta, *_, (error,) = _newton(m, design, beta[None],
+                                 [a, *design.log_normalizer(a)[:2]], fixed,
+                                 config.irls_tol, config.irls_max_iter)
     if error is not None:
         raise error
     return Parameters(beta[0], mixing[0])
@@ -448,27 +446,27 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, fixed,
     """EM for a stack of chains; see :func:`run_chains`."""
     B = len(starts)
 
-    def e_step(a, log_z, q):
-        """Log-likelihoods, deviances and posterior weights at a and log Z."""
-        log_mixture, w = _mixture(design.log_probs_at_cells(a, log_z), q[:, None])
+    def e_step(logp, q):
+        """Log-likelihoods, deviances and posterior weights from the cells' log P."""
+        log_mixture, w = _mixture(logp, q[:, :, None])
         ll = log_mixture @ design.cell_counts
         return ll, 2.0 * (design.saturated_loglik - ll), w
 
-    # the running chains and their state, one row per chain; w holds the
-    # posterior weights for each chain's next M step, and at_b the item
-    # effects, log Z and pattern weights at b, where the next Newton solve
-    # starts (only at_b holds the weights, which that solve frees)
+    # the running chains' state, one row per chain: w holds the posterior
+    # weights (B, R, nnz) for the next M step, at_b the item effects, log Z
+    # and pattern weights at b, where the next Newton solve starts (and
+    # frees the weights)
     chains = np.arange(B)
     b = np.where(fixed, 0.0, [s.coefficients for s in starts])
     q = np.array([s.mixing for s in starts], dtype=np.float64)
     a = design.block_effects(b)
-    at_b = [a, *design.log_normalizer(a)]
-    ll, d, w = e_step(*at_b[:2], q)
+    *at_b, logp = a, *design.log_normalizer(a)
+    ll, d, w = e_step(logp, q)
     # per chain, the final state, written when the chain leaves the stack
     beta, mixing, loglik, dev = b.copy(), q.copy(), ll.copy(), d.copy()
     posteriors = w
     if initial_weights is not None:
-        w = np.broadcast_to(initial_weights, w.shape)
+        w = np.broadcast_to(initial_weights.T, w.shape)
     traces = [[float(x)] for x in d]
     n_iter = np.zeros(B, dtype=int)
     converged = np.zeros(B, dtype=bool)
@@ -491,7 +489,8 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, fixed,
         if not chains.size:
             break
         if callback is not None:
-            dense_w = _mixture(design.log_pattern_probs(b[0]), q[0])[1]
+            dense_w = _mixture(design.log_pattern_probs(b[0]).transpose(0, 2, 1),
+                               q[0][:, None])[1].transpose(0, 2, 1)
         # M step: the masses, then the coefficients of the chains whose
         # classes all kept their mass; the others keep their last parameters
         m, new_q, low_mass = _mass_update(w, design, config.degenerate_mass)
@@ -502,19 +501,19 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, fixed,
             m, new_q, *at_b = leave(sick, iteration - 1, m, new_q, *at_b)
             if not chains.size:
                 break
-        b, *at_b, errors = _newton(m, design, b, at_b, fixed, config.irls_tol,
-                                   config.irls_max_iter)
+        b, *at_b, logp, errors = _newton(m, design, b, at_b, fixed,
+                                         config.irls_tol, config.irls_max_iter)
         q = new_q
         # a chain whose Newton solve failed leaves with its error
         failed = np.array([e is not None for e in errors])
         if failed.any():
             for j in np.nonzero(failed)[0]:
                 failures[chains[j]] = errors[j]
-            at_b = leave(failed, iteration - 1, *at_b)
+            logp, *at_b = leave(failed, iteration - 1, logp, *at_b)
             if not chains.size:
                 break
         # E step: one softmax gives the log-likelihood and the next weights
-        ll_new, dev_new, w = e_step(*at_b[:2], q)
+        ll_new, dev_new, w = e_step(logp, q)
         # a chain whose class offsets ran away leaves with the new parameters
         offsets = np.abs(design.coefficient_matrix(b)[:, design.n_covariate_columns:])
         offsets = offsets.max(axis=(1, 2), initial=0.0)
@@ -526,8 +525,8 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, fixed,
                                            dev_new, *at_b)
             if not chains.size:
                 break
-        for c, x in zip(chains, dev_new):
-            traces[c].append(float(x))
+        for c, x in zip(chains.tolist(), dev_new.tolist()):
+            traces[c].append(x)
         if callback is not None:
             callback(iteration, Parameters(b[0].copy(), q[0].copy()), dense_w,
                      float(ll_new[0]))
@@ -542,7 +541,7 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, fixed,
         failures[c] or _Chain(
             label=labels[c],
             params=Parameters(beta[c].copy(), mixing[c].copy()),
-            posteriors=posteriors[c].copy(),
+            posteriors=posteriors[c].T.copy(),
             loglik=float(loglik[c]),
             deviance=float(dev[c]),
             trace=traces[c],

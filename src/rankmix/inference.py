@@ -24,6 +24,7 @@ from .fitting import (
     FitConfig,
     FitError,
     FitResult,
+    _column_products,
     _moments_information,
     run_chains,
     structural_information,
@@ -176,9 +177,10 @@ def hessian_standard_errors(fit: FitResult, data: AggregatedData):
     p = design.n_coefficients
 
     complete = np.zeros((p + R - 1, p + R - 1))
-    _, weights = design.log_normalizer(design.block_effects(beta))
-    mean, complete[:p, :p] = _moments_information(weights, design,
-                                                  design.set_sums(m))
+    weights = design.log_normalizer(design.block_effects(beta))[1]
+    mean, structural = _moments_information(
+        weights, design, _column_products(design, design.set_sums(m)))
+    complete[:p, :p] = structural[0]
     complete[p:, p:] = n.sum() * (np.diag(q) - np.outer(q, q))
 
     resid = (design.cell_scores[:, None, :] - mean[design.cell_set])[..., :-1]

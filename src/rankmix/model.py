@@ -27,22 +27,22 @@ and ``Design`` takes as they are. At a cell,
 log P_lkr = s_l . a_kr - log Z_kr, so the J! pattern space enters only
 through each (set, class) block's log-normalizer log Z_kr and its score
 moments, and ``Design.log_normalizer`` is the one kernel that enumerates
-it: one product, one ``exp`` and one row sum give log Z and the pattern
-weights (unnormalized), and one product of those weights with the
-design's moment table gives every block's E[s] and E[s s']
-(``Design.score_moments``). Posterior weights and expected counts are
-(nnz, R) arrays whose rows follow ``Design.cell_set`` /
-``Design.cell_pattern``. One softmax, ``_mixture``, gives the log
-mixture log sum_r q_r P_r and the posterior weights to the EM loop,
-``mixture_loglik``, ``posterior_weights`` and ``mixture_score``. Only
-``Design.log_pattern_probs`` gives every (K, L, R) cell, for callers
-that want the whole table.
+it: one product, one ``exp`` and one row sum give log Z, the pattern
+weights (unnormalized) and log P at the observed cells, and one product
+of those weights with the design's moment table gives every block's
+E[s] and E[s s'] (``Design.score_moments``). Inside the fit, log P,
+posterior weights and expected counts are class-major (R, nnz) arrays,
+columns in ``Design.cell_set`` / ``Design.cell_pattern`` order; the
+public functions give (nnz, R) rows. One softmax, ``_mixture``, gives
+the log mixture log sum_r q_r P_r and the posterior weights to the EM
+loop, ``mixture_loglik``, ``posterior_weights`` and ``mixture_score``.
+Only ``Design.log_pattern_probs`` gives every (K, L, R) cell.
 
 The kernels of the fit (``block_effects``, ``log_normalizer``,
-``cell_log_probs``, ``score_moments``, ``set_sums``, ``block_totals``)
-also take a leading stack of chains: coefficients (B, P) give item
-effects (B, K, R, J), cell arrays are (B, nnz, R), and so on, so that
-several EM chains of one design advance with one call per kernel.
+``score_moments``, ``set_sums``, ``block_totals``) also take a leading
+stack of chains: coefficients (B, P) give item effects (B, K, R, J),
+cell arrays are (B, R, nnz), and so on, so that several EM chains of one
+design advance with one call per kernel.
 """
 
 from __future__ import annotations
@@ -171,12 +171,19 @@ class Design:
         # the cells are sorted by set, so each set's cells are one contiguous run
         self.cell_set, self.cell_pattern = data.cell_set, data.cell_pattern
         self.cell_counts = data.cell_counts.astype(np.float64)
+        self.n_respondents = self.cell_counts.sum()
         self.cell_scores = self.S[self.cell_pattern]  # (nnz, J)
+        # [s'; 1] per cell, (J + 1, nnz), for the score and block totals
+        self._cell_score_rows = self._shifted_scores[:, self.cell_pattern]
         self._observed_sets, self._set_starts = np.unique(
             self.cell_set, return_index=True
         )
-        self.coefficients: list[Coefficient] = []
         K, R = data.n_sets, spec.n_classes
+        # per class and observed cell, class-major (R, nnz): the cell's block
+        # row in a chain's (K * R, L) pattern rows, and its entry there
+        self._cell_blocks = self.cell_set * R + np.arange(R)[:, None]
+        self._cell_entries = self._cell_blocks * L + self.cell_pattern
+        self.coefficients: list[Coefficient] = []
         columns: list[np.ndarray] = []  # each broadcasts to (K, R)
 
         def add_column(values: np.ndarray, kind: str, suffix: str, **fields):
@@ -281,18 +288,20 @@ class Design:
         return e
 
     def log_normalizer(self, a: np.ndarray):
-        """Per-block log-normalizers and pattern weights.
+        """Per-block log-normalizers, pattern weights, and log P at the cells.
 
         ``a`` holds the item effects (..., K, R, J). Returns log Z
-        (..., K, R), with Z_kr = sum_l exp(s_l . a_kr), and the pattern
-        weights exp(s_l . a_kr - shift_kr), proportional to the pattern
+        (..., K, R), with Z_kr = sum_l exp(s_l . a_kr); the pattern weights
+        exp(s_l . a_kr - shift_kr), proportional to the pattern
         probabilities, as one row of L patterns per block, (..., K * R, L),
-        in (set, class) order. The shift is the largest s_l . a_kr, found
-        without a pass over the patterns: the space holds every ranking,
-        so it is the sorted effects times the sorted scores. All blocks of
-        all chains are rows of one product with the score matrix, which
-        subtracts the shift too; an ``exp`` in place and one row sum
-        follow. This is the only computation of the fit that visits every
+        in (set, class) order; and log P = s_l . a_kr - log Z_kr at the
+        observed cells, class-major, (..., R, nnz). The shift is the largest
+        s_l . a_kr: the space holds every ranking, so it is the sorted
+        effects times the sorted scores. All blocks of all chains are rows
+        of one product with the score matrix, which subtracts the shift
+        too; the cells' log P is gathered from it before an ``exp`` in
+        place (so it stays exact where the weights underflow) and one row
+        sum. This is the only computation of the fit that visits every
         pattern.
         """
         K, R, J = a.shape[-3:]
@@ -302,29 +311,14 @@ class Design:
         shift = np.sort(rows[:, :J], axis=1) @ self._score_ramp
         rows[:, J] = -shift
         w = rows @ self._shifted_scores
+        logp = np.take(w.reshape(-1, K * R * w.shape[1]), self._cell_entries,
+                       axis=1)
         np.exp(w, out=w)
-        log_z = np.log(w.sum(axis=1)) + shift
-        return log_z.reshape(lead + (K, R)), w.reshape(lead + (K * R, -1))
-
-    def log_probs_at_cells(self, a: np.ndarray, log_z: np.ndarray) -> np.ndarray:
-        """log P at the observed cells, (..., nnz, R), from a and log Z.
-
-        ``a`` (..., K, R, J) and ``log_z`` (..., K, R) are the item effects
-        and log-normalizers of :meth:`log_normalizer`.
-        """
-        eta = np.einsum("nj,...nrj->...nr", self.cell_scores,
-                        a[..., self.cell_set, :, :])
-        return eta - log_z[..., self.cell_set, :]
-
-    def cell_log_probs(self, coefficients: np.ndarray):
-        """log P at the observed cells, (..., nnz, R), and the block weights.
-
-        The second value is the pattern-weight rows of
-        :meth:`log_normalizer`.
-        """
-        a = self.block_effects(coefficients)
-        log_z, w = self.log_normalizer(a)
-        return self.log_probs_at_cells(a, log_z), w
+        log_total = np.log(w.sum(axis=1))
+        logp -= np.take(log_total.reshape(-1, K * R), self._cell_blocks, axis=1)
+        return ((log_total + shift).reshape(lead + (K, R)),
+                w.reshape(lead + (K * R, -1)),
+                logp.reshape(lead + logp.shape[1:]))
 
     def score_moments(self, w: np.ndarray):
         """Per-block score moments from the pattern weights (..., K * R, L).
@@ -375,12 +369,12 @@ class Design:
     def block_totals(self, m: np.ndarray):
         """Block totals m_plus (..., K, R) and score totals t (..., K, R, J).
 
-        ``m`` holds cell counts (..., nnz, R), and t[k, r] = sum over the
-        set's cells of m[cell, r] * s_l.
+        ``m`` holds cell counts, class-major (..., R, nnz), and t[k, r] is
+        the sum over the set's cells of m[r, cell] * s_l.
         """
-        m_plus = self.set_sums(m, axis=-2)
-        t = self.set_sums(m[..., None] * self.cell_scores[:, None, :], axis=-3)
-        return m_plus, t
+        sums = self.set_sums(m[..., None, :] * self._cell_score_rows, axis=-1)
+        sums = sums.swapaxes(-1, -2).swapaxes(-2, -3)  # (..., K, R, J + 1)
+        return sums[..., -1].copy(), sums[..., :-1].copy()
 
     @functools.cached_property
     def saturated_loglik(self) -> float:
@@ -447,19 +441,20 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 def _mixture(logp: np.ndarray, mixing: np.ndarray):
     """log sum_r q_r P_r and the posterior class weights, from one softmax.
 
-    ``logp`` holds log P with classes on the last axis, (..., R); it is
-    overwritten by the posterior weights. ``mixing`` broadcasts against
-    it: (R,) for one chain, (B, 1, R) for a stack. Returns the log
-    mixture (...) and the weights (..., R): one shift, one ``exp`` and one
-    row sum give both.
+    ``logp`` holds log P class-major, (..., R, nnz), as
+    :meth:`Design.log_normalizer` gives it; it is overwritten by the
+    posterior weights. ``mixing`` broadcasts against it: (R, 1) for one
+    chain, (B, R, 1) for a stack. Returns the log mixture (..., nnz) and
+    the weights (..., R, nnz): one shift, one ``exp`` and one sum over the
+    classes give both.
     """
     logp += np.log(mixing)
-    shift = logp.max(axis=-1, keepdims=True)
+    shift = logp.max(axis=-2, keepdims=True)
     logp -= shift
     np.exp(logp, out=logp)
-    total = logp.sum(axis=-1, keepdims=True)
+    total = logp.sum(axis=-2, keepdims=True)
     logp /= total
-    return (np.log(total) + shift)[..., 0], logp
+    return (np.log(total) + shift)[..., 0, :], logp
 
 
 def _coefficient_score(X: np.ndarray, t: np.ndarray, m_plus: np.ndarray,
@@ -478,8 +473,8 @@ def _coefficient_score(X: np.ndarray, t: np.ndarray, m_plus: np.ndarray,
 
 def posterior_weights(params: Parameters, design: Design) -> np.ndarray:
     """Posterior class probabilities at the observed cells, shaped (nnz, R)."""
-    logp, _ = design.cell_log_probs(params.coefficients)
-    return _mixture(logp, params.mixing)[1]
+    logp = design.log_normalizer(design.block_effects(params.coefficients))[2]
+    return _mixture(logp, params.mixing[:, None])[1].T.copy()
 
 
 def mixture_loglik(
@@ -493,8 +488,8 @@ def mixture_loglik(
     likelihood-ratio statistics.
     """
     design.check_data(data)
-    logp, _ = design.cell_log_probs(params.coefficients)
-    loglik = float(_mixture(logp, params.mixing)[0] @ design.cell_counts)
+    logp = design.log_normalizer(design.block_effects(params.coefficients))[2]
+    loglik = float(_mixture(logp, params.mixing[:, None])[0] @ design.cell_counts)
     return loglik, 2.0 * (design.saturated_loglik - loglik)
 
 
@@ -510,12 +505,12 @@ def mixture_score(
     blocks; the mass block is N * (posterior share - q).
     """
     design.check_data(data)
-    logp, weights = design.cell_log_probs(params.coefficients)
-    m = design.cell_counts[:, None] * _mixture(logp, params.mixing)[1]
+    _, weights, logp = design.log_normalizer(design.block_effects(params.coefficients))
+    m = _mixture(logp, params.mixing[:, None])[1] * design.cell_counts
     m_plus, t = design.block_totals(m)
     score_coef = _coefficient_score(design.X, t, m_plus,
                                     design.score_moments(weights)[0])
-    score_mass = m.sum(axis=0)[:-1] - design.cell_counts.sum() * params.mixing[:-1]
+    score_mass = m.sum(axis=1)[:-1] - design.n_respondents * params.mixing[:-1]
     return np.concatenate([score_coef, score_mass])
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,38 @@ class TestFit:
         assert len(err.strip().splitlines()) == 1
         assert "line 3" in err
         assert "Warning" not in err
+
+    @pytest.mark.parametrize("huge", [
+        {0: "1e300"},
+        # the one low value lies 3.4e308 below the mean: the difference overflows
+        {i: "-1.7e308" if i == 0 else "1.7e308" for i in range(60)},
+    ])
+    def test_huge_continuous_covariate_fits_or_names_it(self, tmp_path, capsys,
+                                                        huge):
+        rng = np.random.default_rng(3)
+        lines = ["A,B,C,x"] + [
+            ",".join([*map(str, rng.permutation(3) + 1),
+                      huge.get(i, f"{rng.normal():.3f}")])
+            for i in range(60)]
+        (tmp_path / "huge.csv").write_text("\n".join(lines) + "\n")
+        cfg = fit_config(
+            tmp_path, tmp_path / "huge.csv",
+            covariates=[{"name": "x", "type": "continuous"}],
+            terms=["x"], classes=1,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["fit", "--config", cfg])
+        assert caught == []
+        err = capsys.readouterr().err
+        if code == 0:
+            doc = json.loads((tmp_path / "out" / "fit.json").read_text())
+            scale = doc["data"]["continuous_scale"]["x"]
+            assert math.isfinite(scale["mean"]) and math.isfinite(scale["scale"])
+        else:
+            assert code == 1 and err.startswith("error:")
+            assert len(err.strip().splitlines()) == 1
+            assert ":x" in err
 
     def test_undeclared_level_exits_one_citing_its_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -232,6 +232,18 @@ class TestCsvIngest:
         with pytest.raises(RankingValidationError, match="line 3"):
             read_ranking_csv(path, space3, ["a", "b", "c"], [])
 
+    def test_blank_lines_count_in_the_cited_line(self, tmp_path, space3):
+        path = self.write(tmp_path, "a,b,c\n\n1,2,3\n2,2,3\n")
+        with pytest.raises(RankingValidationError, match="^line 4: "):
+            read_ranking_csv(path, space3, ["a", "b", "c"], [])
+
+    def test_cited_line_is_where_the_record_starts(self, tmp_path, space3):
+        # a quoted field spans lines 2-3, and the tied record starts on line 5
+        path = self.write(tmp_path, 'a,b,c,note\n1,2,3,"two\nlines"\n\n'
+                                    '2,2,3,"also\ntwo"\n')
+        with pytest.raises(RankingValidationError, match="^line 5: "):
+            read_ranking_csv(path, space3, ["a", "b", "c"], [])
+
     @pytest.mark.parametrize("cell", ["1.5", "inf", "-inf", "nan"])
     def test_non_integral_or_non_finite_rank_cell_cites_line(
         self, tmp_path, space3, cell
@@ -343,12 +355,14 @@ def csv_texts(draw):
 
 def _csv_reference(path, space, items, decls, ranking_format, extra_columns):
     """``read_ranking_csv`` one record at a time, on ``csv.DictReader`` and
-    ``aggregate``; a record's line is its position among the non-blank records
-    (DictReader skips blank lines), counting the header as line 1."""
+    ``aggregate``; a record's line is its line in the file, where DictReader
+    stands once it has read the record (DictReader skips blank lines, and
+    every record here is one line)."""
     with open(path, newline="", encoding="utf-8") as fh:
-        records = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        records = [(reader.line_num, rec) for rec in reader]
     used = [*items, *(d.name for d in decls)]
-    accepted = [(line, rec) for line, rec in enumerate(records, start=2)
+    accepted = [(line, rec) for line, rec in records
                 if all(rec[c] is not None and rec[c].strip() for c in used)]
     rows, rank_error = [], None
     for line, rec in accepted:

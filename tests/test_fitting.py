@@ -199,6 +199,21 @@ class TestFitStructural:
         w = np.ones((design.cell_set.size, 1))
         with pytest.raises(RankDeficientDesignError, match="A:g=b"):
             m_step(w, design, data)
+        # in a stack of three, the chain that holds neither copy of the term
+        # at zero fails alone; the others, each holding one copy at zero,
+        # finish as they do alone
+        fixed = [(), (2, 3), (4, 5)]
+        starts = [Parameters(np.zeros(design.n_coefficients), np.ones(1))] * 3
+        config = FitConfig(max_iter=5)
+        stacked = run_chains(design, data, starts, config, fixed_zero=fixed)
+        assert isinstance(stacked[0], RankDeficientDesignError)
+        assert "A:g=b" in str(stacked[0])
+        for chain, held in zip(stacked[1:], fixed[1:]):
+            (alone,) = run_chains(design, data, starts[:1], config,
+                                  fixed_zero=[held])
+            assert chain.converged and chain.n_iterations == alone.n_iterations
+            assert chain.loglik == pytest.approx(alone.loglik, abs=1e-9)
+            assert np.array_equal(chain.params.coefficients[list(held)], [0.0, 0.0])
 
     def test_divergence_error_when_steps_cannot_ascend(self, monkeypatch):
         design, data = small_design(1)
@@ -377,7 +392,7 @@ class TestObservedCells:
         (chain,) = run_chains(design, data, [init_start(5, design)],
                               FitConfig(max_iter=4, tol=1e-12))
         assert chain.n_iterations == 4 and not chain.converged
-        assert calls == [(1, design.cell_set.size, 2)] * 5
+        assert calls == [(1, 2, design.cell_set.size)] * 5
 
     @pytest.mark.parametrize("options", [
         {}, {"max_iter": 0},

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from rankmix.data import CovariateDecl, DataError, aggregate
+from rankmix.fitting import FitConfig
 from rankmix.model import (
     Design,
     _logsumexp,
@@ -203,7 +204,7 @@ class TestLogNormalizer:
             np.linspace(-50.0, 50.0, n_items),
         ])
         # a stack of blocks, each its own chain of one set and one class
-        log_z, w = design.log_normalizer(blocks[:, None, None, :])
+        log_z, w, _ = design.log_normalizer(blocks[:, None, None, :])
         mean, second = design.score_moments(w)
         assert np.isfinite(log_z).all()
         # the shift is the largest s . a, so each block's top weight is 1
@@ -215,6 +216,37 @@ class TestLogNormalizer:
                                                    abs=1e-12)
             assert mean[b, 0, 0] == pytest.approx(want_mean, abs=1e-12)
             assert second[b] == pytest.approx(want_second, abs=1e-12)
+
+    @pytest.mark.parametrize("n_items", [3, 6])
+    @pytest.mark.parametrize("n_classes", [1, 2, 3])
+    @pytest.mark.parametrize("stack", [1, 3])
+    def test_cells_log_p_matches_the_dense_table(self, n_items, n_classes, stack):
+        # three sets, about half the cells observed; the last chain's
+        # coefficients all sit just inside the degenerate class offset, with
+        # the sign of their item, so that the effects add up within a block
+        rng = np.random.default_rng(10 * n_items + n_classes)
+        L = math.factorial(n_items)
+        counts = rng.integers(0, 3, (3, L)) * (rng.random((3, L)) < 0.5)
+        counts[:, 0] += 1
+        design = Design(ModelSpec(tuple("ABCDEF"[:n_items]), ("g",), n_classes),
+                        make_data(n_items, counts, factor_levels=["a", "b", "c"]))
+        coefficients = rng.normal(0.0, 1.0, (stack, design.n_coefficients))
+        edge = 0.995 * FitConfig().degenerate_offset
+        signs = np.where(np.arange(n_items - 1) < n_items // 2, 1.0, -1.0)
+        coefficients[-1] = np.tile(edge * signs, design.X.shape[-1])
+        _, w, logp = design.log_normalizer(design.block_effects(coefficients))
+        assert logp.shape == (stack, n_classes, design.cell_set.size)
+        for b in range(stack):
+            dense = design.log_pattern_probs(coefficients[b])
+            want = dense[design.cell_set, design.cell_pattern].T
+            assert np.abs(logp[b] - want).max() < 1e-12
+        if n_items == 6:
+            # exp underflows many of the extreme chain's pattern weights (most
+            # of them in a block with a class offset), while its cells' log P
+            # stays finite
+            underflow = np.mean(w[-1] == 0.0, axis=-1).max()
+            assert underflow > (0.5 if n_classes > 1 else 0.4)
+        assert np.isfinite(logp).all()
 
 
 class TestLogsumexp:
