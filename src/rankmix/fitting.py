@@ -20,7 +20,8 @@ column c, item i) pair. A block with expected total n, observed score
 total t and pattern probabilities p contributes X_c (t - n E[s])_i to
 the score, n X_c X_d Cov[s]_ij to the information entry of (c, i) and
 (d, j), and t . a - n log Z to the expected-count log-likelihood, with
-Cov[s] = E[s s'] - E[s] E[s]'. The pattern space enters only through
+Cov[s] = E[s s'] - E[s] E[s]'; the score and information kernels are
+those of ``rankmix.model``. The pattern space enters only through
 ``Design.log_normalizer``, which gives each block's log Z, its pattern
 weights (proportional to p) and log P at the cells in one pass over the
 patterns: a step-halving trial needs log Z alone, the accepted trial's
@@ -72,7 +73,9 @@ from .model import (
     ModelSpec,
     Parameters,
     _coefficient_score,
+    _column_products,
     _mixture,
+    _moments_information,
     bic,
     count_parameters,
 )
@@ -189,38 +192,6 @@ def init_start(seed, design: Design, scale: float = 0.5) -> Parameters:
 # weights, B x K x R x L doubles, stay within this many entries
 # (8 MB); a design whose blocks alone exceed it runs one chain at a time.
 _STACK_ENTRIES = 1_000_000
-
-
-def _column_products(design: Design, m_plus: np.ndarray) -> np.ndarray:
-    """The information's block weights m_plus[k, r] X_krc X_krd, (B, K * R, Q * Q)."""
-    K, R, Q = design.X.shape
-    X = design.X.reshape(K * R, Q)
-    return ((m_plus.reshape(-1, K * R, 1) * X)[..., :, None]
-            * X[:, None, :]).reshape(-1, K * R, Q * Q)
-
-
-def _moments_information(w: np.ndarray, design: Design, products: np.ndarray):
-    """Per-block score means E[s] (..., K, R, J) and the information (B, P, P).
-
-    ``w`` holds the pattern weights as one row per (set, class) block,
-    (..., K * R, L), as :meth:`Design.log_normalizer` returns them, and
-    ``products`` the :func:`_column_products` of the block totals. The
-    entry for coefficients (c, i) and (d, j) is sum_kr m_plus[k, r]
-    X_krc X_krd Cov_kr[s]_ij over the non-reference items, one matrix
-    product of the column products with the block covariances
-    Cov[s] = E[s s'] - E[s] E[s]', whose moments come from one product of
-    ``w`` with the design's moment table.
-    """
-    KR = w.shape[-2]
-    J1 = design.n_items - 1
-    Q = design.X.shape[-1]
-    mean, second = design.score_moments(w)
-    free_mean = mean[..., :-1].reshape(-1, J1)
-    cov = second - (free_mean[:, :, None] * free_mean[:, None, :]).reshape(
-        len(second), -1)
-    info = np.swapaxes(products, 1, 2) @ cov.reshape(-1, KR, J1 * J1)
-    info = info.reshape(-1, Q, Q, J1, J1).transpose(0, 1, 3, 2, 4)
-    return mean, info.reshape(-1, Q * J1, Q * J1)
 
 
 def _rank_deficiency(info: np.ndarray, names: list[str]) -> RankDeficientDesignError:
@@ -360,21 +331,6 @@ def _newton(m, design: Design, beta, start: list, fixed, tol: float,
                     x[going] for x in (chains, beta, dev, w, m_plus, observed,
                                        saturated, fixed, free_pairs, products))
     return (*out, errors)
-
-
-def structural_information(
-    design: Design, coefficients: np.ndarray, m: np.ndarray
-) -> np.ndarray:
-    """Fisher information of the expected-count multinomial at ``coefficients``.
-
-    This is the information the final scoring pass sees with the posterior
-    weights treated as known, with the per-(set, class) nuisance totals
-    profiled out. ``m`` holds the expected counts at the observed cells,
-    (nnz, R).
-    """
-    m_plus = design.set_sums(design.cell_values(m))
-    w = design.log_normalizer(design.block_effects(coefficients))[1]
-    return _moments_information(w, design, _column_products(design, m_plus))[1][0]
 
 
 def _mass_update(w, design: Design, min_mass: float):

@@ -1,16 +1,19 @@
 """Standard errors for fitted coefficients.
 
 EM itself understates uncertainty because the posterior class weights are
-treated as known in the final scoring pass. Three quantities are offered:
+treated as known in the final scoring pass. Three quantities are offered;
+raw and hessian are two readings of one information kernel,
+``rankmix.model._information``, at the fit's parameters:
 
-* raw: square roots of the inverse Fisher information of the final
-  weighted scoring pass (posterior weights held fixed);
+* raw: square roots of the inverse of the kernel's complete-data
+  coefficient block, the Fisher information of the final weighted
+  scoring pass (posterior weights held fixed);
 * corrected: the likelihood-ratio-equating value |estimate| / sqrt(drop
   in 2 log L when the coefficient is constrained to zero), so the Wald
   statistic reproduces the LR test exactly;
-* hessian: from the observed information of the full mixture likelihood,
-  computed exactly by Louis's identity as the complete-data information
-  minus the missing information.
+* hessian: from the kernel's observed information of the full mixture
+  likelihood, computed exactly by Louis's identity as the complete-data
+  information minus the missing information.
 """
 
 from __future__ import annotations
@@ -20,15 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import AggregatedData
-from .fitting import (
-    FitConfig,
-    FitError,
-    FitResult,
-    _column_products,
-    _moments_information,
-    run_chains,
-    structural_information,
-)
+from .fitting import FitConfig, FitError, FitResult, run_chains
+from .model import _information
 
 # EM iterations allowed to each constrained refit
 _MAX_REFIT_ITER = 200
@@ -64,9 +60,8 @@ def raw_em_standard_errors(fit: FitResult, data: AggregatedData) -> np.ndarray:
     """SEs from the final scoring pass with posterior weights held fixed."""
     design = fit.design
     design.check_data(data)
-    m = design.cell_counts[:, None] * fit.posteriors
-    info = structural_information(design, fit.params.coefficients, m)
-    cov = np.linalg.inv(info)
+    p = design.n_coefficients
+    cov = np.linalg.inv(_information(fit.params, design)[1][:p, :p])
     diag = np.diag(cov)
     if np.any(diag <= 0):
         raise StandardErrorError("final-pass information is not positive definite")
@@ -151,16 +146,10 @@ def corrected_se(
 def hessian_standard_errors(fit: FitResult, data: AggregatedData):
     """Observed-information SEs for all structural coefficients.
 
-    The information is over the coefficients and the R - 1 mass
-    log-ratios log(q_r / q_R), at the fit's parameters and posterior
-    weights w. By Louis's identity it is the complete-data information
-    minus the missing information. The complete-data part is the
-    structural information at the expected counts n w plus the mass block
-    N (diag(q~) - q~ q~'), with q~ the first R - 1 masses. The missing part
-    is sum over observed cells of n (sum_r w_r g_r g_r' - g g'), where g_r
-    is the gradient of log(q_r P_r) at the cell,
-    [X_kr (x) (s_l - E_kr[s]) over the free items, e_r - q~], and g is
-    its posterior mean sum_r w_r g_r.
+    The information is the observed information of the mixture
+    likelihood over the coefficients and the R - 1 mass log-ratios
+    log(q_r / q_R) at the fit's parameters, by Louis's identity (see
+    :func:`rankmix.model._information`).
 
     Returns (per-coefficient SEs, information, covariance). Raises when
     the information is not positive definite, listing the flat or
@@ -168,39 +157,11 @@ def hessian_standard_errors(fit: FitResult, data: AggregatedData):
     """
     design = fit.design
     design.check_data(data)
-    beta = fit.params.coefficients
-    q = fit.params.mixing[:-1]
-    n = design.cell_counts
-    w = fit.posteriors
-    m = n[:, None] * w
-    nnz, R = w.shape
-    p = design.n_coefficients
-
-    complete = np.zeros((p + R - 1, p + R - 1))
-    weights = design.log_normalizer(design.block_effects(beta))[1]
-    mean, structural = _moments_information(
-        weights, design, _column_products(design, design.set_sums(m)))
-    complete[:p, :p] = structural[0]
-    complete[p:, p:] = n.sum() * (np.diag(q) - np.outer(q, q))
-
-    resid = (design.cell_scores[:, None, :] - mean[design.cell_set])[..., :-1]
-    X = design.X[design.cell_set]  # (nnz, R, Q)
-    g = np.concatenate(
-        [
-            (X[..., :, None] * resid[..., None, :]).reshape(nnz, R, p),
-            np.broadcast_to(np.eye(R)[:, :-1] - q, (nnz, R, R - 1)),
-        ],
-        axis=-1,
-    ).reshape(nnz * R, -1)
-    g_mean = (w[..., None] * g.reshape(nnz, R, -1)).sum(axis=1)
-    missing = (m.reshape(-1, 1) * g).T @ g - (n[:, None] * g_mean).T @ g_mean
-    info = complete - missing
-    info = 0.5 * (info + info.T)
-
+    info = _information(fit.params, design)[2]
     eigvals, eigvecs = np.linalg.eigh(info)
     if eigvals.min() <= 0:
         names = [c.name for c in design.coefficients] + [
-            f"mass{r + 1}" for r in range(R - 1)
+            f"mass{r + 1}" for r in range(fit.params.n_classes - 1)
         ]
         flat = []
         for idx in np.nonzero(eigvals <= 0)[0]:
@@ -211,7 +172,7 @@ def hessian_standard_errors(fit: FitResult, data: AggregatedData):
             "observed information is not positive definite: " + "; ".join(flat)
         )
     cov = eigvecs @ np.diag(1.0 / eigvals) @ eigvecs.T
-    return np.sqrt(np.diag(cov))[:p], info, cov
+    return np.sqrt(np.diag(cov))[:design.n_coefficients], info, cov
 
 
 def _add_note(row: CoefficientSE, note: str):

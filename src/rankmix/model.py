@@ -38,6 +38,11 @@ the log mixture log sum_r q_r P_r and the posterior weights to the EM
 loop, ``mixture_loglik``, ``posterior_weights`` and ``mixture_score``.
 Only ``Design.log_pattern_probs`` gives every (K, L, R) cell.
 
+The information kernels live here too: ``_moments_information`` for the
+Newton solve, and ``_information``, the score and observed information
+of the mixture likelihood by Louis's identity (Louis 1982, JRSS-B
+44:226), which the raw and Hessian SEs and ``mixture_score`` read.
+
 The kernels of the fit (``block_effects``, ``log_normalizer``,
 ``score_moments``, ``set_sums``, ``block_totals``) also take a leading
 stack of chains: coefficients (B, P) give item effects (B, K, R, J),
@@ -172,7 +177,6 @@ class Design:
         self.cell_set, self.cell_pattern = data.cell_set, data.cell_pattern
         self.cell_counts = data.cell_counts.astype(np.float64)
         self.n_respondents = self.cell_counts.sum()
-        self.cell_scores = self.S[self.cell_pattern]  # (nnz, J)
         # [s'; 1] per cell, (J + 1, nnz), for the score and block totals
         self._cell_score_rows = self._shifted_scores[:, self.cell_pattern]
         self._observed_sets, self._set_starts = np.unique(
@@ -471,6 +475,78 @@ def _coefficient_score(X: np.ndarray, t: np.ndarray, m_plus: np.ndarray,
     return score.reshape(lead + (-1,))
 
 
+def _column_products(design: Design, m_plus: np.ndarray) -> np.ndarray:
+    """The information's block weights m_plus[k, r] X_krc X_krd, (B, K * R, Q * Q)."""
+    K, R, Q = design.X.shape
+    X = design.X.reshape(K * R, Q)
+    return ((m_plus.reshape(-1, K * R, 1) * X)[..., :, None]
+            * X[:, None, :]).reshape(-1, K * R, Q * Q)
+
+
+def _moments_information(w: np.ndarray, design: Design, products: np.ndarray):
+    """Per-block score means E[s] (..., K, R, J) and the information (B, P, P).
+
+    ``w`` holds the pattern weights as one row per (set, class) block,
+    (..., K * R, L), as :meth:`Design.log_normalizer` returns them, and
+    ``products`` the :func:`_column_products` of the block totals. The
+    entry for coefficients (c, i) and (d, j) is sum_kr m_plus[k, r]
+    X_krc X_krd Cov_kr[s]_ij over the non-reference items, one matrix
+    product of the column products with the block covariances
+    Cov[s] = E[s s'] - E[s] E[s]', whose moments come from one product of
+    ``w`` with the design's moment table.
+    """
+    KR = w.shape[-2]
+    J1 = design.n_items - 1
+    Q = design.X.shape[-1]
+    mean, second = design.score_moments(w)
+    free_mean = mean[..., :-1].reshape(-1, J1)
+    cov = second - (free_mean[:, :, None] * free_mean[:, None, :]).reshape(
+        len(second), -1)
+    info = np.swapaxes(products, 1, 2) @ cov.reshape(-1, KR, J1 * J1)
+    info = info.reshape(-1, Q, Q, J1, J1).transpose(0, 1, 3, 2, 4)
+    return mean, info.reshape(-1, Q * J1, Q * J1)
+
+
+def _information(params: Parameters, design: Design):
+    """Score, complete-data and observed information at ``params``.
+
+    All are over the coefficients (design column outer, item inner), then
+    the R - 1 mass log-ratios log(q_r / q_R), from one normalizer call:
+    its log P gives the posterior weights w, its pattern weights the
+    structural information at the expected counts m = n w, to which the
+    complete-data information adds the mass block N (diag(q~) - q~ q~'),
+    q~ the first R - 1 masses. At a cell, g_r = [X_kr (x) (s_l - E_kr[s])
+    over the free items, e_r - q~] is the gradient of log(q_r P_r) and
+    g = sum_r w_r g_r. The score is sum over cells of n g, and the observed
+    information (Louis's identity) the complete-data information minus
+    the missing information sum over cells of n (sum_r w_r g_r g_r' - g g').
+    """
+    q = params.mixing[:-1]
+    n = design.cell_counts
+    _, weights, logp = design.log_normalizer(design.block_effects(params.coefficients))
+    w = _mixture(logp, params.mixing[:, None])[1].T  # (nnz, R)
+    m = n[:, None] * w
+    nnz, R = w.shape
+    p = design.n_coefficients
+
+    complete = np.zeros((p + R - 1, p + R - 1))
+    mean, structural = _moments_information(
+        weights, design, _column_products(design, design.set_sums(m)))
+    complete[:p, :p] = structural[0]
+    complete[p:, p:] = design.n_respondents * (np.diag(q) - np.outer(q, q))
+
+    resid = (design._cell_score_rows[:-1].T[:, None, :]
+             - mean[design.cell_set])[..., :-1]
+    X = design.X[design.cell_set]  # (nnz, R, Q)
+    g = np.concatenate([(X[..., :, None] * resid[..., None, :]).reshape(nnz, R, p),
+                        np.broadcast_to(np.eye(R)[:, :-1] - q, (nnz, R, R - 1))],
+                       axis=-1).reshape(nnz * R, -1)
+    g_mean = (w[..., None] * g.reshape(nnz, R, -1)).sum(axis=1)
+    missing = (m.reshape(-1, 1) * g).T @ g - (n[:, None] * g_mean).T @ g_mean
+    observed = complete - missing
+    return n @ g_mean, complete, 0.5 * (observed + observed.T)
+
+
 def posterior_weights(params: Parameters, design: Design) -> np.ndarray:
     """Posterior class probabilities at the observed cells, shaped (nnz, R)."""
     logp = design.log_normalizer(design.block_effects(params.coefficients))[2]
@@ -505,13 +581,7 @@ def mixture_score(
     blocks; the mass block is N * (posterior share - q).
     """
     design.check_data(data)
-    _, weights, logp = design.log_normalizer(design.block_effects(params.coefficients))
-    m = _mixture(logp, params.mixing[:, None])[1] * design.cell_counts
-    m_plus, t = design.block_totals(m)
-    score_coef = _coefficient_score(design.X, t, m_plus,
-                                    design.score_moments(weights)[0])
-    score_mass = m.sum(axis=1)[:-1] - design.n_respondents * params.mixing[:-1]
-    return np.concatenate([score_coef, score_mass])
+    return _information(params, design)[0]
 
 
 def count_parameters(design: Design, count_masses: bool = False) -> int:

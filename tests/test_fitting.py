@@ -18,7 +18,6 @@ from rankmix.fitting import (
     search_classes,
     compare_term_models,
     split_largest_class,
-    structural_information,
 )
 import rankmix.inference as inference
 from rankmix.inference import StandardErrorError, corrected_se, standard_error_report
@@ -26,6 +25,7 @@ from rankmix.model import (
     Design,
     ModelSpec,
     Parameters,
+    _information,
     mixture_loglik,
     posterior_weights,
 )
@@ -228,13 +228,16 @@ class TestFitStructural:
 
 
 class TestStructuralInformation:
-    """The information is minus the Hessian of the expected-count multinomial
-    log-likelihood, which here is summed literally over oracle ranking
-    distributions and differentiated numerically."""
+    """The coefficient block of the complete-data information is minus the
+    Hessian of the expected-count multinomial log-likelihood, with the
+    expected counts m = n w held at the posterior weights w of the
+    information's own parameters; the log-likelihood is summed literally
+    over oracle ranking distributions and differentiated numerically."""
 
     @staticmethod
     def instance():
-        # J=3, R=2, one factor term and one continuous term
+        # J=3, R=2, one factor term and one continuous term, at random
+        # coefficients and masses
         rng = np.random.default_rng(17)
         space = shared_space(3)
         rows = [
@@ -245,10 +248,12 @@ class TestStructuralInformation:
         data = aggregate(space, rows, [CovariateDecl("g", "factor"),
                                        CovariateDecl("x", "continuous")])
         design = Design(ModelSpec(("A", "B", "C"), ("g", "x"), 2), data)
-        w = rng.dirichlet(np.ones(2), size=data.counts.shape)
-        m = data.counts[:, :, None] * w
-        coefs = rng.normal(0, 0.6, design.n_coefficients)
-        return design, m, coefs
+        params = Parameters(rng.normal(0, 0.6, design.n_coefficients),
+                            rng.dirichlet(np.ones(2)))
+        m = np.zeros(data.counts.shape + (2,))
+        m[design.cell_set, design.cell_pattern] = (
+            design.cell_counts[:, None] * posterior_weights(params, design))
+        return design, m, params
 
     @staticmethod
     def expected_count_loglik(design, m, coefs):
@@ -261,12 +266,13 @@ class TestStructuralInformation:
         )
 
     def test_equals_minus_numerical_hessian(self):
-        design, m, coefs = self.instance()
+        design, m, params = self.instance()
         hess = oracles.numerical_hessian(
-            lambda c: self.expected_count_loglik(design, m, c), coefs
+            lambda c: self.expected_count_loglik(design, m, c), params.coefficients
         )
-        info = structural_information(design, coefs, at_cells(design, m))
-        assert info == pytest.approx(-hess, rel=1e-5, abs=1e-5)
+        p = design.n_coefficients
+        complete = _information(params, design)[1][:p, :p]
+        assert complete == pytest.approx(-hess, rel=1e-5, abs=1e-5)
 
 
 class TestObservedCells:
@@ -431,8 +437,11 @@ class TestObservedCells:
         assert len(normalizer_calls) == len(points) >= 1 + 3
 
     def test_negative_drop_raises_after_one_refit(self, monkeypatch):
+        # a fit stopped short of its maximum, so that the refit of A:class1
+        # climbs above it
         design, data = self.instance()
-        result = fit(design.spec, data, FitConfig(n_starts=2))
+        result = fit(design.spec, data, FitConfig(n_starts=2, max_iter=3))
+        assert not result.converged
         chains = []
         refit = inference.run_chains
 

@@ -19,6 +19,7 @@ from rankmix.inference import (
     standard_error_report,
 )
 from rankmix.model import (
+    Design,
     ModelSpec,
     Parameters,
     mixture_loglik,
@@ -157,6 +158,36 @@ class TestHessianSE:
                                          result.params.coefficients)
         oracle_ses = np.sqrt(np.diag(np.linalg.inv(-hess)))
         assert ses == pytest.approx(oracle_ses, abs=1e-4)
+
+    def test_single_class_equals_raw(self):
+        # one class: every posterior weight is 1, so the missing information
+        # is zero, the observed information is the complete-data one, and
+        # it has no mass block
+        result, data = single_class_fit()
+        hess, info, _ = hessian_standard_errors(result, data)
+        raw = raw_em_standard_errors(result, data)
+        assert info.shape == (result.design.n_coefficients,) * 2
+        assert np.abs(hess / raw - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("call", [
+        lambda fit, data: raw_em_standard_errors(fit, data),
+        lambda fit, data: hessian_standard_errors(fit, data),
+        lambda fit, data: mixture_score(fit.params, fit.design, data),
+    ], ids=["raw", "hessian", "score"])
+    def test_one_normalizer_call(self, monkeypatch, call):
+        # the score and both informations come from one pass over the
+        # patterns at the fit's parameters
+        result, data = two_class_two_set_fit()
+        calls = []
+        normalizer = Design.log_normalizer
+
+        def counted(self, a):
+            calls.append(1)
+            return normalizer(self, a)
+
+        monkeypatch.setattr(Design, "log_normalizer", counted)
+        call(result, data)
+        assert len(calls) == 1
 
     def test_identical_classes_reported_as_flat(self):
         rng = np.random.default_rng(8)

@@ -10,6 +10,8 @@ from rankmix.data import CovariateDecl, DataError, aggregate
 from rankmix.fitting import FitConfig
 from rankmix.model import (
     Design,
+    _coefficient_score,
+    _information,
     _logsumexp,
     ModelSpec,
     Parameters,
@@ -18,6 +20,7 @@ from rankmix.model import (
     mixture_loglik,
     mixture_score,
     pairwise_win_prob,
+    posterior_weights,
     worths,
 )
 
@@ -416,6 +419,36 @@ class TestScore:
             numeric[c] = (loglik_at(hi) - loglik_at(lo)) / (2 * h)
         scale = max(np.abs(numeric).max(), 1.0)
         assert np.abs(analytic - numeric).max() / scale < 1e-5
+
+
+class TestInformation:
+    @pytest.mark.parametrize("n_classes", [1, 2, 3])
+    def test_score_is_fishers_identity(self, n_classes):
+        # the posterior mean of the complete-data score: over the
+        # coefficients, the score of sum m log P at m = n w that the Newton
+        # solve of the M step ascends; over the log-masses, the expected
+        # class totals minus N q
+        design, data = design_for(
+            [[6, 3, 4, 1, 2, 1], [2, 5, 1, 3, 1, 4]],
+            n_classes=n_classes,
+            factor_levels=["a", "b"],
+            terms=("g",),
+        )
+        rng = np.random.default_rng(60 + n_classes)
+        params = Parameters(rng.normal(0, 0.7, design.n_coefficients),
+                            rng.dirichlet(np.ones(n_classes)))
+        score = _information(params, design)[0]
+        p = design.n_coefficients
+        assert score.shape == (p + n_classes - 1,)
+        m = (design.cell_counts[:, None] * posterior_weights(params, design)).T
+        m_plus, t = design.block_totals(m)
+        weights = design.log_normalizer(design.block_effects(params.coefficients))[1]
+        newton = _coefficient_score(design.X, t, m_plus,
+                                    design.score_moments(weights)[0])
+        assert np.abs(score[:p] - newton).max() <= 1e-12 * np.abs(newton).max()
+        shares = m.sum(axis=1)[:-1] - design.n_respondents * params.mixing[:-1]
+        assert np.abs(score[p:] - shares).max(initial=0.0) <= (
+            1e-12 * np.abs(shares).max(initial=1.0))
 
 
 class TestParameterCount:
