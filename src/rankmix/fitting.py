@@ -30,10 +30,10 @@ table [1 | s | s_i s_j], and its log P gives the E step, so no
 normalizer runs between M steps. In the loop, log P, the posterior
 weights and the expected counts are class-major (B, R, nnz) arrays:
 sums over classes run over a short leading axis, sums over cells over
-contiguous runs. Chains enter and leave the stack as (nnz, R) rows
-aligned with ``Design.cell_set`` / ``Design.cell_pattern``
-(``initial_weights``, ``FitResult.posteriors``). No (K, L, R) array is
-built unless a callback asks for the dense posterior weights.
+contiguous runs. Chains leave the stack with (nnz, R) rows aligned with
+``Design.cell_set`` / ``Design.cell_pattern`` (``FitResult.posteriors``).
+No (K, L, R) array is built unless a callback asks for the dense
+posterior weights.
 
 Several independent chains are run from random starts; the chain with the
 best final likelihood wins. Chains that collapse a class (vanishing mass
@@ -41,9 +41,8 @@ or runaway offsets) are flagged degenerate and excluded from selection
 while any healthy chain exists.
 
 Every EM iteration happens in one loop, ``_run_stack``, which runs
-independent chains of one design as a stack with a leading chain axis B:
-a fit's random and warm starts, or the constrained refits of the
-corrected standard errors. An iteration updates the masses, lets the
+independent chains of one design, a fit's random and warm starts, as a
+stack with a leading chain axis B. An iteration updates the masses, lets the
 chains whose smallest mass fell below ``degenerate_mass`` leave, runs one
 Newton solve (``_newton``) for the rest, and then one softmax over the
 accepted Newton trial's log P at the cells gives both the log-likelihood
@@ -56,6 +55,12 @@ fails, and the others go on, so each chain takes exactly the iterations
 it takes alone. A stack holds as many chains as keep its pattern
 weights within ``_STACK_ENTRIES`` entries. The public ``m_step`` is the
 same mass update and Newton solve for a stack of one chain.
+
+The constrained refits of the corrected standard errors do not run EM:
+``_damped_newton`` climbs the mixture likelihood itself by damped Newton
+steps on the score and the observed and complete-data informations of
+``model._information_stack``, each chain holding one coordinate at zero,
+in stacks of the same size.
 """
 
 from __future__ import annotations
@@ -72,10 +77,13 @@ from .model import (
     Design,
     ModelSpec,
     Parameters,
+    _STACK_ENTRIES,
     _coefficient_score,
     _column_products,
+    _information_stack,
     _mixture,
     _moments_information,
+    _unpack_theta,
     bic,
     count_parameters,
 )
@@ -188,12 +196,6 @@ def init_start(seed, design: Design, scale: float = 0.5) -> Parameters:
     return Parameters(coefs, mixing)
 
 
-# Chains of one design advance as one stack while their pattern
-# weights, B x K x R x L doubles, stay within this many entries
-# (8 MB); a design whose blocks alone exceed it runs one chain at a time.
-_STACK_ENTRIES = 1_000_000
-
-
 def _rank_deficiency(info: np.ndarray, names: list[str]) -> RankDeficientDesignError:
     """The error naming the coefficients along the flat directions of ``info``."""
     eigvals, eigvecs = np.linalg.eigh(info)
@@ -212,21 +214,33 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x.reshape(n, 1, -1) @ y.reshape(n, -1, 1))[:, 0, 0]
 
 
-def _newton(m, design: Design, beta, start: list, fixed, tol: float,
-            max_iter: int):
+def _cholesky_failures(a: np.ndarray) -> list[int]:
+    """Indices of the matrices of a stack (B, D, D) that fail the Cholesky test."""
+    try:
+        np.linalg.cholesky(a)
+        return []
+    except np.linalg.LinAlgError:
+        failures = []
+        for j, x in enumerate(a):
+            try:
+                np.linalg.cholesky(x)
+            except np.linalg.LinAlgError:
+                failures.append(j)
+        return failures
+
+
+def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
     """Maximize sum m[b, r, cell] log P over the coefficients of B chains.
 
-    ``m`` (B, R, nnz) holds each chain's expected counts, class-major,
-    ``beta`` (B, P) its start and ``fixed`` (B, P) the coefficients it
-    holds at zero, which must be zero in ``beta``. ``start`` is the list
+    ``m`` (B, R, nnz) holds each chain's expected counts, class-major, and
+    ``beta`` (B, P) its start. ``start`` is the list
     [a, log Z, pattern weights] of :meth:`Design.log_normalizer` at
     ``beta``; it is emptied, so that the weights are freed by the first
     moment product, before the first trial allocates its own. Each chain
     takes its own Newton steps with its own step halving and stops by its
-    own deviance change; the stack shrinks as chains stop. A fixed
-    coefficient gets an identity row and column in the information and a
-    zero score, so its step is exactly zero. A chain whose information
-    fails the Cholesky test takes a zero step and leaves with its error.
+    own deviance change; the stack shrinks as chains stop. A chain whose
+    information fails the Cholesky test takes a zero step (an identity
+    system and a zero score) and leaves with its error.
 
     Returns the coefficients (B, P), and the normalizer's arrays there (the
     accepted trial's, so the caller needs no further normalizer): the item
@@ -257,33 +271,20 @@ def _newton(m, design: Design, beta, start: list, fixed, tol: float,
     errors: list[FitError | None] = [None] * n
     # the chains still stepping; every array below has one row per chain
     chains = np.arange(n)
-    free_pairs = ~(fixed[:, :, None] | fixed[:, None, :])
-    identity = np.eye(fixed.shape[1])
     products = _column_products(design, m_plus)
     dev = deviance(a, log_z, observed, m_plus, saturated)
     out = None  # per chain, where it stopped, once a chain has stopped
     for iteration in range(1, max_iter + 1):
         mean, info = _moments_information(w, design, products)
         del w  # freed before the trials allocate theirs
-        info = np.where(free_pairs, info, identity)
         score = _coefficient_score(design.X, observed, m_plus, mean)
-        score[fixed] = 0.0
-        failed = []
-        try:
-            np.linalg.cholesky(info)
-        except np.linalg.LinAlgError:
-            # find the failing chains; they take a zero step and leave
-            for j, c in enumerate(chains):
-                try:
-                    np.linalg.cholesky(info[j])
-                except np.linalg.LinAlgError:
-                    free = np.nonzero(~fixed[j])[0]
-                    errors[c] = _rank_deficiency(info[j][np.ix_(free, free)],
-                                                 [design.coefficients[i].name
-                                                  for i in free])
-                    failed.append(j)
-                    info[j] = identity
-                    score[j] = 0.0
+        # the failing chains take a zero step and leave
+        failed = _cholesky_failures(info)
+        for j in failed:
+            errors[chains[j]] = _rank_deficiency(
+                info[j], [c.name for c in design.coefficients])
+        info[failed] = np.eye(info.shape[-1])
+        score[failed] = 0.0
         direction = np.linalg.solve(info, score[..., None])[..., 0]
 
         # every chain still rising after h halvings has step 2^-h
@@ -326,10 +327,9 @@ def _newton(m, design: Design, beta, start: list, fixed, tol: float,
             if stopped == len(chains):
                 break
             going = ~stop
-            chains, beta, dev, w, m_plus, observed, saturated, fixed, \
-                free_pairs, products = (
-                    x[going] for x in (chains, beta, dev, w, m_plus, observed,
-                                       saturated, fixed, free_pairs, products))
+            chains, beta, dev, w, m_plus, observed, saturated, products = (
+                x[going] for x in (chains, beta, dev, w, m_plus, observed,
+                                   saturated, products))
     return (*out, errors)
 
 
@@ -373,10 +373,9 @@ def m_step(
         raise DegenerateClassError(low_mass)
     beta = (np.zeros(design.n_coefficients) if start is None
             else start.coefficients)
-    fixed = np.zeros((1, beta.size), dtype=bool)  # no coefficient held at 0
     a = design.block_effects(beta[None])
     beta, *_, (error,) = _newton(m, design, beta[None],
-                                 [a, *design.log_normalizer(a)[:2]], fixed,
+                                 [a, *design.log_normalizer(a)[:2]],
                                  config.irls_tol, config.irls_max_iter)
     if error is not None:
         raise error
@@ -397,14 +396,13 @@ class _Chain:
     posteriors: np.ndarray | None = None  # (nnz, R), at params
 
 
-def _run_stack(design: Design, starts, config: FitConfig, labels, fixed,
-               initial_weights, callback):
+def _run_stack(design: Design, starts, config: FitConfig, labels, callback):
     """EM for a stack of chains; see :func:`run_chains`."""
     B = len(starts)
 
     def e_step(logp, q):
         """Log-likelihoods, deviances and posterior weights from the cells' log P."""
-        log_mixture, w = _mixture(logp, q[:, :, None])
+        log_mixture, w = _mixture(logp, np.log(q)[:, :, None])
         ll = log_mixture @ design.cell_counts
         return ll, 2.0 * (design.saturated_loglik - ll), w
 
@@ -413,7 +411,7 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, fixed,
     # and pattern weights at b, where the next Newton solve starts (and
     # frees the weights)
     chains = np.arange(B)
-    b = np.where(fixed, 0.0, [s.coefficients for s in starts])
+    b = np.array([s.coefficients for s in starts], dtype=np.float64)
     q = np.array([s.mixing for s in starts], dtype=np.float64)
     a = design.block_effects(b)
     *at_b, logp = a, *design.log_normalizer(a)
@@ -421,8 +419,6 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, fixed,
     # per chain, the final state, written when the chain leaves the stack
     beta, mixing, loglik, dev = b.copy(), q.copy(), ll.copy(), d.copy()
     posteriors = w
-    if initial_weights is not None:
-        w = np.broadcast_to(initial_weights.T, w.shape)
     traces = [[float(x)] for x in d]
     n_iter = np.zeros(B, dtype=int)
     converged = np.zeros(B, dtype=bool)
@@ -431,14 +427,13 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, fixed,
 
     def leave(stop, iterations, *rows):
         """Write the stopping chains' state, drop them, keep the rest of ``rows``."""
-        nonlocal chains, b, q, ll, d, w, fixed
+        nonlocal chains, b, q, ll, d, w
         done = chains[stop]
         beta[done], mixing[done], loglik[done], dev[done], posteriors[done] = \
             b[stop], q[stop], ll[stop], d[stop], w[stop]
         n_iter[done] = iterations
         keep = ~stop
-        chains, b, q, ll, d, w, fixed = (x[keep] for x in (chains, b, q, ll, d,
-                                                            w, fixed))
+        chains, b, q, ll, d, w = (x[keep] for x in (chains, b, q, ll, d, w))
         return [x[keep] for x in rows]
 
     for iteration in range(1, config.max_iter + 1):
@@ -446,7 +441,7 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, fixed,
             break
         if callback is not None:
             dense_w = _mixture(design.log_pattern_probs(b[0]).transpose(0, 2, 1),
-                               q[0][:, None])[1].transpose(0, 2, 1)
+                               np.log(q[0])[:, None])[1].transpose(0, 2, 1)
         # M step: the masses, then the coefficients of the chains whose
         # classes all kept their mass; the others keep their last parameters
         m, new_q, low_mass = _mass_update(w, design, config.degenerate_mass)
@@ -457,8 +452,8 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, fixed,
             m, new_q, *at_b = leave(sick, iteration - 1, m, new_q, *at_b)
             if not chains.size:
                 break
-        b, *at_b, logp, errors = _newton(m, design, b, at_b, fixed,
-                                         config.irls_tol, config.irls_max_iter)
+        b, *at_b, logp, errors = _newton(m, design, b, at_b, config.irls_tol,
+                                         config.irls_max_iter)
         q = new_q
         # a chain whose Newton solve failed leaves with its error
         failed = np.array([e is not None for e in errors])
@@ -510,6 +505,12 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, fixed,
     ]
 
 
+def _stack_size(design: Design) -> int:
+    """Chains per stack: their pattern weights keep within ``_STACK_ENTRIES``."""
+    block_entries = design.n_sets * design.n_classes * design.n_patterns
+    return max(1, _STACK_ENTRIES // block_entries)
+
+
 def run_chains(
     design: Design,
     data: AggregatedData,
@@ -517,8 +518,6 @@ def run_chains(
     config: FitConfig,
     labels=None,
     callback: Callable | None = None,
-    fixed_zero=None,
-    initial_weights: np.ndarray | None = None,
 ) -> list:
     """Run independent EM chains of one design, stacked; one result per start.
 
@@ -526,33 +525,133 @@ def run_chains(
     stack (see the module docstring), and each takes exactly the
     iterations it takes alone.
 
-    ``labels`` names the chains (default ``chain``), and ``fixed_zero``
-    gives each chain its own sequence of coefficient indices held at zero.
-    ``initial_weights`` (nnz, R) replaces every chain's first E step, which
-    is how constrained refits resume from a converged fit.
+    ``labels`` names the chains (default ``chain``).
     ``callback(iteration, params, w, loglik)`` receives the dense (K, L, R)
     weights of each iteration's M step, built only for it; with a callback
     each chain runs alone, so the callback sees each chain's iterations in
-    one run, and ``initial_weights`` cannot be given. Returns, in start
-    order, each chain's ``_Chain`` or the ``FitError`` that stopped it.
+    one run. Returns, in start order, each chain's ``_Chain`` or the
+    ``FitError`` that stopped it.
     """
     design.check_data(data)
-    if callback is not None and initial_weights is not None:
-        raise ValueError("run_chains takes a callback or initial_weights, not both")
-    if initial_weights is not None:
-        initial_weights = design.cell_values(initial_weights)
     n = len(starts)
     labels = ["chain"] * n if labels is None else list(labels)
-    fixed = np.zeros((n, design.n_coefficients), dtype=bool)
-    for row, indices in zip(fixed, fixed_zero or ()):
-        row[list(indices)] = True
-    block_entries = design.n_sets * design.n_classes * design.n_patterns
-    size = 1 if callback is not None else max(1, _STACK_ENTRIES // block_entries)
+    size = 1 if callback is not None else _stack_size(design)
     results = []
     for lo in range(0, n, size):
         hi = lo + size
         results += _run_stack(design, starts[lo:hi], config, labels[lo:hi],
-                              fixed[lo:hi], initial_weights, callback)
+                              callback)
+    return results
+
+
+# A damped Newton chain stops once its EM-metric decrement g' I_c^-1 g / 2
+# over its free coordinates falls below this.
+_DECREMENT = 1e-9
+# The damping that a failed step starts from, and the one past which a
+# chain that found no ascent step fails.
+_MIN_DAMPING, _MAX_DAMPING = 1e-3, 1e12
+
+
+def _damped_newton(design: Design, theta, held, max_iter: int) -> list:
+    """Maximize the mixture log-likelihood for B chains, each holding one coordinate.
+
+    ``theta`` (B, P + R - 1) holds each chain's start over the coefficients
+    and the mass log-ratios (see ``Parameters.theta``), and ``held`` (B,)
+    the coordinate each chain holds at zero, which must be zero at its
+    start. Every step of a chain is (I_obs + lambda I_c)^-1 g over its free
+    coordinates, with the score g, the observed information I_obs and the
+    complete-data information I_c of ``model._information_stack``
+    (Jamshidian & Jennrich 1997, JRSS-B 59:569). lambda is 0 while
+    that matrix is positive definite and the step ascends; otherwise it
+    rises x4 (from ``_MIN_DAMPING``), and after an accepted step it falls
+    /4, to 0 below ``_MIN_DAMPING``. A chain stops when its decrement
+    g' I_c^-1 g / 2 falls below ``_DECREMENT``, or after ``max_iter``
+    steps, accepted or not. It fails alone when its free I_c block fails
+    the Cholesky test (with the error naming the aliased coordinates) or
+    when lambda passes ``_MAX_DAMPING``. The chains run in stacks of
+    :func:`_stack_size`, one kernel call and one batched Cholesky test and
+    solve per step for a stack.
+
+    Returns, in start order, each chain's (theta, log-likelihood,
+    converged) at its last accepted point, or the ``FitError`` that
+    stopped it.
+    """
+    theta = np.array(theta, dtype=np.float64)
+    held = np.asarray(held, dtype=np.intp)
+    if np.any(theta[np.arange(len(theta)), held] != 0.0):
+        raise ValueError("each chain's held coordinate must be zero at its start")
+    size = _stack_size(design)
+    return [chain for lo in range(0, len(theta), size)
+            for chain in _damped_stack(design, theta[lo:lo + size],
+                                       held[lo:lo + size], max_iter)]
+
+
+def _damped_stack(design: Design, theta, held, max_iter: int) -> list:
+    """:func:`_damped_newton` for one stack; ``theta`` is updated in place."""
+    B, D = theta.shape
+    names = [c.name for c in design.coefficients] + [
+        f"mass{r + 1}" for r in range(design.n_classes - 1)]
+    results: list = [None] * B
+
+    def at(theta, free):
+        """The log-likelihood, and the score and informations over ``free``."""
+        ll, g, complete, observed = _information_stack(
+            *_unpack_theta(theta, design), design)
+        rows = np.arange(len(free))[:, None]
+        pairs = (rows[..., None], free[:, :, None], free[:, None, :])
+        return ll, g[rows, free], complete[pairs], observed[pairs]
+
+    # the running chains' state, one row per chain, over their free coordinates
+    free = np.array([np.delete(np.arange(D), i) for i in held]).reshape(B, D - 1)
+    state = [np.arange(B), theta, free, np.zeros(B), *at(theta, free)]
+    for step in range(max_iter + 1):
+        chains, theta, free, lam, ll, g, complete, observed = state
+        failed = _cholesky_failures(complete)
+        for j in failed:
+            results[chains[j]] = _rank_deficiency(complete[j],
+                                                  [names[i] for i in free[j]])
+        ok = np.ones(len(chains), dtype=bool)
+        ok[failed] = False
+        decrement = np.full(len(chains), np.inf)
+        if ok.any():
+            decrement[ok] = 0.5 * _row_dots(g[ok], np.linalg.solve(
+                complete[ok], g[ok][..., None]))
+        done = ok & ((decrement < _DECREMENT) | (step == max_iter))
+        for j in np.nonzero(done)[0]:
+            results[chains[j]] = (theta[j].copy(), float(ll[j]),
+                                  bool(decrement[j] < _DECREMENT))
+        state[:] = [x[ok & ~done] for x in state]
+        chains, theta, free, lam, ll, g, complete, observed = state
+        if not chains.size:
+            break
+        # the damping rises until the matrix is positive definite; a chain
+        # whose matrix is not by _MAX_DAMPING takes no step
+        matrix = observed + lam[:, None, None] * complete
+        flat = _cholesky_failures(matrix)
+        while flat and lam[flat].max() <= _MAX_DAMPING:
+            lam[flat] = np.maximum(4.0 * lam[flat], _MIN_DAMPING)
+            matrix[flat] = observed[flat] + lam[flat, None, None] * complete[flat]
+            flat = [flat[i] for i in _cholesky_failures(matrix[flat])]
+        matrix[flat] = np.eye(D - 1)
+        direction = np.linalg.solve(matrix, g[..., None])[..., 0]
+        direction[flat] = 0.0
+        trial = theta.copy()
+        trial[np.arange(len(chains))[:, None], free] += direction
+        ll_try, *at_trial = at(trial, free)
+        # a step ascends unless the log-likelihood falls (or is not a number)
+        up = ll_try >= ll
+        up[flat] = False
+        for x, new in zip((theta, ll, g, complete, observed), (trial, ll_try, *at_trial)):
+            x[up] = new[up]
+        lam[up] /= 4.0
+        lam[up & (lam < _MIN_DAMPING)] = 0.0
+        lam[~up] = np.maximum(4.0 * lam[~up], _MIN_DAMPING)
+        over = lam > _MAX_DAMPING
+        for j in np.nonzero(over)[0]:
+            results[chains[j]] = FitError(
+                f"damped Newton found no ascent step in {step + 1} steps: the "
+                f"damping passed {_MAX_DAMPING:g}")
+        state[:] = [x[~over] for x in state]
     return results
 
 

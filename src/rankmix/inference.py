@@ -10,7 +10,8 @@ raw and hessian are two readings of one information kernel,
   scoring pass (posterior weights held fixed);
 * corrected: the likelihood-ratio-equating value |estimate| / sqrt(drop
   in 2 log L when the coefficient is constrained to zero), so the Wald
-  statistic reproduces the LR test exactly;
+  statistic reproduces the LR test exactly; the constrained maxima come
+  from damped Newton refits on the kernel's score and informations;
 * hessian: from the kernel's observed information of the full mixture
   likelihood, computed exactly by Louis's identity as the complete-data
   information minus the missing information.
@@ -18,15 +19,15 @@ raw and hessian are two readings of one information kernel,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import AggregatedData
-from .fitting import FitConfig, FitError, FitResult, run_chains
-from .model import _information
+from .fitting import FitConfig, FitError, FitResult, _damped_newton
+from .model import _information, _unpack_theta
 
-# EM iterations allowed to each constrained refit
+# Newton steps allowed to each constrained refit
 _MAX_REFIT_ITER = 200
 
 
@@ -72,42 +73,54 @@ def _constrained_refits(fit: FitResult, data: AggregatedData, coefficients,
                         config: FitConfig | None):
     """Corrected SEs of the listed coefficient indices, one refit each.
 
-    Each refit holds its own coefficient at zero and resumes from the
-    converged posterior weights, so the constrained chain cannot wander to
-    a worse mode; the refits run as one stack of EM chains (see
-    :func:`rankmix.fitting.run_chains`). Returns, per coefficient, either
+    Each refit holds its own coefficient at zero. It starts at the fit
+    with that coefficient set to zero and the other coordinates moved by
+    the conditional step in the complete-data information's metric,
+    theta - (I_c^-1)[:, i] / (I_c^-1)[i, i] * beta_i, one matrix inverse
+    for all refits, and climbs by damped Newton steps on its free
+    coordinates; the refits run as one stack of
+    :func:`rankmix.fitting._damped_newton`, with at most
+    ``_MAX_REFIT_ITER`` steps each. Returns, per coefficient, either
     (se, drop in 2 log L, capped), where ``capped`` says the refit stopped
-    at the iteration cap without converging, or the exception that rules
-    the coefficient out.
+    at the step cap before the decrement fell below its threshold, or
+    the exception that rules the coefficient out. A refit whose smallest
+    mass falls below ``config.degenerate_mass`` or whose largest class
+    offset passes ``config.degenerate_offset`` degenerated.
     """
     design = fit.design
-    config = replace(config or FitConfig(), max_iter=_MAX_REFIT_ITER)
+    design.check_data(data)
+    config = config or FitConfig()
     results: dict = {}
-    refit, starts = [], []
+    refit = []
     for i in coefficients:
         if abs(fit.params.coefficients[i]) < 1e-12:
             results[i] = ValueError(
                 f"coefficient {design.coefficients[i].name!r} is already zero")
             continue
-        start = fit.params.copy()
-        start.coefficients[i] = 0.0
         refit.append(i)
-        starts.append(start)
-    chains = run_chains(design, data, starts, config,
-                        labels=["constrained"] * len(refit),
-                        fixed_zero=[(i,) for i in refit],
-                        initial_weights=fit.posteriors)
+    theta = fit.params.theta
+    starts = np.tile(theta, (len(refit), 1))
+    if refit:
+        cov = np.linalg.inv(_information(fit.params, design)[1])[:, refit]
+        starts -= (cov / cov[refit, np.arange(len(refit))] * theta[refit]).T
+        starts[np.arange(len(refit)), refit] = 0.0
+    chains = _damped_newton(design, starts, refit, _MAX_REFIT_ITER)
     for i, chain in zip(refit, chains):
         name = design.coefficients[i].name
         if isinstance(chain, FitError):
             results[i] = chain
             continue
-        if chain.degenerate:
+        point, loglik, converged = chain
+        coefficients_at, log_mixing = _unpack_theta(point[None], design)
+        mass = float(np.exp(log_mixing.min()))
+        offset = np.abs(design.coefficient_matrix(coefficients_at[0])[
+            design.n_covariate_columns:]).max(initial=0.0)
+        if mass < config.degenerate_mass or offset > config.degenerate_offset:
             results[i] = StandardErrorError(
-                f"constrained refit for {name!r} degenerated: {chain.message}"
-            )
+                f"constrained refit for {name!r} degenerated: class mass "
+                f"{mass:.3g}, class offset {offset:.3g}")
             continue
-        drop = 2.0 * (fit.loglik - chain.loglik)
+        drop = 2.0 * (fit.loglik - loglik)
         if drop <= 0:
             results[i] = StandardErrorError(
                 f"constrained refit for {name!r} did not lower the likelihood "
@@ -115,7 +128,7 @@ def _constrained_refits(fit: FitResult, data: AggregatedData, coefficients,
             )
             continue
         se = abs(float(fit.params.coefficients[i])) / np.sqrt(drop)
-        results[i] = (se, drop, not chain.converged)
+        results[i] = (se, drop, not converged)
     return [results[i] for i in coefficients]
 
 
@@ -127,12 +140,12 @@ def corrected_se(
 ) -> tuple[float, float]:
     """Likelihood-ratio-equating SE for one coefficient.
 
-    Refits the model with the coefficient constrained to zero, resuming
-    from the converged posterior weights so the constrained chain cannot
-    wander to a worse mode. Returns (se, drop in 2 log L). The constrained
-    model is nested in the unconstrained one, so a drop at or below zero
-    shows that the fit is not at its maximum; that, and a constrained
-    chain that degenerates, raise ``StandardErrorError``.
+    Refits the model with the coefficient constrained to zero by damped
+    Newton steps from the fit (see :func:`_constrained_refits`). Returns
+    (se, drop in 2 log L). The constrained model is nested in the
+    unconstrained one, so a drop at or below zero shows that the fit is
+    not at its maximum; that, and a constrained refit that degenerates,
+    raise ``StandardErrorError``.
     """
     if isinstance(coefficient, str):
         coefficient = fit.design.name_to_index[coefficient]
@@ -189,7 +202,7 @@ def standard_error_report(
 
     Per-coefficient failures of the corrected procedure are recorded in
     the row note instead of aborting the whole report, and so is a
-    constrained refit that stopped at its iteration cap: its drop is kept,
+    constrained refit that stopped at its step cap: its drop is kept,
     but the refit had not reached the constrained maximum, so the drop is
     too large and the corrected SE a lower bound. The refits of all
     coefficients run as one stack.

@@ -39,9 +39,14 @@ loop, ``mixture_loglik``, ``posterior_weights`` and ``mixture_score``.
 Only ``Design.log_pattern_probs`` gives every (K, L, R) cell.
 
 The information kernels live here too: ``_moments_information`` for the
-Newton solve, and ``_information``, the score and observed information
-of the mixture likelihood by Louis's identity (Louis 1982, JRSS-B
-44:226), which the raw and Hessian SEs and ``mixture_score`` read.
+Newton solve, and ``_information_stack``, the log-likelihood, score,
+complete-data and observed information of the mixture likelihood by
+Louis's identity (Louis 1982, JRSS-B 44:226) for a stack of chains, at
+per-block cost: its missing information comes from per-(set, class,
+class) sums over each set's run of cells. It works on theta =
+(coefficients, log(q_r / q_R)), ``Parameters.theta``; the damped Newton
+refits read it over a stack, and the raw and Hessian SEs and
+``mixture_score`` read it for one chain (``_information``).
 
 The kernels of the fit (``block_effects``, ``log_normalizer``,
 ``score_moments``, ``set_sums``, ``block_totals``) also take a leading
@@ -59,6 +64,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import AggregatedData, DataError
+
+# Chains of one design advance as one stack while their pattern weights,
+# B x K x R x L doubles, stay within this many entries (8 MB); a design
+# whose blocks alone exceed it runs one chain at a time. The missing
+# information's temporaries keep within it too.
+_STACK_ENTRIES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -131,6 +142,15 @@ class Parameters:
 
     def copy(self) -> "Parameters":
         return Parameters(self.coefficients.copy(), self.mixing.copy())
+
+    @property
+    def theta(self) -> np.ndarray:
+        """The free parameters (coefficients, log(q_r / q_R) for r < R), (P + R - 1,).
+
+        :func:`_unpack_theta` maps a stack of them back.
+        """
+        log_q = np.log(self.mixing)
+        return np.append(self.coefficients, log_q[:-1] - log_q[-1])
 
 
 class Design:
@@ -381,6 +401,11 @@ class Design:
         return sums[..., -1].copy(), sums[..., :-1].copy()
 
     @functools.cached_property
+    def _cell_moments(self) -> np.ndarray:
+        """The moment table's rows [1 | s | s_i s_j] at the observed cells, (nnz, ...)."""
+        return self.moment_table[self.cell_pattern]
+
+    @functools.cached_property
     def saturated_loglik(self) -> float:
         """Log-likelihood of the saturated multinomial (one probability per cell)."""
         totals = self.set_sums(self.cell_counts)
@@ -442,17 +467,17 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
         return np.log(np.sum(e, axis=axis, keepdims=True)) + shift
 
 
-def _mixture(logp: np.ndarray, mixing: np.ndarray):
+def _mixture(logp: np.ndarray, log_mixing: np.ndarray):
     """log sum_r q_r P_r and the posterior class weights, from one softmax.
 
     ``logp`` holds log P class-major, (..., R, nnz), as
     :meth:`Design.log_normalizer` gives it; it is overwritten by the
-    posterior weights. ``mixing`` broadcasts against it: (R, 1) for one
-    chain, (B, R, 1) for a stack. Returns the log mixture (..., nnz) and
-    the weights (..., R, nnz): one shift, one ``exp`` and one sum over the
-    classes give both.
+    posterior weights. ``log_mixing`` holds log q and broadcasts against
+    it: (R, 1) for one chain, (B, R, 1) for a stack. Returns the log
+    mixture (..., nnz) and the weights (..., R, nnz): one shift, one
+    ``exp`` and one sum over the classes give both.
     """
-    logp += np.log(mixing)
+    logp += log_mixing
     shift = logp.max(axis=-2, keepdims=True)
     logp -= shift
     np.exp(logp, out=logp)
@@ -507,50 +532,131 @@ def _moments_information(w: np.ndarray, design: Design, products: np.ndarray):
     return mean, info.reshape(-1, Q * J1, Q * J1)
 
 
+def _unpack_theta(theta: np.ndarray, design: Design):
+    """Coefficients (B, P) and log masses (B, R) of a stack of ``theta`` (B, P + R - 1).
+
+    The log masses are the log-softmax of (log-ratios, 0), so a log-ratio
+    of any size gives finite log masses, and no mass is taken a log of.
+    """
+    p = design.n_coefficients
+    ratios = np.concatenate([theta[:, p:], np.zeros((len(theta), 1))], axis=1)
+    return theta[:, :p], ratios - _logsumexp(ratios, axis=1)
+
+
 def _information(params: Parameters, design: Design):
     """Score, complete-data and observed information at ``params``.
 
-    All are over the coefficients (design column outer, item inner), then
-    the R - 1 mass log-ratios log(q_r / q_R), from one normalizer call:
-    its log P gives the posterior weights w, its pattern weights the
-    structural information at the expected counts m = n w, to which the
-    complete-data information adds the mass block N (diag(q~) - q~ q~'),
-    q~ the first R - 1 masses. At a cell, g_r = [X_kr (x) (s_l - E_kr[s])
-    over the free items, e_r - q~] is the gradient of log(q_r P_r) and
-    g = sum_r w_r g_r. The score is sum over cells of n g, and the observed
-    information (Louis's identity) the complete-data information minus
-    the missing information sum over cells of n (sum_r w_r g_r g_r' - g g').
+    The :func:`_information_stack` of one chain, with log q = log of the
+    mixing weights.
     """
-    q = params.mixing[:-1]
+    _, score, complete, observed = _information_stack(
+        params.coefficients[None], np.log(params.mixing)[None], design)
+    return score[0], complete[0], observed[0]
+
+
+def _information_stack(coefficients: np.ndarray, log_mixing: np.ndarray,
+                       design: Design):
+    """Log-likelihood, score, complete-data and observed information of B chains.
+
+    ``coefficients`` is (B, P) and ``log_mixing`` (B, R). The score and
+    informations are over theta = (coefficients, design column outer and
+    item inner, then the R - 1 mass log-ratios log(q_r / q_R)), shaped
+    (B, D) and (B, D, D) with D = P + R - 1, all from one normalizer call:
+    its log P gives the log-likelihood and the posterior weights w, its
+    pattern weights the structural information at the expected counts
+    m = n w, to which the complete-data information adds the mass block
+    N (diag(q~) - q~ q~'), q~ the first R - 1 masses. The score is the
+    posterior mean of the complete-data score (Fisher's identity), and the
+    observed information (Louis's identity) the complete-data information
+    minus :func:`_missing_information`. The score totals and the missing
+    information are formed for groups of chains whose temporaries keep
+    within ``_STACK_ENTRIES`` entries; a chain whose own exceed it goes
+    alone.
+    """
+    B, p = coefficients.shape
+    R = design.n_classes
     n = design.cell_counts
-    _, weights, logp = design.log_normalizer(design.block_effects(params.coefficients))
-    w = _mixture(logp, params.mixing[:, None])[1].T  # (nnz, R)
-    m = n[:, None] * w
-    nnz, R = w.shape
+    _, weights, logp = design.log_normalizer(design.block_effects(coefficients))
+    log_mixture, w = _mixture(logp, log_mixing[:, :, None])
+    m = w * n
+    m_plus = design.set_sums(m, axis=-1).swapaxes(1, 2)  # (B, K, R)
+    mean, structural = _moments_information(weights, design,
+                                            _column_products(design, m_plus))
+    del weights
+    q = np.exp(log_mixing[:, :-1])
+    score = np.empty((B, p + R - 1))
+    score[:, p:] = m.sum(axis=-1)[:, :-1] - design.n_respondents * q
+    complete = np.zeros((B, p + R - 1, p + R - 1))
+    complete[:, :p, :p] = structural
+    complete[:, p:, p:] = design.n_respondents * (
+        q[:, :, None] * np.eye(R - 1) - q[:, :, None] * q[:, None, :])
+    observed = complete.copy()
+    group = max(1, _STACK_ENTRIES // (R * R * m.shape[-1]
+                                      * design.moment_table.shape[1]))
+    for lo in range(0, B, group):
+        chains = slice(lo, lo + group)
+        t = design.block_totals(m[chains])[1]
+        score[chains, :p] = _coefficient_score(design.X, t, m_plus[chains],
+                                               mean[chains])
+        if R > 1:
+            observed[chains] -= _missing_information(w[chains], mean[chains],
+                                                     design)
+    return (log_mixture @ n, score, complete,
+            0.5 * (observed + observed.swapaxes(1, 2)))
+
+
+def _missing_information(w: np.ndarray, mean: np.ndarray, design: Design):
+    """The missing information of Louis's identity for B chains, (B, D, D).
+
+    ``w`` holds the posterior weights (B, R, nnz), R > 1, and ``mean`` the
+    block score means (B, K, R, J). At a cell, g_r = [X_kr (x) d_r,
+    e_r - q~], d_r = s_l - E_kr[s] over the free items, is the gradient of
+    log(q_r P_r), and the missing information is the sum over cells of
+    sum_rr' C_rr' g_r g_r', C_rr' = n (w_r delta_rr' - w_r w_r'). Each of
+    its blocks comes from per-(chain, set, r, r') sums of C_rr' [1, s, s s']
+    over the set's run of cells: the coefficient block is
+    sum_krr' (X_kr X_kr') (x) sum C_rr' d_r d_r', the coefficient-mass
+    block sum_kr X_kr (x) sum C_rr' d_r in column r', and the mass block
+    sum C_rr' over r, r' < R. The rows and the columns of C sum to zero,
+    so only the sums over r, r' < R are formed, and the reference class's
+    follow from them.
+    """
+    B, R, _ = w.shape
+    K, _, Q = design.X.shape
+    J1 = design.n_items - 1
     p = design.n_coefficients
-
-    complete = np.zeros((p + R - 1, p + R - 1))
-    mean, structural = _moments_information(
-        weights, design, _column_products(design, design.set_sums(m)))
-    complete[:p, :p] = structural[0]
-    complete[p:, p:] = design.n_respondents * (np.diag(q) - np.outer(q, q))
-
-    resid = (design._cell_score_rows[:-1].T[:, None, :]
-             - mean[design.cell_set])[..., :-1]
-    X = design.X[design.cell_set]  # (nnz, R, Q)
-    g = np.concatenate([(X[..., :, None] * resid[..., None, :]).reshape(nnz, R, p),
-                        np.broadcast_to(np.eye(R)[:, :-1] - q, (nnz, R, R - 1))],
-                       axis=-1).reshape(nnz * R, -1)
-    g_mean = (w[..., None] * g.reshape(nnz, R, -1)).sum(axis=1)
-    missing = (m.reshape(-1, 1) * g).T @ g - (n[:, None] * g_mean).T @ g_mean
-    observed = complete - missing
-    return n @ g_mean, complete, 0.5 * (observed + observed.T)
+    v = w[:, :-1] * design.cell_counts  # n w_r, r < R
+    C = -v[:, :, None, :] * w[:, None, :-1, :]
+    C[:, np.arange(R - 1), np.arange(R - 1)] += v
+    # per-set sums of C [1, s, s s'], (B, R - 1, R - 1, K, 1 + J + J1^2),
+    # then the reference class's column and row, (B, R, R, K, ...)
+    A = design.set_sums(C[..., None] * design._cell_moments, axis=-2)
+    A = np.concatenate([A, -A.sum(axis=2, keepdims=True)], axis=2)
+    A = np.concatenate([A, -A.sum(axis=1, keepdims=True)], axis=1)
+    mu = mean[..., :-1].transpose(0, 2, 1, 3)  # (B, R, K, J1)
+    # sum C (s - mu_r), and sum C (s - mu_r)(s - mu_r')'
+    E = A[..., 1:J1 + 1] - A[..., :1] * mu[:, :, None]
+    D = (A[..., J1 + 2:].reshape(E.shape + (J1,))
+         - mu[:, :, None, :, :, None] * A[..., None, 1:J1 + 1]
+         - E[..., :, None] * mu[:, None, :, :, None, :])
+    # the (class, class', set) products of the design rows, (R * R * K, Q * Q)
+    X = design.X.transpose(1, 0, 2)
+    pairs = (X[:, None, :, :, None] * X[None, :, :, None, :]).reshape(-1, Q * Q)
+    missing = np.empty((B, p + R - 1, p + R - 1))
+    coef = pairs.T @ D.reshape(B, -1, J1 * J1)  # (B, Q * Q, J1 * J1)
+    missing[:, :p, :p] = coef.reshape(B, Q, Q, J1, J1).transpose(
+        0, 1, 3, 2, 4).reshape(B, p, p)
+    cross = np.einsum("krq,brskj->bqjs", design.X, E[:, :, :-1]).reshape(B, p, -1)
+    missing[:, :p, p:] = cross
+    missing[:, p:, :p] = cross.swapaxes(1, 2)
+    missing[:, p:, p:] = A[:, :-1, :-1, :, 0].sum(axis=-1)
+    return missing
 
 
 def posterior_weights(params: Parameters, design: Design) -> np.ndarray:
     """Posterior class probabilities at the observed cells, shaped (nnz, R)."""
     logp = design.log_normalizer(design.block_effects(params.coefficients))[2]
-    return _mixture(logp, params.mixing[:, None])[1].T.copy()
+    return _mixture(logp, np.log(params.mixing)[:, None])[1].T.copy()
 
 
 def mixture_loglik(
@@ -565,7 +671,8 @@ def mixture_loglik(
     """
     design.check_data(data)
     logp = design.log_normalizer(design.block_effects(params.coefficients))[2]
-    loglik = float(_mixture(logp, params.mixing[:, None])[0] @ design.cell_counts)
+    loglik = float(_mixture(logp, np.log(params.mixing)[:, None])[0]
+                   @ design.cell_counts)
     return loglik, 2.0 * (design.saturated_loglik - loglik)
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from rankmix.model import (
     ModelSpec,
     Parameters,
     _information,
+    _information_stack,
+    _unpack_theta,
     mixture_loglik,
     posterior_weights,
 )
@@ -199,21 +203,22 @@ class TestFitStructural:
         w = np.ones((design.cell_set.size, 1))
         with pytest.raises(RankDeficientDesignError, match="A:g=b"):
             m_step(w, design, data)
-        # in a stack of three, the chain that holds neither copy of the term
-        # at zero fails alone; the others, each holding one copy at zero,
-        # finish as they do alone
-        fixed = [(), (2, 3), (4, 5)]
-        starts = [Parameters(np.zeros(design.n_coefficients), np.ones(1))] * 3
-        config = FitConfig(max_iter=5)
-        stacked = run_chains(design, data, starts, config, fixed_zero=fixed)
+        # the damped Newton driver on two items and the term twice: in a
+        # stack of three, the chain that holds the item main at zero keeps
+        # both copies of the term free and fails alone, naming them; the
+        # others, each holding one copy at zero, finish as they do alone
+        data = make_data(2, np.array([[5, 2], [2, 4]]), factor_levels=["a", "b"])
+        design = Design(ModelSpec(("A", "B"), ("g", "g"), 1), data)
+        held = [0, 1, 2]
+        starts = np.zeros((3, design.n_coefficients))
+        stacked = fitting._damped_newton(design, starts, held, 20)
         assert isinstance(stacked[0], RankDeficientDesignError)
         assert "A:g=b" in str(stacked[0])
-        for chain, held in zip(stacked[1:], fixed[1:]):
-            (alone,) = run_chains(design, data, starts[:1], config,
-                                  fixed_zero=[held])
-            assert chain.converged and chain.n_iterations == alone.n_iterations
-            assert chain.loglik == pytest.approx(alone.loglik, abs=1e-9)
-            assert np.array_equal(chain.params.coefficients[list(held)], [0.0, 0.0])
+        for chain, i in zip(stacked[1:], held[1:]):
+            (alone,) = fitting._damped_newton(design, starts[:1], [i], 20)
+            assert chain[2] and alone[2]  # converged
+            assert chain[1] == alone[1]
+            assert np.array_equal(chain[0], alone[0]) and chain[0][i] == 0.0
 
     def test_divergence_error_when_steps_cannot_ascend(self, monkeypatch):
         design, data = small_design(1)
@@ -273,6 +278,85 @@ class TestStructuralInformation:
         p = design.n_coefficients
         complete = _information(params, design)[1][:p, :p]
         assert complete == pytest.approx(-hess, rel=1e-5, abs=1e-5)
+
+
+def louis_by_cells(params, design):
+    """Score and observed information of one chain summed cell by cell.
+
+    At a cell, g_r = [X_kr (x) (s_l - E_kr[s]) over the free items,
+    e_r - q~] is the gradient of log(q_r P_r), g = sum_r w_r g_r, the score
+    is sum n g and the missing information sum n (sum_r w_r g_r g_r' - g g').
+    """
+    q = params.mixing[:-1]
+    w = posterior_weights(params, design)  # (nnz, R)
+    nnz, R = w.shape
+    p = design.n_coefficients
+    effects = design.block_effects(params.coefficients)
+    mean = design.score_moments(design.log_normalizer(effects)[1])[0]
+    resid = (design.data.space.score_matrix()[design.cell_pattern][:, None, :]
+             - mean[design.cell_set])[..., :-1]
+    X = design.X[design.cell_set]  # (nnz, R, Q)
+    g = np.concatenate([(X[..., :, None] * resid[..., None, :]).reshape(nnz, R, p),
+                        np.broadcast_to(np.eye(R)[:, :-1] - q, (nnz, R, R - 1))],
+                       axis=-1)
+    g_mean = (w[..., None] * g).sum(axis=1)
+    n = design.cell_counts
+    missing = (np.einsum("c,cr,cri,crj->ij", n, w, g, g)
+               - np.einsum("c,ci,cj->ij", n, g_mean, g_mean))
+    complete = _information(params, design)[1]
+    return n @ g_mean, complete - missing
+
+
+class TestInformationStack:
+    """The stacked information kernel against single calls and against the
+    cell-by-cell sum of Louis's identity, at random points."""
+
+    @staticmethod
+    def criterion_7_design():
+        rng = np.random.default_rng(42)
+
+        def counts_for(shift):
+            p1 = oracles.ranking_probabilities([0.15 + shift + 0.55, 0.25, 0.0])
+            p2 = oracles.ranking_probabilities([0.15 + shift - 0.55, -0.15, 0.0])
+            return rng.multinomial(6000, 0.55 * p1 + 0.45 * p2)
+
+        data = make_data(3, np.vstack([counts_for(0.0), counts_for(0.3)]),
+                         factor_levels=["a", "b"])
+        return Design(ModelSpec(("A", "B", "C"), ("g",), 2), data)
+
+    @pytest.mark.parametrize("which, n_classes", [
+        ("observed_cells", 1), ("observed_cells", 2), ("observed_cells", 3),
+        ("criterion_7", 2),
+    ])
+    def test_stack_equals_single_calls_and_the_cell_sum(self, which, n_classes):
+        design = (self.criterion_7_design() if which == "criterion_7"
+                  else TestObservedCells.instance()[0])
+        design = Design(design.spec.with_classes(n_classes), design.data)
+        rng = np.random.default_rng(7 + n_classes)
+        p = design.n_coefficients
+        theta = np.hstack([rng.normal(0.0, 0.7, (4, p)),
+                           rng.normal(0.0, 1.0, (4, n_classes - 1))])
+        stack = _information_stack(*_unpack_theta(theta, design), design)
+        for b in range(4):
+            one = _information_stack(*_unpack_theta(theta[b:b + 1], design), design)
+            for x, y in zip(stack, one):
+                assert np.abs(x[b] - y[0]).max() <= 1e-10 * np.abs(y[0]).max()
+            ratios = np.exp(np.append(theta[b, p:], 0.0))
+            params = Parameters(theta[b, :p], ratios / ratios.sum())
+            loglik = mixture_loglik(params, design, design.data)[0]
+            assert stack[0][b] == pytest.approx(loglik, rel=1e-12)
+            for x, y in zip(stack[1::2], louis_by_cells(params, design)):
+                assert np.abs(x[b] - y).max() <= 1e-10 * np.abs(y).max()
+
+    def test_parameters_pack_to_theta(self):
+        design = self.criterion_7_design()
+        params = Parameters(np.arange(design.n_coefficients) / 10.0,
+                            np.array([0.3, 0.7]))
+        theta = params.theta
+        assert theta[-1] == pytest.approx(math.log(0.3 / 0.7), rel=1e-15)
+        coefficients, log_mixing = _unpack_theta(theta[None], design)
+        assert np.array_equal(coefficients[0], params.coefficients)
+        assert np.exp(log_mixing[0]) == pytest.approx(params.mixing, rel=1e-15)
 
 
 class TestObservedCells:
@@ -336,10 +420,9 @@ class TestObservedCells:
         w = np.full((other.cell_set.size, 2), 0.5)
         with pytest.raises(DataError, match="count table"):
             m_step(w, other, data)
-        w = posterior_weights(init_start(8, design), design)
-        with pytest.raises(ValueError, match="not both"):
-            run_chains(design, data, [init_start(8, design)], FitConfig(),
-                       callback=lambda *args: None, initial_weights=w)
+        start = init_start(8, design).theta[None]
+        with pytest.raises(ValueError, match="held coordinate"):
+            fitting._damped_newton(design, start, [0], 5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
     def test_non_finite_or_negative_weights_are_rejected(self, bad):
@@ -443,16 +526,53 @@ class TestObservedCells:
         result = fit(design.spec, data, FitConfig(n_starts=2, max_iter=3))
         assert not result.converged
         chains = []
-        refit = inference.run_chains
+        refit = inference._damped_newton
 
-        def counted(design, data, starts, *args, **kwargs):
+        def counted(design, starts, *args):
             chains.extend(starts)
-            return refit(design, data, starts, *args, **kwargs)
+            return refit(design, starts, *args)
 
-        monkeypatch.setattr(inference, "run_chains", counted)
+        monkeypatch.setattr(inference, "_damped_newton", counted)
         with pytest.raises(StandardErrorError, match="not at its maximum"):
             corrected_se(result, data, "A:class1")
         assert len(chains) == 1
+
+    @pytest.mark.parametrize("ratio", [700.0, -700.0, 1000.0, -1000.0])
+    def test_a_wild_trial_is_rejected_without_a_warning(self, monkeypatch, ratio):
+        # the first Newton step of a refit is replaced by one that sends the
+        # mass log-ratio to +-700 or +-1000: the kernel evaluates that trial without
+        # an overflow or a log of zero, the driver rejects it, and the refit
+        # still finishes where it does undisturbed
+        design, data = self.instance()
+        result = fit(design.spec, data, FitConfig(n_starts=2))
+        start = result.params.theta[None].copy()
+        start[0, 0] = 0.0
+        (calm,) = fitting._damped_newton(design, start, [0], 50)
+        solve, calls, trials = np.linalg.solve, [], []
+
+        def wild(a, b):
+            calls.append(1)
+            x = solve(a, b)
+            if len(calls) == 2:  # the decrement's solve, then the first step's
+                x[0, -1, 0] = ratio - start[0, -1]
+            return x
+
+        kernel = fitting._information_stack
+
+        def recorded(coefficients, log_mixing, design):
+            out = kernel(coefficients, log_mixing, design)
+            trials.append((log_mixing.copy(), out[0].copy()))
+            return out
+
+        monkeypatch.setattr(fitting.np.linalg, "solve", wild)
+        monkeypatch.setattr(fitting, "_information_stack", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (chain,) = fitting._damped_newton(design, start, [0], 50)
+        log_mixing, loglik = trials[1]  # the start, then the wild trial
+        assert np.abs(log_mixing).max() >= 699.0 and np.isfinite(loglik)
+        assert loglik < calm[1]
+        assert chain[2] and chain[1] == pytest.approx(calm[1], abs=1e-8)
 
     @pytest.mark.parametrize("stack, options", [
         (4, {}), (2, {}), (1, {}),
@@ -531,17 +651,33 @@ class TestObservedCells:
                 params.coefficients, abs=1e-9)
             assert chain.params.mixing == pytest.approx(params.mixing, abs=1e-12)
 
-    def test_report_refits_match_corrected_se_alone(self):
-        # seed 3 leaves some refits rank deficient and one with a negative
-        # drop; the other refits of the stack must finish regardless
-        design, data = self.instance()
+    @classmethod
+    def forged_fit(cls):
+        """The seed-3 fit with C:x forged to exactly zero.
+
+        Its refit is ruled out before the stack, and the forged fit lies
+        below the constrained maxima of A:g=b, B:g=b and B:class1, whose
+        refits end in negative drops.
+        """
+        design, data = cls.instance()
         result = fit(design.spec, data, FitConfig(n_starts=2, seed=3))
+        params = result.params.copy()
+        params.coefficients[design.name_to_index["C:x"]] = 0.0
+        loglik, dev = mixture_loglik(params, design, data)
+        return dataclasses.replace(
+            result, params=params, posteriors=posterior_weights(params, design),
+            loglik=loglik, deviance=dev, minus_two_loglik=-2.0 * loglik), data
+
+    def test_report_refits_match_corrected_se_alone(self):
+        # failed refits, one ruled out and some with a negative drop: the
+        # other refits of the stack must finish regardless
+        result, data = self.forged_fit()
         report = standard_error_report(result, data, methods=("all",))
         notes = 0
         for i, row in enumerate(report.rows):
             try:
                 se, drop = corrected_se(result, data, i)
-            except FitError as exc:
+            except (FitError, ValueError) as exc:
                 assert row.se_corrected is None and row.lr_drop is None
                 assert row.note == str(exc)
                 notes += 1
@@ -565,13 +701,12 @@ class TestObservedCells:
             assert "lower bound" in row.note
             assert row.se_corrected is not None and row.lr_drop > 0
 
-    def test_rank_deficient_refit_lands_in_the_row_note(self):
-        design, data = self.instance()
-        result = fit(design.spec, data, FitConfig(n_starts=2, seed=3))
+    def test_failed_refit_lands_in_its_row_note(self):
+        result, data = self.forged_fit()
         report = standard_error_report(result, data, methods=("all",))
-        deficient = [row for row in report.rows
-                     if row.note and "rank deficient" in row.note]
-        assert deficient
+        failed = [row for row in report.rows
+                  if row.note and "already zero" in row.note]
+        assert [row.name for row in failed] == ["C:x"]
         for row in report.rows:
             assert row.se_hessian is not None
             assert (row.se_corrected is None) == (row.note is not None)

@@ -93,6 +93,28 @@ class TestCorrectedSE:
         with pytest.raises(ValueError, match="already zero"):
             corrected_se(forged, data, 0)
 
+    def test_drops_match_converged_em_refits(self):
+        # EM refits that held each coefficient at zero, resumed from the
+        # fit's posterior weights and ran to tol=1e-10 (96 to 7977
+        # iterations) gave these drops
+        em = {"A": 44.75815379, "B": 147.21981083, "A:g=b": 269.08179451,
+              "B:g=b": 1.24207129, "A:class1": 350.81667406,
+              "B:class1": 162.77970380}
+        result, data = two_class_two_set_fit()
+        report = standard_error_report(result, data, methods=("corrected",))
+        for row in report.rows:
+            assert row.note is None
+            assert row.lr_drop == pytest.approx(em[row.name], abs=1e-5)
+
+    @pytest.mark.parametrize("options", [{"degenerate_mass": 0.5},
+                                         {"degenerate_offset": 0.1}])
+    def test_degenerate_refit_raises(self, options):
+        # the fit's masses are about 0.55 / 0.45 and its class offsets
+        # larger than 0.1, so the refit of A ends past either threshold
+        result, data = two_class_two_set_fit()
+        with pytest.raises(StandardErrorError, match="refit for 'A' degenerated"):
+            corrected_se(result, data, "A", FitConfig(**options))
+
     def test_constrained_refit_never_beats_unconstrained(self):
         result, data = two_class_two_set_fit()
         for name in ("A", "A:class1"):
