@@ -21,14 +21,16 @@ total t and pattern probabilities p contributes X_c (t - n E[s])_i to
 the score, n X_c X_d Cov[s]_ij to the information entry of (c, i) and
 (d, j), and t . a - n log Z to the expected-count log-likelihood, with
 Cov[s] = E[s s'] - E[s] E[s]'; the score and information kernels are
-those of ``rankmix.model``. The pattern space enters only through
-``Design.log_normalizer``, which gives each block's log Z, its pattern
-weights (proportional to p) and log P at the cells in one pass over the
-patterns: a step-halving trial needs log Z alone, the accepted trial's
-weights give E[s] and E[s s'] by one product with the design's moment
-table [1 | s | s_i s_j], and its log P gives the E step, so no
-normalizer runs between M steps. In the loop, log P, the posterior
-weights and the expected counts are class-major (B, R, nnz) arrays:
+those of ``rankmix.model``. The pattern space enters only through the
+design's enumeration kernel, ``design.enumeration`` (a
+``model._Enumeration``): its ``log_normalizer`` gives each block's
+log Z, its pattern weights (proportional to p) and log P at the cells in
+one pass over the patterns; a step-halving trial needs log Z alone, the
+accepted trial's weights give E[s] and Cov[s] (``score_moments``, one
+product with the kernel's moment table [1 | s | s_i s_j]), and its log P
+gives the E step, so no normalizer runs between M steps. In the loop,
+log P, the posterior weights and the expected counts are class-major
+(B, R, nnz) arrays:
 sums over classes run over a short leading axis, sums over cells over
 contiguous runs. Chains leave the stack with (nnz, R) rows aligned with
 ``Design.cell_set`` / ``Design.cell_pattern`` (``FitResult.posteriors``).
@@ -233,8 +235,8 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
     """Maximize sum m[b, r, cell] log P over the coefficients of B chains.
 
     ``m`` (B, R, nnz) holds each chain's expected counts, class-major, and
-    ``beta`` (B, P) its start. ``start`` is the list
-    [a, log Z, pattern weights] of :meth:`Design.log_normalizer` at
+    ``beta`` (B, P) its start. ``start`` is the list [a, log Z, pattern
+    weights] of the kernel ``design.enumeration.log_normalizer`` at
     ``beta``; it is emptied, so that the weights are freed by the first
     moment product, before the first trial allocates its own. Each chain
     takes its own Newton steps with its own step halving and stops by its
@@ -265,7 +267,7 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
     def trial_at(b, observed, m_plus, saturated):
         """Deviances at coefficients ``b``, with the normalizer's arrays there."""
         a = design.block_effects(b)
-        log_z, w, logp = design.log_normalizer(a)
+        log_z, w, logp = design.enumeration.log_normalizer(a)
         return deviance(a, log_z, observed, m_plus, saturated), a, log_z, w, logp
 
     errors: list[FitError | None] = [None] * n
@@ -375,7 +377,7 @@ def m_step(
             else start.coefficients)
     a = design.block_effects(beta[None])
     beta, *_, (error,) = _newton(m, design, beta[None],
-                                 [a, *design.log_normalizer(a)[:2]],
+                                 [a, *design.enumeration.log_normalizer(a)[:2]],
                                  config.irls_tol, config.irls_max_iter)
     if error is not None:
         raise error
@@ -414,7 +416,7 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, callback):
     b = np.array([s.coefficients for s in starts], dtype=np.float64)
     q = np.array([s.mixing for s in starts], dtype=np.float64)
     a = design.block_effects(b)
-    *at_b, logp = a, *design.log_normalizer(a)
+    *at_b, logp = a, *design.enumeration.log_normalizer(a)
     ll, d, w = e_step(logp, q)
     # per chain, the final state, written when the chain leaves the stack
     beta, mixing, loglik, dev = b.copy(), q.copy(), ll.copy(), d.copy()
@@ -552,7 +554,8 @@ _DECREMENT = 1e-9
 _MIN_DAMPING, _MAX_DAMPING = 1e-3, 1e12
 
 
-def _damped_newton(design: Design, theta, held, max_iter: int) -> list:
+def _damped_newton(design: Design, theta, held, max_iter: int,
+                   min_mass: float = 0.0) -> list:
     """Maximize the mixture log-likelihood for B chains, each holding one coordinate.
 
     ``theta`` (B, P + R - 1) holds each chain's start over the coefficients
@@ -566,9 +569,12 @@ def _damped_newton(design: Design, theta, held, max_iter: int) -> list:
     rises x4 (from ``_MIN_DAMPING``), and after an accepted step it falls
     /4, to 0 below ``_MIN_DAMPING``. A chain stops when its decrement
     g' I_c^-1 g / 2 falls below ``_DECREMENT``, or after ``max_iter``
-    steps, accepted or not. It fails alone when its free I_c block fails
-    the Cholesky test (with the error naming the aliased coordinates) or
-    when lambda passes ``_MAX_DAMPING``. The chains run in stacks of
+    steps, accepted or not. A chain whose smallest class mass is below
+    ``min_mass`` at an accepted point (its start included) has degenerated:
+    it stops there, unconverged, before its information is tested. A
+    chain fails alone when its free I_c block fails the Cholesky test
+    (with the error naming the aliased coordinates) or when lambda passes
+    ``_MAX_DAMPING``. The chains run in stacks of
     :func:`_stack_size`, one kernel call and one batched Cholesky test and
     solve per step for a stack.
 
@@ -583,10 +589,10 @@ def _damped_newton(design: Design, theta, held, max_iter: int) -> list:
     size = _stack_size(design)
     return [chain for lo in range(0, len(theta), size)
             for chain in _damped_stack(design, theta[lo:lo + size],
-                                       held[lo:lo + size], max_iter)]
+                                       held[lo:lo + size], max_iter, min_mass)]
 
 
-def _damped_stack(design: Design, theta, held, max_iter: int) -> list:
+def _damped_stack(design: Design, theta, held, max_iter: int, min_mass: float) -> list:
     """:func:`_damped_newton` for one stack; ``theta`` is updated in place."""
     B, D = theta.shape
     names = [c.name for c in design.coefficients] + [
@@ -606,17 +612,21 @@ def _damped_stack(design: Design, theta, held, max_iter: int) -> list:
     state = [np.arange(B), theta, free, np.zeros(B), *at(theta, free)]
     for step in range(max_iter + 1):
         chains, theta, free, lam, ll, g, complete, observed = state
-        failed = _cholesky_failures(complete)
+        # a chain whose class emptied stops unconverged; its information
+        # may be flat there. The masses are compared as exp of the log
+        # masses, so that min_mass 0 takes no log of 0.
+        emptied = np.exp(_unpack_theta(theta, design)[1].min(axis=1)) < min_mass
+        failed = [j for j in _cholesky_failures(complete) if not emptied[j]]
         for j in failed:
             results[chains[j]] = _rank_deficiency(complete[j],
                                                   [names[i] for i in free[j]])
-        ok = np.ones(len(chains), dtype=bool)
+        ok = ~emptied
         ok[failed] = False
         decrement = np.full(len(chains), np.inf)
         if ok.any():
             decrement[ok] = 0.5 * _row_dots(g[ok], np.linalg.solve(
                 complete[ok], g[ok][..., None]))
-        done = ok & ((decrement < _DECREMENT) | (step == max_iter))
+        done = emptied | ok & ((decrement < _DECREMENT) | (step == max_iter))
         for j in np.nonzero(done)[0]:
             results[chains[j]] = (theta[j].copy(), float(ll[j]),
                                   bool(decrement[j] < _DECREMENT))

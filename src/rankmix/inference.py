@@ -104,7 +104,8 @@ def _constrained_refits(fit: FitResult, data: AggregatedData, coefficients,
         cov = np.linalg.inv(_information(fit.params, design)[1])[:, refit]
         starts -= (cov / cov[refit, np.arange(len(refit))] * theta[refit]).T
         starts[np.arange(len(refit)), refit] = 0.0
-    chains = _damped_newton(design, starts, refit, _MAX_REFIT_ITER)
+    chains = _damped_newton(design, starts, refit, _MAX_REFIT_ITER,
+                            config.degenerate_mass)
     for i, chain in zip(refit, chains):
         name = design.coefficients[i].name
         if isinstance(chain, FitError):

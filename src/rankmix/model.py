@@ -26,17 +26,23 @@ nonzero count, which ``AggregatedData`` stores sorted by (set, pattern)
 and ``Design`` takes as they are. At a cell,
 log P_lkr = s_l . a_kr - log Z_kr, so the J! pattern space enters only
 through each (set, class) block's log-normalizer log Z_kr and its score
-moments, and ``Design.log_normalizer`` is the one kernel that enumerates
-it: one product, one ``exp`` and one row sum give log Z, the pattern
-weights (unnormalized) and log P at the observed cells, and one product
-of those weights with the design's moment table gives every block's
-E[s] and E[s s'] (``Design.score_moments``). Inside the fit, log P,
-posterior weights and expected counts are class-major (R, nnz) arrays,
-columns in ``Design.cell_set`` / ``Design.cell_pattern`` order; the
-public functions give (nnz, R) rows. One softmax, ``_mixture``, gives
-the log mixture log sum_r q_r P_r and the posterior weights to the EM
-loop, ``mixture_loglik``, ``posterior_weights`` and ``mixture_score``.
-Only ``Design.log_pattern_probs`` gives every (K, L, R) cell.
+moments. One class, ``_Enumeration`` (``Design.enumeration``), enumerates
+the patterns and holds every array over them: its ``log_normalizer``
+gives log Z, the pattern weights (unnormalized) and log P at the
+observed cells from one product, one ``exp`` and one row sum, and its
+``score_moments`` gives every block's E[s] and Cov[s] from one product
+of those weights with its moment table. ``Design`` keeps the rest: the
+block design matrix X and the coefficients, and the observed cells with
+their counts, their rows [1 | s | s_i s_j] and each set's run of cells,
+from which ``block_totals`` and the missing information read the
+observed score totals. Inside the fit, log P, posterior weights and
+expected counts are class-major (R, nnz) arrays, columns in
+``Design.cell_set`` / ``Design.cell_pattern`` order; the public
+functions give (nnz, R) rows. One softmax, ``_mixture``, gives the log
+mixture log sum_r q_r P_r and the posterior weights to the EM loop,
+``mixture_loglik``, ``posterior_weights`` and ``mixture_score``. Only
+the dense ``Design.log_pattern_probs``, which reads the pattern space's
+score matrix itself, gives every (K, L, R) cell.
 
 The information kernels live here too: ``_moments_information`` for the
 Newton solve, and ``_information_stack``, the log-likelihood, score,
@@ -153,6 +159,96 @@ class Parameters:
         return np.append(self.coefficients, log_q[:-1] - log_q[-1])
 
 
+def _moment_rows(s: np.ndarray) -> np.ndarray:
+    """[1 | s | s_i s_j over the non-reference items] per score row s.
+
+    ``s`` is (n, J); the result is (n, 1 + J + (J-1)^2).
+    """
+    free = s[:, :-1]
+    return np.hstack([np.ones((len(s), 1)), s,
+                      (free[:, :, None] * free[:, None, :]).reshape(len(s), -1)])
+
+
+class _Enumeration:
+    """The J! pattern space of a count table, enumerated for R classes.
+
+    It holds every array with one entry per pattern: [S'; 1] over the
+    patterns' net-win scores S (L, J), the moment table [1 | s | s_i s_j]
+    (L, 1 + J + (J-1)^2), and the places of the observed cells among a
+    stack's pattern weights. Its two methods are the only computations of
+    the fit that visit every pattern: the log-normalizer and the score
+    moments of each (set, class) block.
+    """
+
+    def __init__(self, data: AggregatedData, n_classes: int):
+        scores = data.space.score_matrix()
+        L, J = scores.shape
+        self._blocks = (data.n_sets, n_classes)
+        # [S' ; 1], (J + 1, L): [a, -shift] times it is s_l . a - shift
+        self._shifted_scores = np.vstack([scores.T, np.ones(L)])
+        # the largest s . a over all J! patterns pairs the sorted effects
+        # with the sorted scores 1 - J, 3 - J, ..., J - 1
+        self._score_ramp = np.arange(1.0 - J, J, 2.0)
+        # one product with the pattern weights gives every block's total,
+        # first and second score moments
+        self._moment_table = _moment_rows(scores)
+        # per class and observed cell, class-major (R, nnz): the cell's block
+        # row in a chain's (K * R, L) pattern weights, and its entry there
+        self._cell_blocks = data.cell_set * n_classes + np.arange(n_classes)[:, None]
+        self._cell_entries = self._cell_blocks * L + data.cell_pattern
+
+    def log_normalizer(self, a: np.ndarray):
+        """Per-block log-normalizers, pattern weights, and log P at the cells.
+
+        ``a`` holds the item effects (..., K, R, J). Returns log Z
+        (..., K, R), with Z_kr = sum_l exp(s_l . a_kr); the pattern weights
+        exp(s_l . a_kr - shift_kr), proportional to the pattern
+        probabilities, as one row of L patterns per block, (..., K * R, L),
+        in (set, class) order; and log P = s_l . a_kr - log Z_kr at the
+        observed cells, class-major, (..., R, nnz). The shift is the largest
+        s_l . a_kr: the space holds every ranking, so it is the sorted
+        effects times the sorted scores. All blocks of all chains are rows
+        of one product with the score matrix, which subtracts the shift
+        too; the cells' log P is gathered from it before an ``exp`` in
+        place (so it stays exact where the weights underflow) and one row
+        sum.
+        """
+        K, R, J = a.shape[-3:]
+        lead = a.shape[:-3]
+        rows = np.empty((a.size // J, J + 1))
+        rows[:, :J] = a.reshape(-1, J)
+        shift = np.sort(rows[:, :J], axis=1) @ self._score_ramp
+        rows[:, J] = -shift
+        w = rows @ self._shifted_scores
+        logp = np.take(w.reshape(-1, K * R * w.shape[1]), self._cell_entries,
+                       axis=1)
+        np.exp(w, out=w)
+        log_total = np.log(w.sum(axis=1))
+        logp -= np.take(log_total.reshape(-1, K * R), self._cell_blocks, axis=1)
+        return ((log_total + shift).reshape(lead + (K, R)),
+                w.reshape(lead + (K * R, -1)),
+                logp.reshape(lead + logp.shape[1:]))
+
+    def score_moments(self, w: np.ndarray):
+        """Per-block score moments from the pattern weights (..., K * R, L).
+
+        Returns E[s] (..., K, R, J) and Cov[s] over the non-reference
+        items, one flattened row per block, (N, (J-1)^2) with N all blocks
+        of all chains: one product of the weights of
+        :meth:`log_normalizer` with the moment table, divided by its first
+        column, the weights' total, gives E[s] and E[s s'], and
+        Cov[s] = E[s s'] - E[s] E[s]'.
+        """
+        J = self._score_ramp.size
+        sums = w.reshape(-1, w.shape[-1]) @ self._moment_table
+        sums /= sums[:, :1]
+        free = sums[:, 1:J]
+        cov = sums[:, J + 1:] - (free[:, :, None] * free[:, None, :]).reshape(
+            len(sums), -1)
+        # a copy, so that the means do not keep the whole product alive
+        return sums[:, 1:J + 1].reshape(w.shape[:-2] + self._blocks + (J,)).copy(), cov
+
+
 class Design:
     """Resolved design linking a ModelSpec to an aggregated data set.
 
@@ -166,9 +262,10 @@ class Design:
     coefficient vector is B in row-major order (design column outer, item
     inner).
 
-    Also built: the per-pattern moment table [1 | s | s_i s_j] and, for
-    the data's observed cells (sorted by set, then pattern), their counts
-    as floats, their score rows and the start of each set's run of cells.
+    Also built: for the data's observed cells (sorted by set, then
+    pattern), their counts as floats, their rows [1 | s | s_i s_j] and the
+    start of each set's run of cells; and ``enumeration``, the
+    :class:`_Enumeration` of the pattern space at those cells.
     """
 
     def __init__(self, spec: ModelSpec, data: AggregatedData):
@@ -178,35 +275,18 @@ class Design:
             )
         self.spec = spec
         self.data = data
-        self.S = data.space.score_matrix()  # (L, J)
-        L, J = self.S.shape
-        # [S' ; 1], (J + 1, L): [a, -shift] times it is s_l . a - shift
-        self._shifted_scores = np.vstack([self.S.T, np.ones(L)])
-        # the largest s . a over all J! patterns pairs the sorted effects
-        # with the sorted scores 1 - J, 3 - J, ..., J - 1
-        self._score_ramp = np.arange(1.0 - J, J, 2.0)
-        # [1 | s | s_i s_j over the non-reference items] per pattern,
-        # (L, 1 + J + (J-1)^2): one product with the pattern weights gives
-        # every block's total, first and second score moments
-        free_scores = self.S[:, :-1]
-        self.moment_table = np.hstack([
-            np.ones((L, 1)), self.S,
-            (free_scores[:, :, None] * free_scores[:, None, :]).reshape(L, -1),
-        ])
         # the cells are sorted by set, so each set's cells are one contiguous run
         self.cell_set, self.cell_pattern = data.cell_set, data.cell_pattern
         self.cell_counts = data.cell_counts.astype(np.float64)
         self.n_respondents = self.cell_counts.sum()
-        # [s'; 1] per cell, (J + 1, nnz), for the score and block totals
-        self._cell_score_rows = self._shifted_scores[:, self.cell_pattern]
         self._observed_sets, self._set_starts = np.unique(
             self.cell_set, return_index=True
         )
-        K, R = data.n_sets, spec.n_classes
-        # per class and observed cell, class-major (R, nnz): the cell's block
-        # row in a chain's (K * R, L) pattern rows, and its entry there
-        self._cell_blocks = self.cell_set * R + np.arange(R)[:, None]
-        self._cell_entries = self._cell_blocks * L + self.cell_pattern
+        K, R, J = data.n_sets, spec.n_classes, spec.n_items
+        self.enumeration = _Enumeration(data, R)
+        # [1 | s | s_i s_j] per cell, from the cells' own rankings
+        self._cell_moments = _moment_rows(
+            (J + 1 - 2 * data.space.rankings[self.cell_pattern]).astype(np.float64))
         self.coefficients: list[Coefficient] = []
         columns: list[np.ndarray] = []  # each broadcasts to (K, R)
 
@@ -303,62 +383,13 @@ class Design:
     def eta(self, coefficients: np.ndarray) -> np.ndarray:
         """Linear predictors for all cells, shaped (K, L, R)."""
         a = self.item_effects(coefficients)
-        return np.einsum("lj,jkr->klr", self.S, a)
+        return np.einsum("lj,jkr->klr", self.data.space.score_matrix(), a)
 
     def log_pattern_probs(self, coefficients: np.ndarray) -> np.ndarray:
         """log P_lkr, normalized over patterns within each (k, r); (K, L, R)."""
         e = self.eta(coefficients)
         e -= _logsumexp(e, axis=1)
         return e
-
-    def log_normalizer(self, a: np.ndarray):
-        """Per-block log-normalizers, pattern weights, and log P at the cells.
-
-        ``a`` holds the item effects (..., K, R, J). Returns log Z
-        (..., K, R), with Z_kr = sum_l exp(s_l . a_kr); the pattern weights
-        exp(s_l . a_kr - shift_kr), proportional to the pattern
-        probabilities, as one row of L patterns per block, (..., K * R, L),
-        in (set, class) order; and log P = s_l . a_kr - log Z_kr at the
-        observed cells, class-major, (..., R, nnz). The shift is the largest
-        s_l . a_kr: the space holds every ranking, so it is the sorted
-        effects times the sorted scores. All blocks of all chains are rows
-        of one product with the score matrix, which subtracts the shift
-        too; the cells' log P is gathered from it before an ``exp`` in
-        place (so it stays exact where the weights underflow) and one row
-        sum. This is the only computation of the fit that visits every
-        pattern.
-        """
-        K, R, J = a.shape[-3:]
-        lead = a.shape[:-3]
-        rows = np.empty((a.size // J, J + 1))
-        rows[:, :J] = a.reshape(-1, J)
-        shift = np.sort(rows[:, :J], axis=1) @ self._score_ramp
-        rows[:, J] = -shift
-        w = rows @ self._shifted_scores
-        logp = np.take(w.reshape(-1, K * R * w.shape[1]), self._cell_entries,
-                       axis=1)
-        np.exp(w, out=w)
-        log_total = np.log(w.sum(axis=1))
-        logp -= np.take(log_total.reshape(-1, K * R), self._cell_blocks, axis=1)
-        return ((log_total + shift).reshape(lead + (K, R)),
-                w.reshape(lead + (K * R, -1)),
-                logp.reshape(lead + logp.shape[1:]))
-
-    def score_moments(self, w: np.ndarray):
-        """Per-block score moments from the pattern weights (..., K * R, L).
-
-        Returns E[s] (..., K, R, J) and E[s_i s_j] over the non-reference
-        items, one row per block, (N, (J-1)^2) with N all blocks of all
-        chains: one product of the weights of :meth:`log_normalizer` with
-        ``moment_table``, divided by its first column, the weights' total.
-        """
-        J = self.n_items
-        sums = w.reshape(-1, w.shape[-1]) @ self.moment_table
-        sums /= sums[:, :1]
-        # a copy, so that the means do not keep the whole product alive
-        mean = sums[:, 1:J + 1].reshape(
-            w.shape[:-2] + (self.n_sets, self.n_classes, J)).copy()
-        return mean, sums[:, J + 1:]
 
     def cell_values(self, x) -> np.ndarray:
         """Check a per-cell, per-class array at the observed cells, (nnz, R).
@@ -396,14 +427,11 @@ class Design:
         ``m`` holds cell counts, class-major (..., R, nnz), and t[k, r] is
         the sum over the set's cells of m[r, cell] * s_l.
         """
-        sums = self.set_sums(m[..., None, :] * self._cell_score_rows, axis=-1)
+        # [1; s'] per cell, (J + 1, nnz), contiguous so that the product is fast
+        rows = np.ascontiguousarray(self._cell_moments[:, :self.n_items + 1].T)
+        sums = self.set_sums(m[..., None, :] * rows, axis=-1)
         sums = sums.swapaxes(-1, -2).swapaxes(-2, -3)  # (..., K, R, J + 1)
-        return sums[..., -1].copy(), sums[..., :-1].copy()
-
-    @functools.cached_property
-    def _cell_moments(self) -> np.ndarray:
-        """The moment table's rows [1 | s | s_i s_j] at the observed cells, (nnz, ...)."""
-        return self.moment_table[self.cell_pattern]
+        return sums[..., 0].copy(), sums[..., 1:].copy()
 
     @functools.cached_property
     def saturated_loglik(self) -> float:
@@ -471,7 +499,7 @@ def _mixture(logp: np.ndarray, log_mixing: np.ndarray):
     """log sum_r q_r P_r and the posterior class weights, from one softmax.
 
     ``logp`` holds log P class-major, (..., R, nnz), as
-    :meth:`Design.log_normalizer` gives it; it is overwritten by the
+    :meth:`_Enumeration.log_normalizer` gives it; it is overwritten by the
     posterior weights. ``log_mixing`` holds log q and broadcasts against
     it: (R, 1) for one chain, (B, R, 1) for a stack. Returns the log
     mixture (..., nnz) and the weights (..., R, nnz): one shift, one
@@ -512,22 +540,17 @@ def _moments_information(w: np.ndarray, design: Design, products: np.ndarray):
     """Per-block score means E[s] (..., K, R, J) and the information (B, P, P).
 
     ``w`` holds the pattern weights as one row per (set, class) block,
-    (..., K * R, L), as :meth:`Design.log_normalizer` returns them, and
-    ``products`` the :func:`_column_products` of the block totals. The
+    (..., K * R, L), as :meth:`_Enumeration.log_normalizer` returns them,
+    and ``products`` the :func:`_column_products` of the block totals. The
     entry for coefficients (c, i) and (d, j) is sum_kr m_plus[k, r]
     X_krc X_krd Cov_kr[s]_ij over the non-reference items, one matrix
-    product of the column products with the block covariances
-    Cov[s] = E[s s'] - E[s] E[s]', whose moments come from one product of
-    ``w`` with the design's moment table.
+    product of the column products with the block covariances of
+    :meth:`_Enumeration.score_moments`.
     """
-    KR = w.shape[-2]
     J1 = design.n_items - 1
     Q = design.X.shape[-1]
-    mean, second = design.score_moments(w)
-    free_mean = mean[..., :-1].reshape(-1, J1)
-    cov = second - (free_mean[:, :, None] * free_mean[:, None, :]).reshape(
-        len(second), -1)
-    info = np.swapaxes(products, 1, 2) @ cov.reshape(-1, KR, J1 * J1)
+    mean, cov = design.enumeration.score_moments(w)
+    info = np.swapaxes(products, 1, 2) @ cov.reshape(products.shape[:2] + (-1,))
     info = info.reshape(-1, Q, Q, J1, J1).transpose(0, 1, 3, 2, 4)
     return mean, info.reshape(-1, Q * J1, Q * J1)
 
@@ -576,7 +599,8 @@ def _information_stack(coefficients: np.ndarray, log_mixing: np.ndarray,
     B, p = coefficients.shape
     R = design.n_classes
     n = design.cell_counts
-    _, weights, logp = design.log_normalizer(design.block_effects(coefficients))
+    _, weights, logp = design.enumeration.log_normalizer(
+        design.block_effects(coefficients))
     log_mixture, w = _mixture(logp, log_mixing[:, :, None])
     m = w * n
     m_plus = design.set_sums(m, axis=-1).swapaxes(1, 2)  # (B, K, R)
@@ -592,7 +616,7 @@ def _information_stack(coefficients: np.ndarray, log_mixing: np.ndarray,
         q[:, :, None] * np.eye(R - 1) - q[:, :, None] * q[:, None, :])
     observed = complete.copy()
     group = max(1, _STACK_ENTRIES // (R * R * m.shape[-1]
-                                      * design.moment_table.shape[1]))
+                                      * design._cell_moments.shape[1]))
     for lo in range(0, B, group):
         chains = slice(lo, lo + group)
         t = design.block_totals(m[chains])[1]
@@ -655,7 +679,8 @@ def _missing_information(w: np.ndarray, mean: np.ndarray, design: Design):
 
 def posterior_weights(params: Parameters, design: Design) -> np.ndarray:
     """Posterior class probabilities at the observed cells, shaped (nnz, R)."""
-    logp = design.log_normalizer(design.block_effects(params.coefficients))[2]
+    logp = design.enumeration.log_normalizer(
+        design.block_effects(params.coefficients))[2]
     return _mixture(logp, np.log(params.mixing)[:, None])[1].T.copy()
 
 
@@ -670,7 +695,8 @@ def mixture_loglik(
     likelihood-ratio statistics.
     """
     design.check_data(data)
-    logp = design.log_normalizer(design.block_effects(params.coefficients))[2]
+    logp = design.enumeration.log_normalizer(
+        design.block_effects(params.coefficients))[2]
     loglik = float(_mixture(logp, np.log(params.mixing)[:, None])[0]
                    @ design.cell_counts)
     return loglik, 2.0 * (design.saturated_loglik - loglik)

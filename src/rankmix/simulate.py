@@ -206,19 +206,15 @@ def match_class_order(true_worths: np.ndarray, fitted_worths: np.ndarray):
 
     Inputs are (R, n_profiles * J) stacked worth profiles; the cost is the
     mean total-variation distance between profiles and the assignment
-    minimizes total cost. Returns perm with fitted class perm[r] matching
-    true class r.
+    minimizes total cost, found by one search over all R! orders, so R
+    may be at most 8 (``ValueError`` otherwise). Returns perm with fitted
+    class perm[r] matching true class r.
     """
-    from scipy.optimize import linear_sum_assignment
-
     true_worths = np.asarray(true_worths, dtype=np.float64)
     fitted_worths = np.asarray(fitted_worths, dtype=np.float64)
     R = true_worths.shape[0]
-    cost = np.zeros((R, R))
-    for a in range(R):
-        for b in range(R):
-            cost[a, b] = 0.5 * np.abs(true_worths[a] - fitted_worths[b]).sum()
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(R, dtype=np.int64)
-    perm[rows] = cols
-    return perm
+    if R > 8:
+        raise ValueError(f"cannot match {R} classes: at most 8")
+    cost = 0.5 * np.abs(true_worths[:, None] - fitted_worths[None]).sum(axis=-1)
+    perms = np.array(list(itertools.permutations(range(R))), dtype=np.int64)
+    return perms[np.argmin(cost[np.arange(R), perms].sum(axis=1))]

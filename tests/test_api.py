@@ -44,11 +44,14 @@ def test_public_names_are_pinned():
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is needed only by simulate.match_class_order, imported there
+    # numpy is the only runtime dependency: neither the CLI nor the class
+    # matching of simulate loads scipy
     src = os.path.dirname(os.path.dirname(rankmix.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, rankmix.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    for code in ("import sys, rankmix.cli; ",
+                 "import sys, numpy as np; from rankmix.simulate import "
+                 "match_class_order; match_class_order(np.eye(3), np.eye(3)); "):
+        out = subprocess.run([sys.executable, "-c", code + report], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        assert out.strip() == "[]"

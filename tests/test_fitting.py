@@ -26,6 +26,7 @@ from rankmix.inference import StandardErrorError, corrected_se, standard_error_r
 from rankmix.model import (
     Design,
     ModelSpec,
+    _Enumeration,
     Parameters,
     _information,
     _information_stack,
@@ -292,7 +293,8 @@ def louis_by_cells(params, design):
     nnz, R = w.shape
     p = design.n_coefficients
     effects = design.block_effects(params.coefficients)
-    mean = design.score_moments(design.log_normalizer(effects)[1])[0]
+    mean = design.enumeration.score_moments(
+        design.enumeration.log_normalizer(effects)[1])[0]
     resid = (design.data.space.score_matrix()[design.cell_pattern][:, None, :]
              - mean[design.cell_set])[..., :-1]
     X = design.X[design.cell_set]  # (nnz, R, Q)
@@ -502,7 +504,7 @@ class TestObservedCells:
         # posteriors need none
         design, data = self.instance()
         points, normalizer_calls = set(), []
-        block_effects, normalizer = Design.block_effects, Design.log_normalizer
+        block_effects, normalizer = Design.block_effects, _Enumeration.log_normalizer
 
         def effects_at(self, coefficients):
             points.add(np.asarray(coefficients).tobytes())
@@ -513,7 +515,7 @@ class TestObservedCells:
             return normalizer(self, a)
 
         monkeypatch.setattr(Design, "block_effects", effects_at)
-        monkeypatch.setattr(Design, "log_normalizer", counted)
+        monkeypatch.setattr(_Enumeration, "log_normalizer", counted)
         result = fit(design.spec, data,
                      FitConfig(n_starts=1, max_iter=3, tol=1e-12))
         assert result.n_iterations == 3

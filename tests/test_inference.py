@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rankmix.data import CovariateDecl, aggregate
-from rankmix.fitting import FitConfig, fit
+from rankmix.fitting import FitConfig, _damped_newton, fit
 from rankmix.inference import (
     StandardErrorError,
     corrected_se,
@@ -19,9 +19,9 @@ from rankmix.inference import (
     standard_error_report,
 )
 from rankmix.model import (
-    Design,
     ModelSpec,
     Parameters,
+    _Enumeration,
     mixture_loglik,
     mixture_score,
     posterior_weights,
@@ -115,6 +115,23 @@ class TestCorrectedSE:
         with pytest.raises(StandardErrorError, match="refit for 'A' degenerated"):
             corrected_se(result, data, "A", FitConfig(**options))
 
+    @pytest.mark.parametrize("ratio", [-700.0, 700.0])
+    def test_refit_whose_class_empties_stops_unconverged(self, ratio):
+        # A held at zero and the mass log-ratio moved so far that a class is
+        # all but empty: the chain stops at its start, unconverged, where it
+        # would otherwise reach a flat point 275 below the fit (-700) or fail
+        # as rank deficient (+700)
+        result, _ = two_class_two_set_fit()
+        design = result.design
+        held = design.name_to_index["A"]
+        start = result.params.theta[None].copy()
+        start[0, [held, -1]] = 0.0, ratio
+        (chain,) = _damped_newton(design, start, [held], 200,
+                                  FitConfig().degenerate_mass)
+        point, _, converged = chain
+        assert not converged
+        assert np.array_equal(point, start[0])
+
     def test_constrained_refit_never_beats_unconstrained(self):
         result, data = two_class_two_set_fit()
         for name in ("A", "A:class1"):
@@ -201,13 +218,13 @@ class TestHessianSE:
         # patterns at the fit's parameters
         result, data = two_class_two_set_fit()
         calls = []
-        normalizer = Design.log_normalizer
+        normalizer = _Enumeration.log_normalizer
 
         def counted(self, a):
             calls.append(1)
             return normalizer(self, a)
 
-        monkeypatch.setattr(Design, "log_normalizer", counted)
+        monkeypatch.setattr(_Enumeration, "log_normalizer", counted)
         call(result, data)
         assert len(calls) == 1
 

@@ -179,7 +179,7 @@ class TestLogNormalizer:
 
     @staticmethod
     def enumerated(effects):
-        """log Z, E[s] and E[s_i s_j] over the non-reference items, from the
+        """log Z, E[s] and Cov[s] over the non-reference items, from the
         pairwise-product oracle and net wins counted off each order vector."""
         j = effects.size
         probs = oracles.ranking_probabilities(effects)
@@ -191,8 +191,10 @@ class TestLogNormalizer:
         mode = np.argmax(probs)
         log_z = scores[mode] @ effects - math.log(probs[mode])
         free = scores[:, :-1]
-        second = np.einsum("l,li,lj->ij", probs, free, free)
-        return log_z, probs @ scores, second.ravel()
+        mean = probs @ scores
+        cov = (np.einsum("l,li,lj->ij", probs, free, free)
+               - np.outer(mean[:-1], mean[:-1]))
+        return log_z, mean, cov.ravel()
 
     @pytest.mark.parametrize("n_items", [2, 3, 4, 5, 6])
     def test_log_z_and_moments_match_enumeration(self, n_items):
@@ -207,18 +209,18 @@ class TestLogNormalizer:
             np.linspace(-50.0, 50.0, n_items),
         ])
         # a stack of blocks, each its own chain of one set and one class
-        log_z, w, _ = design.log_normalizer(blocks[:, None, None, :])
-        mean, second = design.score_moments(w)
+        log_z, w, _ = design.enumeration.log_normalizer(blocks[:, None, None, :])
+        mean, cov = design.enumeration.score_moments(w)
         assert np.isfinite(log_z).all()
         # the shift is the largest s . a, so each block's top weight is 1
         assert w.max(axis=-1) == pytest.approx(np.ones((len(blocks), 1)),
                                                rel=1e-12)
         for b, effects in enumerate(blocks):
-            want_log_z, want_mean, want_second = self.enumerated(effects)
+            want_log_z, want_mean, want_cov = self.enumerated(effects)
             assert log_z[b, 0, 0] == pytest.approx(want_log_z, rel=1e-12,
                                                    abs=1e-12)
             assert mean[b, 0, 0] == pytest.approx(want_mean, abs=1e-12)
-            assert second[b] == pytest.approx(want_second, abs=1e-12)
+            assert cov[b] == pytest.approx(want_cov, abs=1e-12)
 
     @pytest.mark.parametrize("n_items", [3, 6])
     @pytest.mark.parametrize("n_classes", [1, 2, 3])
@@ -237,7 +239,8 @@ class TestLogNormalizer:
         edge = 0.995 * FitConfig().degenerate_offset
         signs = np.where(np.arange(n_items - 1) < n_items // 2, 1.0, -1.0)
         coefficients[-1] = np.tile(edge * signs, design.X.shape[-1])
-        _, w, logp = design.log_normalizer(design.block_effects(coefficients))
+        _, w, logp = design.enumeration.log_normalizer(
+            design.block_effects(coefficients))
         assert logp.shape == (stack, n_classes, design.cell_set.size)
         for b in range(stack):
             dense = design.log_pattern_probs(coefficients[b])
@@ -250,6 +253,34 @@ class TestLogNormalizer:
             underflow = np.mean(w[-1] == 0.0, axis=-1).max()
             assert underflow > (0.5 if n_classes > 1 else 0.4)
         assert np.isfinite(logp).all()
+
+
+    @staticmethod
+    def two_set_design(n_items, seed):
+        """Two sets, two classes, about a third of the cells observed."""
+        L = math.factorial(n_items)
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 3, (2, L)) * (rng.random((2, L)) < 0.3)
+        counts[:, 0] += 1
+        data = make_data(n_items, counts, factor_levels=["a", "b"])
+        return Design(ModelSpec(tuple("ABCDEF"[:n_items]), ("g",), 2), data)
+
+    def test_design_holds_no_pattern_axis(self):
+        # J=5 has L=120 patterns; only the design's enumeration holds arrays
+        # over them
+        design = self.two_set_design(5, 17)
+        assert design.cell_set.size != 120
+        arrays = [x for x in vars(design).values() if isinstance(x, np.ndarray)]
+        assert arrays and all(120 not in x.shape for x in arrays)
+
+    @pytest.mark.parametrize("n_items", [3, 6])
+    def test_cell_rows_are_the_moment_table_at_the_cells(self, n_items):
+        # the cells' [1 | s | s_i s_j], built from their own rankings, are the
+        # enumeration's moment table rows, bit for bit
+        design = self.two_set_design(n_items, n_items)
+        want = design.enumeration._moment_table[design.cell_pattern]
+        assert design._cell_moments.shape == want.shape
+        assert design._cell_moments.tobytes() == want.tobytes()
 
 
 class TestLogsumexp:
@@ -442,9 +473,10 @@ class TestInformation:
         assert score.shape == (p + n_classes - 1,)
         m = (design.cell_counts[:, None] * posterior_weights(params, design)).T
         m_plus, t = design.block_totals(m)
-        weights = design.log_normalizer(design.block_effects(params.coefficients))[1]
+        weights = design.enumeration.log_normalizer(
+            design.block_effects(params.coefficients))[1]
         newton = _coefficient_score(design.X, t, m_plus,
-                                    design.score_moments(weights)[0])
+                                    design.enumeration.score_moments(weights)[0])
         assert np.abs(score[:p] - newton).max() <= 1e-12 * np.abs(newton).max()
         shares = m.sum(axis=1)[:-1] - design.n_respondents * params.mixing[:-1]
         assert np.abs(score[p:] - shares).max(initial=0.0) <= (

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from rankmix.data import DataError
 from rankmix.simulate import (
@@ -213,3 +214,22 @@ class TestClassMatching:
     def test_identity_when_aligned(self):
         profiles = np.array([[0.7, 0.2, 0.1], [0.2, 0.2, 0.6]])
         assert match_class_order(profiles, profiles).tolist() == [0, 1]
+
+    @pytest.mark.parametrize("n_classes", range(1, 9))
+    def test_matches_linear_sum_assignment(self, n_classes):
+        # random worth profiles have one cheapest assignment, so the
+        # exhaustive search and the Hungarian method agree on it
+        rng = np.random.default_rng(n_classes)
+        for _ in range(5):
+            # two stacks of R profiles of three worth vectors over four items
+            true, fitted = rng.dirichlet(np.ones(4), size=(2, n_classes, 3)).reshape(
+                2, n_classes, -1)
+            cost = 0.5 * np.abs(true[:, None] - fitted[None]).sum(axis=-1)
+            rows, cols = linear_sum_assignment(cost)
+            perm = match_class_order(true, fitted)
+            assert perm.tolist() == cols[np.argsort(rows)].tolist()
+
+    def test_more_than_eight_classes_rejected(self):
+        profiles = np.full((9, 3), 1.0 / 3.0)
+        with pytest.raises(ValueError, match="at most 8"):
+            match_class_order(profiles, profiles)
