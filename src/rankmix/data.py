@@ -6,8 +6,11 @@ per (covariate set k, pattern l) cell, stored only where nonzero, as a list
 of cells sorted by (set, pattern) that no other module rebuilds.
 Continuous covariates are centered and scaled here so downstream IRLS sees
 standardized columns; the scale is kept so raw-scale coefficients can be
-reported back. Columns are coded through their distinct values, which are
-checked, converted and sorted once; a failing row is rechecked alone.
+reported back. A CSV file is coded through its distinct lines (records,
+where a quoted field holds a line break): each is parsed once, and a
+column's cells are coded through their fields, so values are checked,
+converted and sorted once per distinct value and a row costs one dict
+lookup. A failing row is rechecked alone.
 """
 
 from __future__ import annotations
@@ -292,17 +295,6 @@ def _rank_cell(text: str) -> int:
     return int(value)
 
 
-def _record_lines(path) -> list[int]:
-    """Each non-blank CSV record's first line, header first; read for errors only."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader, starts, end = csv.reader(fh), [], 0
-        for record in reader:
-            if record:
-                starts.append(end + 1)
-            end = reader.line_num
-    return starts
-
-
 def read_ranking_csv(
     path,
     space: PatternSpace,
@@ -313,6 +305,11 @@ def read_ranking_csv(
     extra_columns=(),
 ) -> IngestResult:
     """Read one-row-per-respondent CSV rankings and aggregate them.
+
+    A record is one line of the file (lines end at \\n, \\r or \\r\\n),
+    unless a quoted field holds a line break; then it spans the lines
+    csv.reader reads for it. Blank lines are skipped, and a field absent
+    from a short record reads as empty.
 
     ``item_columns`` lists the J rank columns in item order.
     ``ranking_format`` must be declared ("ranks" or "orders"); the two
@@ -330,25 +327,40 @@ def read_ranking_csv(
         covariate_columns.setdefault(decl.name, decl.name)
 
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file, header row required")
-        for col in [*item_columns, *covariate_columns.values(), *extra_columns]:
-            if col not in header:
-                raise DataError(f"{path}: column {col!r} not in header")
-        records = list(filter(None, reader))  # blank lines skipped, as by csv.DictReader
+        lines = fh.readlines()  # split as file iteration splits: at \n, \r and \r\n only
+    texts, codes = _coded(lines)  # each distinct line, and each line's code
+    first_line = np.arange(1, len(lines) + 1)  # each record's first line
+    if any('"' in text for text in texts):  # a quoted field may hold line breaks
+        reader = csv.reader(lines)
+        ends = [reader.line_num for _ in reader]
+        first_line = np.array([0, *ends[:-1]], dtype=np.intp) + 1
+        texts, codes = _coded(["".join(lines[a - 1:b]) for a, b in zip(first_line, ends)])
+    records = list(csv.reader(texts))  # each distinct record is parsed once
+    if not records:
+        raise DataError(f"{path}: empty file, header row required")
+    header = records[0]
+    for col in [*item_columns, *covariate_columns.values(), *extra_columns]:
+        if col not in header:
+            raise DataError(f"{path}: column {col!r} not in header")
     used = [*item_columns, *(covariate_columns[d.name] for d in declarations)]
+    # the rows: the lines after the header, less blank lines (skipped, as by
+    # csv.DictReader); only their distinct records are coded into columns, as
+    # a header name among a column's cells would send _floats down its slow path
+    row = np.fromiter(map(bool, records), bool, len(records))[codes]
+    row[0] = False
+    kept, codes = np.unique(codes[row], return_inverse=True)
+    records, first_line = [records[k] for k in kept], first_line[row]
     # name -> (distinct cells, each record's code), coded as each column is
-    # transposed; absent fields read as None, a repeated name keeps its last
-    columns = chain(zip_longest(*records), repeat((None,) * len(records)))
-    column = {name: _coded(cells) for name, cells in zip(header, columns)
+    # transposed; absent fields read as empty, a repeated name keeps its last
+    columns = chain(zip_longest(*records, fillvalue=""), repeat(("",) * len(records)))
+    fields = {name: _coded(cells) for name, cells in zip(header, columns)
               if name in {*used, *extra_columns}}
     del records, columns  # the iterators hold every record
-    blank = np.any([np.array([v is None or not v.strip() for v in cells], dtype=bool)[codes]
-                    for cells, codes in map(column.get, used)], axis=0)
-    accepted = np.flatnonzero(~blank)  # each accepted row's record index
-    column = {name: (distinct, codes[~blank]) for name, (distinct, codes) in column.items()}
+    blank = np.any([np.array([not v.strip() for v in cells], dtype=bool)[field]
+                    for cells, field in map(fields.get, used)], axis=0)[codes]
+    n_rejected = int(np.count_nonzero(blank))
+    codes, first_line = codes[~blank], first_line[~blank]
+    column = {name: (cells, field[codes]) for name, (cells, field) in fields.items()}
     items = [column[name] for name in item_columns]
 
     def recheck_ranks(i):
@@ -357,12 +369,11 @@ def read_ranking_csv(
         ranks = order_to_ranks(values - 1) if ranking_format == "orders" else values
         validate_ranks(ranks, space.n_items)
 
-    n_rejected = blank.size - len(accepted)
     data = _aggregate(
         space, np.column_stack([_floats(cells)[codes] for cells, codes in items]),
         {d.name: column[covariate_columns[d.name]] for d in declarations},
         declarations, recheck_ranks,
-        lambda i: f"line {_record_lines(path)[accepted[i] + 1]}",
+        lambda i: f"line {first_line[i]}",
         orders=ranking_format == "orders", n_rejected=n_rejected,
     )
     extras = {name: column[name][0][column[name][1]].tolist() for name in extra_columns}

@@ -425,6 +425,16 @@ class TestFit:
             total = sum(float(x) for x in parts[1:])
             assert total == pytest.approx(sizes[parts[0]], abs=1e-6)
 
+    def test_crosstab_absent_field_is_the_empty_category(self, tmp_path):
+        # the last row is short: its country is absent, like the blank cell above it
+        rows = ["1,2,3,AT", "2,1,3,DE", "3,2,1,AT", "1,3,2,", "2,1,3"]
+        (tmp_path / "short.csv").write_text("A,B,C,country\n" + "\n".join(rows) + "\n")
+        cfg = fit_config(tmp_path, tmp_path / "short.csv", covariates=[], terms=[],
+                         classes=1, crosstab=["country"])
+        assert main(["fit", "--config", cfg]) == 0
+        table = (tmp_path / "out" / "crosstab.csv").read_text().splitlines()[1:]
+        assert sorted(line.split(",")[0] for line in table) == ["", "AT", "DE"]
+
 
 class TestSearch:
     def test_class_sweep_comparison(self, tmp_path, sim_csv):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rankmix.data
 from rankmix.data import (
     AggregatedData,
     CovariateDecl,
@@ -315,6 +316,14 @@ class TestCsvIngest:
         )
         assert res.extra_columns["country"] == ["AT", "IT"]
 
+    def test_absent_extra_field_reads_as_empty(self, tmp_path, space3):
+        # the second row is short: its country is absent, like the third's blank cell
+        path = self.write(tmp_path, "a,b,c,country\n1,2,3,AT\n2,1,3\n3,2,1,\n")
+        res = read_ranking_csv(
+            path, space3, ["a", "b", "c"], [], extra_columns=("country",)
+        )
+        assert res.extra_columns["country"] == ["AT", "", ""]
+
 
 # CSV text for the reader property: the header names the items a, b, c, the
 # factors g (declared levels y, x) and h, the continuous x and the extra e;
@@ -329,6 +338,12 @@ CSV_NOISE = ["", " ", "\t", "\u3000", "\x1c", "\x85", "\xa0", "\u200b", "\x00",
              "2.0", "2.5", "inf", "1e20", "-1", "nan", "abc", "q"]
 CSV_DECLS = {"g": CovariateDecl("g", "factor", levels=("y", "x")),
              "h": CovariateDecl("h", "factor"), "x": CovariateDecl("x", "continuous")}
+
+
+# quoted cells: a comma, a doubled quote and line breaks inside the quotes
+CSV_QUOTED = ['"x,y"', '"say ""u"""', '"two\nlines"', '"two\r\nlines"', '"2"', '"u"']
+# what may follow the last line ending: nothing, or an unterminated quote
+CSV_TAILS = ["", "", "", '"', '"open', '2,1,"3', '3,2,1,"x\ny']
 
 
 @st.composite
@@ -346,24 +361,32 @@ def csv_texts(draw):
         record = [cells[name] if name not in header[i + 1:] else "q"
                   for i, name in enumerate(header)]
         for pos in draw(st.lists(st.integers(0, len(record) - 1), max_size=2)):
-            record[pos] = draw(st.sampled_from(CSV_NOISE))
+            record[pos] = draw(st.sampled_from(CSV_NOISE + CSV_QUOTED))
         n = len(record)
         record = (record + ["7"])[:draw(st.sampled_from([n, n, n, n - 1, n + 1, 1]))]
         lines.append(",".join(record))
-    return "\n".join(lines) + "\n"
+    endings = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+    return "".join(line + draw(endings) for line in lines) + draw(st.sampled_from(CSV_TAILS))
 
 
 def _csv_reference(path, space, items, decls, ranking_format, extra_columns):
     """``read_ranking_csv`` one record at a time, on ``csv.DictReader`` and
-    ``aggregate``; a record's line is its line in the file, where DictReader
-    stands once it has read the record (DictReader skips blank lines, and
-    every record here is one line)."""
+    ``aggregate``. A record's line is its first line in the file: DictReader
+    stands on a record's last line once it has read it and skips blank lines,
+    so that is the first line after the previous record's last that is not
+    blank. An absent field reads as empty."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        records = [(reader.line_num, rec) for rec in reader]
+        lines = fh.readlines()
+    reader = csv.DictReader(lines, restval="")
+    reader.fieldnames  # reads the header
+    end, records = reader.line_num, []
+    for rec in reader:
+        start = next(i for i in range(end, reader.line_num) if lines[i].strip("\r\n"))
+        records.append((start + 1, rec))
+        end = reader.line_num
     used = [*items, *(d.name for d in decls)]
     accepted = [(line, rec) for line, rec in records
-                if all(rec[c] is not None and rec[c].strip() for c in used)]
+                if all(rec[c].strip() for c in used)]
     rows, rank_error = [], None
     for line, rec in accepted:
         try:
@@ -423,4 +446,28 @@ class TestCsvReaderProperty:
                 extra_columns=extras))
             want = _outcome(lambda: _csv_reference(
                 path, space, ["a", "b", "c"], decls, ranking_format, extras))
+        assert got == want
+
+    def test_each_distinct_line_is_parsed_once(self, tmp_path, monkeypatch):
+        space, decls = shared_space(3), [CSV_DECLS["g"], CSV_DECLS["x"]]
+        distinct = ["1,2,3,x,0.5,AT\n", "3,1,2,y,-1,AT\n", "2,1,3,x,0.5,IT\n", "\n",
+                    ",1,2,y,2,IT\n", "2,3,1,x,-1\n"]
+        draws = np.random.default_rng(0).integers(len(distinct), size=600)
+        lines = ["a,b,c,g,x,e\n", *(distinct[i] for i in draws)]
+        path = tmp_path / "data.csv"
+        path.write_text("".join(lines), encoding="utf-8")
+        call = (path, space, ["a", "b", "c"], decls)
+        want = _outcome(lambda: _csv_reference(*call, "ranks", ("e",)))
+
+        parsed, reader = [], rankmix.data.csv.reader
+
+        def spy(lines, *args, **kwargs):
+            lines = list(lines)
+            parsed.extend(lines)
+            return reader(lines, *args, **kwargs)
+
+        monkeypatch.setattr(rankmix.data.csv, "reader", spy)
+        got = _outcome(lambda: read_ranking_csv(*call, extra_columns=("e",)))
+        monkeypatch.undo()
+        assert sorted(parsed) == sorted(set(lines))
         assert got == want
