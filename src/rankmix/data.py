@@ -58,9 +58,12 @@ def _floats(values: np.ndarray) -> np.ndarray:
 
 def _coded(cells, sort=False) -> tuple[np.ndarray, np.ndarray]:
     """The distinct entries of ``cells`` as an object array, first seen first
-    or sorted, and each entry's index into them: one dict lookup per entry."""
+    or sorted, and each entry's index into them: one dict lookup per entry,
+    none when no entry repeats and the order is kept."""
     index = dict.fromkeys(cells)
     distinct = sorted(index) if sort else list(index)
+    if len(distinct) == len(cells) and not sort:
+        return np.fromiter(distinct, object, len(distinct)), np.arange(len(cells))
     index.update(zip(distinct, range(len(distinct))))
     return (np.fromiter(distinct, object, len(distinct)),
             np.fromiter(map(index.__getitem__, cells), np.intp, len(cells)))
@@ -328,34 +331,31 @@ def read_ranking_csv(
 
     with open(path, newline="", encoding="utf-8") as fh:
         lines = fh.readlines()  # split as file iteration splits: at \n, \r and \r\n only
-    texts, codes = _coded(lines)  # each distinct line, and each line's code
     first_line = np.arange(1, len(lines) + 1)  # each record's first line
-    if any('"' in text for text in texts):  # a quoted field may hold line breaks
+    if '"' in "".join(lines):  # a quoted field may hold line breaks
         reader = csv.reader(lines)
         ends = [reader.line_num for _ in reader]
         first_line = np.array([0, *ends[:-1]], dtype=np.intp) + 1
-        texts, codes = _coded(["".join(lines[a - 1:b]) for a, b in zip(first_line, ends)])
-    records = list(csv.reader(texts))  # each distinct record is parsed once
-    if not records:
+        lines = ["".join(lines[a - 1:b]) for a, b in zip(first_line, ends)]
+    header = next(csv.reader(lines[:1]), None)
+    if header is None:
         raise DataError(f"{path}: empty file, header row required")
-    header = records[0]
     for col in [*item_columns, *covariate_columns.values(), *extra_columns]:
         if col not in header:
             raise DataError(f"{path}: column {col!r} not in header")
     used = [*item_columns, *(covariate_columns[d.name] for d in declarations)]
-    # the rows: the lines after the header, less blank lines (skipped, as by
-    # csv.DictReader); only their distinct records are coded into columns, as
-    # a header name among a column's cells would send _floats down its slow path
-    row = np.fromiter(map(bool, records), bool, len(records))[codes]
-    row[0] = False
-    kept, codes = np.unique(codes[row], return_inverse=True)
-    records, first_line = [records[k] for k in kept], first_line[row]
-    # name -> (distinct cells, each record's code), coded as each column is
-    # transposed; absent fields read as empty, a repeated name keeps its last
+    texts, codes = _coded(lines[1:])  # each row's distinct record, and each row's code
+    records, first_line = list(csv.reader(texts)), first_line[1:]  # each is parsed once
+    if not all(records):  # blank lines are skipped, as by csv.DictReader
+        row = np.fromiter(map(bool, records), bool, len(records))[codes]
+        kept, codes = np.unique(codes[row], return_inverse=True)
+        records, first_line = list(map(records.__getitem__, kept.tolist())), first_line[row]
+    # name -> (distinct cells, each distinct record's field code), coded as each
+    # column is transposed; absent fields read as empty, a repeated name keeps its last
     columns = chain(zip_longest(*records, fillvalue=""), repeat(("",) * len(records)))
     fields = {name: _coded(cells) for name, cells in zip(header, columns)
               if name in {*used, *extra_columns}}
-    del records, columns  # the iterators hold every record
+    del lines, texts, records, columns  # the text, and the iterators that hold every record
     blank = np.any([np.array([not v.strip() for v in cells], dtype=bool)[field]
                     for cells, field in map(fields.get, used)], axis=0)[codes]
     n_rejected = int(np.count_nonzero(blank))
