@@ -58,8 +58,8 @@ def _floats(values: np.ndarray) -> np.ndarray:
 
 def _coded(cells, sort=False) -> tuple[np.ndarray, np.ndarray]:
     """The distinct entries of ``cells`` as an object array, first seen first
-    or sorted, and each entry's index into them: one dict lookup per entry,
-    none when no entry repeats and the order is kept."""
+    or sorted, and each entry's index into them: one dict pass over the entries,
+    then one lookup per entry unless no entry repeats and the order is kept."""
     index = dict.fromkeys(cells)
     distinct = sorted(index) if sort else list(index)
     if len(distinct) == len(cells) and not sort:
