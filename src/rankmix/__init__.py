@@ -20,7 +20,6 @@ from .fitting import (
     FitResult,
     fit,
     init_start,
-    m_step,
     search_classes,
 )
 from .model import (
@@ -69,7 +68,6 @@ __all__ = [
     "fit",
     "init_start",
     "is_transitive",
-    "m_step",
     "mixture_loglik",
     "mixture_score",
     "order_to_ranks",

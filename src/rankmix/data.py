@@ -332,20 +332,23 @@ def read_ranking_csv(
     with open(path, newline="", encoding="utf-8") as fh:
         lines = fh.readlines()  # split as file iteration splits: at \n, \r and \r\n only
     first_line = np.arange(1, len(lines) + 1)  # each record's first line
-    if '"' in "".join(lines):  # a quoted field may hold line breaks
-        reader = csv.reader(lines)
-        ends = [reader.line_num for _ in reader]
-        first_line = np.array([0, *ends[:-1]], dtype=np.intp) + 1
-        lines = ["".join(lines[a - 1:b]) for a, b in zip(first_line, ends)]
-    header = next(csv.reader(lines[:1]), None)
+    try:  # csv.Error, e.g. a field past csv.field_size_limit() after an unclosed quote
+        if '"' in "".join(lines):  # a quoted field may hold line breaks
+            reader = csv.reader(lines)
+            ends = [reader.line_num for _ in reader]
+            first_line = np.array([0, *ends[:-1]], dtype=np.intp) + 1
+            lines = ["".join(lines[a - 1:b]) for a, b in zip(first_line, ends)]
+        header = next(csv.reader(lines[:1]), None)
+        texts, codes = _coded(lines[1:])  # each row's distinct record, and each row's code
+        records, first_line = list(csv.reader(texts)), first_line[1:]  # each is parsed once
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
     if header is None:
         raise DataError(f"{path}: empty file, header row required")
     for col in [*item_columns, *covariate_columns.values(), *extra_columns]:
         if col not in header:
             raise DataError(f"{path}: column {col!r} not in header")
     used = [*item_columns, *(covariate_columns[d.name] for d in declarations)]
-    texts, codes = _coded(lines[1:])  # each row's distinct record, and each row's code
-    records, first_line = list(csv.reader(texts)), first_line[1:]  # each is parsed once
     if not all(records):  # blank lines are skipped, as by csv.DictReader
         row = np.fromiter(map(bool, records), bool, len(records))[codes]
         kept, codes = np.unique(codes[row], return_inverse=True)

@@ -9,7 +9,8 @@ the Poisson log-linear formulation with one nuisance total per
 (set, class) block absorbed analytically, so the fitted block totals
 always match the expected counts and the multinomial likelihood is
 maximized exactly. Monotone log-likelihood ascent is enforced by step
-halving inside the scoring loop.
+halving inside the scoring loop, which stops once a step changes the
+deviance by at most ``_IRLS_TOL`` relative to it.
 
 Because the pattern model is log-linear in the net-win score vector s,
 the data enter each fit only through the observed cells (the (set,
@@ -55,8 +56,7 @@ Newton steps, step halving, convergence test and iteration count; a chain
 leaves the stack when it converges, degenerates, hits ``max_iter`` or
 fails, and the others go on, so each chain takes exactly the iterations
 it takes alone. A stack holds as many chains as keep its pattern
-weights within ``_STACK_ENTRIES`` entries. The public ``m_step`` is the
-same mass update and Newton solve for a stack of one chain.
+weights within ``_STACK_ENTRIES`` entries.
 
 The constrained refits of the corrected standard errors do not run EM:
 ``_damped_newton`` climbs the mixture likelihood itself by damped Newton
@@ -85,6 +85,7 @@ from .model import (
     _information_stack,
     _mixture,
     _moments_information,
+    _theta_names,
     _unpack_theta,
     bic,
     count_parameters,
@@ -118,10 +119,6 @@ class IrlsDivergenceError(FitError):
         )
 
 
-class DegenerateClassError(FitError):
-    """A class mass fell below the degeneracy threshold."""
-
-
 @dataclass
 class FitConfig:
     """Tuning knobs for the multi-start EM fit; a bad field raises ``ValueError``."""
@@ -130,8 +127,6 @@ class FitConfig:
     max_iter: int = 500
     tol: float = 1e-3  # absolute change in deviance between EM iterations
     seed: int = 0
-    start_scale: float = 0.5
-    irls_tol: float = 1e-10  # relative deviance change in the scoring loop
     irls_max_iter: int = 100
     degenerate_mass: float = 1e-6
     degenerate_offset: float = 20.0
@@ -145,8 +140,6 @@ class FitConfig:
             ("irls_max_iter", integer, lambda v: v >= 1, "an integer >= 1"),
             ("seed", integer, lambda v: v >= 0, "an integer >= 0"),
             ("tol", real, lambda v: v > 0, "a finite number > 0"),
-            ("irls_tol", real, lambda v: v > 0, "a finite number > 0"),
-            ("start_scale", real, lambda v: v >= 0, "a finite number >= 0"),
             ("degenerate_mass", real, lambda v: 0 <= v < 1, "a number in [0, 1)"),
             ("degenerate_offset", real, lambda v: v > 0, "a finite number > 0"),
             ("count_masses", bool, lambda v: True, "true or false"),
@@ -229,6 +222,11 @@ def _cholesky_failures(a: np.ndarray) -> list[int]:
             except np.linalg.LinAlgError:
                 failures.append(j)
         return failures
+
+
+# A Newton solve stops once a step changes its deviance by at most this
+# times the deviance (or times 1, if the deviance is smaller).
+_IRLS_TOL = 1e-10
 
 
 def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
@@ -350,40 +348,6 @@ def _mass_update(w, design: Design, min_mass: float):
     return m, np.maximum(mixing, 1e-300), messages
 
 
-def m_step(
-    w: np.ndarray,
-    design: Design,
-    data: AggregatedData,
-    start: Parameters | None = None,
-    config: FitConfig | None = None,
-    min_mass: float = 0.0,
-) -> Parameters:
-    """One M step: update mixing weights, then refit the coefficients.
-
-    ``w`` holds the posterior class weights at the design's observed
-    cells, (nnz, R). The mixing update is the respondent-weighted
-    posterior share sum_{l,k} n w / N, which maximizes the expected
-    complete-data likelihood of the aggregated mixture; a share below
-    ``min_mass`` raises ``DegenerateClassError``. The coefficients are
-    the Newton solve of the EM loop (see :func:`run_chains`) for one chain.
-    """
-    config = config or FitConfig()
-    design.check_data(data)
-    m, mixing, (low_mass,) = _mass_update(design.cell_values(w).T[None],
-                                          design, min_mass)
-    if low_mass is not None:
-        raise DegenerateClassError(low_mass)
-    beta = (np.zeros(design.n_coefficients) if start is None
-            else start.coefficients)
-    a = design.block_effects(beta[None])
-    beta, *_, (error,) = _newton(m, design, beta[None],
-                                 [a, *design.enumeration.log_normalizer(a)[:2]],
-                                 config.irls_tol, config.irls_max_iter)
-    if error is not None:
-        raise error
-    return Parameters(beta[0], mixing[0])
-
-
 @dataclass
 class _Chain:
     label: str
@@ -454,7 +418,7 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, callback):
             m, new_q, *at_b = leave(sick, iteration - 1, m, new_q, *at_b)
             if not chains.size:
                 break
-        b, *at_b, logp, errors = _newton(m, design, b, at_b, config.irls_tol,
+        b, *at_b, logp, errors = _newton(m, design, b, at_b, _IRLS_TOL,
                                          config.irls_max_iter)
         q = new_q
         # a chain whose Newton solve failed leaves with its error
@@ -595,8 +559,7 @@ def _damped_newton(design: Design, theta, held, max_iter: int,
 def _damped_stack(design: Design, theta, held, max_iter: int, min_mass: float) -> list:
     """:func:`_damped_newton` for one stack; ``theta`` is updated in place."""
     B, D = theta.shape
-    names = [c.name for c in design.coefficients] + [
-        f"mass{r + 1}" for r in range(design.n_classes - 1)]
+    names = _theta_names(design)
     results: list = [None] * B
 
     def at(theta, free):
@@ -710,7 +673,7 @@ def fit(
     design = Design(spec, data)
     n_random = 1 if spec.n_classes == 1 else config.n_starts
     seeds = chain_seeds(config.seed, n_random)
-    starts = [init_start(seed, design, config.start_scale) for seed in seeds]
+    starts = [init_start(seed, design) for seed in seeds]
     labels = [f"seed:{seed}" for seed in seeds]
     starts += list(extra_starts)
     labels += [f"warm:{i}" for i in range(len(extra_starts))]

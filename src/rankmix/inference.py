@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import AggregatedData
 from .fitting import FitConfig, FitError, FitResult, _damped_newton
-from .model import _information, _unpack_theta
+from .model import _information, _theta_names, _unpack_theta
 
 # Newton steps allowed to each constrained refit
 _MAX_REFIT_ITER = 200
@@ -174,9 +174,7 @@ def hessian_standard_errors(fit: FitResult, data: AggregatedData):
     info = _information(fit.params, design)[2]
     eigvals, eigvecs = np.linalg.eigh(info)
     if eigvals.min() <= 0:
-        names = [c.name for c in design.coefficients] + [
-            f"mass{r + 1}" for r in range(fit.params.n_classes - 1)
-        ]
+        names = _theta_names(design)
         flat = []
         for idx in np.nonzero(eigvals <= 0)[0]:
             v = np.abs(eigvecs[:, idx])

@@ -391,23 +391,6 @@ class Design:
         e -= _logsumexp(e, axis=1)
         return e
 
-    def cell_values(self, x) -> np.ndarray:
-        """Check a per-cell, per-class array at the observed cells, (nnz, R).
-
-        Rows follow ``cell_set`` / ``cell_pattern``. Raises ``ValueError``
-        for any other shape and for entries that are not finite or are
-        negative.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        shape = (self.cell_set.size, self.n_classes)
-        if x.shape != shape:
-            raise ValueError(
-                f"cell array of shape {x.shape}: expected {shape} observed cells"
-            )
-        if not np.isfinite(x).all() or (x < 0).any():
-            raise ValueError("cell array entries must be finite and nonnegative")
-        return x
-
     def set_sums(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
         """Per-set sums of a cell array over its cell axis ``axis`` (length nnz).
 
@@ -564,6 +547,12 @@ def _unpack_theta(theta: np.ndarray, design: Design):
     p = design.n_coefficients
     ratios = np.concatenate([theta[:, p:], np.zeros((len(theta), 1))], axis=1)
     return theta[:, :p], ratios - _logsumexp(ratios, axis=1)
+
+
+def _theta_names(design: Design) -> list[str]:
+    """Names of the coordinates of ``theta``: the coefficients, then mass1..mass(R-1)."""
+    return [c.name for c in design.coefficients] + [
+        f"mass{r + 1}" for r in range(design.n_classes - 1)]
 
 
 def _information(params: Parameters, design: Design):

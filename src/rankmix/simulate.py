@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DataError
-from .model import _logsumexp
+from .model import _logsumexp, worths
 from .rankings import PatternSpace, enumerate_transitive_patterns
 
 
@@ -146,14 +146,12 @@ def worth_map(truth: SyntheticTruth) -> list[dict]:
     out = []
     for values, prob in covariate_combinations(truth):
         for r in range(truth.n_classes):
-            a = item_effects_for(truth, values, r)
-            z = np.exp(2.0 * a - np.max(2.0 * a))
             out.append(
                 {
                     "values": values,
                     "prob": prob,
                     "class": r + 1,
-                    "worths": (z / z.sum()).tolist(),
+                    "worths": worths(item_effects_for(truth, values, r)).tolist(),
                 }
             )
     return out

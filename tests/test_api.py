@@ -28,7 +28,6 @@ def test_public_names_are_pinned():
         "fit",
         "init_start",
         "is_transitive",
-        "m_step",
         "mixture_loglik",
         "mixture_score",
         "order_to_ranks",

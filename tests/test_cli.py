@@ -238,7 +238,7 @@ class TestFit:
 
     @pytest.mark.parametrize("field, value", [
         ("n_starts", "3"), ("tol", "abc"), ("max_iter", 2.5), ("seed", 1.5),
-        ("start_scale", "x"), ("irls_max_iter", 0),
+        ("start_scale", "x"), ("irls_max_iter", 0), ("irls_tol", 1e-8),
     ])
     def test_bad_fit_option_exits_one_naming_it(self, tmp_path, sim_csv, capsys,
                                                 field, value):
@@ -305,6 +305,16 @@ class TestFit:
         cfg = fit_config(tmp_path, sim_csv)  # a 2-class config
         self.assert_one_error_line(["fit", "--config", cfg, "--classes", "0"],
                                    capsys, "n_classes must be >= 1")
+        assert not (tmp_path / "out" / "fit.json").exists()
+
+    def test_field_past_the_csv_size_limit_exits_one(self, tmp_path, capsys):
+        # an unclosed quote on line 2 makes one field of the 160 000
+        # characters after it, past csv.field_size_limit()
+        path = tmp_path / "quote.csv"
+        path.write_text("A,B,C,grp\n" + '1,2,3,"a\n' + "1,2,3,a\n" * 20000)
+        cfg = fit_config(tmp_path, path)
+        self.assert_one_error_line(["fit", "--config", cfg], capsys,
+                                   "quote.csv", "field limit")
         assert not (tmp_path / "out" / "fit.json").exists()
 
     @pytest.mark.parametrize("command, overrides, field", [

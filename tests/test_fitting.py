@@ -15,7 +15,6 @@ from rankmix.fitting import (
     chain_seeds,
     fit,
     init_start,
-    m_step,
     run_chains,
     search_classes,
     compare_term_models,
@@ -73,16 +72,16 @@ class TestFitConfig:
     @pytest.mark.parametrize("field, value", [
         ("n_starts", 0), ("n_starts", True), ("n_starts", 2.0), ("max_iter", -1),
         ("irls_max_iter", 0), ("seed", -1), ("seed", "1"), ("tol", 0.0),
-        ("tol", math.inf), ("irls_tol", math.nan), ("start_scale", -0.5),
-        ("degenerate_mass", 1.0), ("degenerate_offset", 0), ("count_masses", 1),
+        ("tol", math.inf), ("degenerate_mass", 1.0), ("degenerate_offset", 0),
+        ("count_masses", 1),
     ])
     def test_bad_field_raises_naming_it(self, field, value):
         with pytest.raises(ValueError, match=field):
             FitConfig(**{field: value})
 
     def test_integral_and_real_values_are_accepted(self):
-        config = FitConfig(n_starts=np.int64(3), tol=1, start_scale=0,
-                           degenerate_mass=0.0, count_masses=True)
+        config = FitConfig(n_starts=np.int64(3), tol=1, degenerate_mass=0.0,
+                           count_masses=True)
         assert config.n_starts == 3 and config.tol == 1
 
 
@@ -150,16 +149,17 @@ class TestMStep:
         w = np.zeros((2, 2))
         w[0] = (1.0, 0.0)
         w[1] = (0.0, 1.0)
-        params = m_step(w, design, data)
-        assert params.mixing == pytest.approx([0.75, 0.25])
+        _, mixing, _ = fitting._mass_update(w.T[None], design, 0.0)
+        assert mixing[0] == pytest.approx([0.75, 0.25])
 
     def test_single_class_matches_generic_optimizer(self):
         rng = np.random.default_rng(5)
         probs = oracles.ranking_probabilities([0.45, -0.2, 0.0])
         counts = rng.multinomial(400, probs)
         design, data = small_design(1, counts)
-        w = np.ones((design.cell_set.size, 1))
-        params = m_step(w, design, data)
+        start = Parameters(np.zeros(design.n_coefficients), np.array([1.0]))
+        (chain,) = run_chains(design, data, [start], FitConfig(max_iter=1))
+        params = chain.params
 
         theta_hat, loglik_hat = oracles.maximize_fixed_effects(
             data.counts,
@@ -179,8 +179,8 @@ class TestMStep:
         config = FitConfig(n_starts=8, seed=2, tol=1e-10, max_iter=3000)
         result = fit(design.spec, data, config)
         assert result.converged
-        w = posterior_weights(result.params, design)
-        refreshed = m_step(w, design, data, start=result.params, config=config)
+        (chain,) = run_chains(design, data, [result.params], FitConfig(max_iter=1))
+        refreshed = chain.params
         assert refreshed.coefficients == pytest.approx(
             result.params.coefficients, abs=1e-6
         )
@@ -188,11 +188,11 @@ class TestMStep:
 
     def test_degenerate_mass_guard(self):
         design, data = small_design(2)
-        w = np.zeros((6, 2))
-        w[..., 0] = 1.0 - 1e-9
-        w[..., 1] = 1e-9
-        with pytest.raises(fitting.DegenerateClassError):
-            m_step(w, design, data, min_mass=1e-6)
+        start = Parameters(np.zeros(design.n_coefficients),
+                           np.array([1.0 - 1e-9, 1e-9]))
+        (chain,) = run_chains(design, data, [start],
+                              FitConfig(max_iter=1, degenerate_mass=1e-6))
+        assert chain.degenerate and "class mass fell" in chain.message
 
 
 class TestFitStructural:
@@ -200,10 +200,8 @@ class TestFitStructural:
         data = make_data(3, np.array([[5, 2, 3, 1, 2, 1], [2, 4, 1, 3, 1, 2]]),
                          factor_levels=["a", "b"])
         spec = ModelSpec(("A", "B", "C"), ("g", "g"), 1)
-        design = Design(spec, data)
-        w = np.ones((design.cell_set.size, 1))
         with pytest.raises(RankDeficientDesignError, match="A:g=b"):
-            m_step(w, design, data)
+            fit(spec, data)
         # the damped Newton driver on two items and the term twice: in a
         # stack of three, the chain that holds the item main at zero keeps
         # both copies of the term free and fails alone, naming them; the
@@ -223,14 +221,13 @@ class TestFitStructural:
 
     def test_divergence_error_when_steps_cannot_ascend(self, monkeypatch):
         design, data = small_design(1)
-        w = np.ones((design.cell_set.size, 1))
 
         def explode(matrix, rhs):
             return np.full_like(rhs, 1e30)
 
         monkeypatch.setattr(fitting.np.linalg, "solve", explode)
         with pytest.raises(IrlsDivergenceError):
-            m_step(w, design, data)
+            fit(design.spec, data)
 
 
 class TestStructuralInformation:
@@ -414,25 +411,12 @@ class TestObservedCells:
 
     def test_mismatched_weights_or_data_are_rejected(self):
         design, data = self.instance()
-        for shape in [(design.n_sets, 3, 2),
-                      (design.n_sets, design.n_patterns, 2)]:
-            with pytest.raises(ValueError, match="cell array"):
-                m_step(np.ones(shape), design, data)
-        other, _ = small_design(2)
-        w = np.full((other.cell_set.size, 2), 0.5)
+        _, other_data = small_design(2)
         with pytest.raises(DataError, match="count table"):
-            m_step(w, other, data)
+            run_chains(design, other_data, [init_start(8, design)], FitConfig())
         start = init_start(8, design).theta[None]
         with pytest.raises(ValueError, match="held coordinate"):
             fitting._damped_newton(design, start, [0], 5)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
-    def test_non_finite_or_negative_weights_are_rejected(self, bad):
-        design, data = self.instance()
-        w = np.full((design.cell_set.size, 2), 0.5)
-        w[3, 1] = bad
-        with pytest.raises(ValueError, match="finite"):
-            m_step(w, design, data)
 
     def test_covariate_set_without_respondents_is_an_error(self):
         data = make_data(3, np.array([[4, 1, 2, 0, 3, 1], [0, 0, 0, 0, 0, 0]]),
@@ -600,9 +584,7 @@ class TestObservedCells:
         assert stacks == [stack] * (4 // stack)
         seeds = chain_seeds(config.seed, config.n_starts)
         for seed, summary in zip(seeds, result.chain_summaries):
-            (alone,) = run_chains(design, data,
-                                  [init_start(seed, design, config.start_scale)],
-                                  config)
+            (alone,) = run_chains(design, data, [init_start(seed, design)], config)
             assert summary["iterations"] == alone.n_iterations
             assert summary["converged"] == alone.converged
             assert summary["degenerate"] == alone.degenerate
@@ -615,13 +597,14 @@ class TestObservedCells:
         {"degenerate_offset": 2.0}, {"max_iter": 7}, {"max_iter": 0},
     ])
     def test_stacked_chains_follow_the_em_recursion(self, options):
-        # the EM loop written out from the public E step, M step and
+        # the EM loop written out from one-iteration chains and the public
         # likelihood: a chain that degenerates reports its last completed
         # iteration, keeping the parameters of a failed M step's start but
         # moving to those of a step whose class offsets ran away
         design, data = self.instance()
         config = FitConfig(n_starts=4, seed=0, **options)
-        starts = [init_start(seed, design, config.start_scale)
+        one = dataclasses.replace(config, max_iter=1)
+        starts = [init_start(seed, design)
                   for seed in chain_seeds(config.seed, config.n_starts)]
         chains = fitting.run_chains(design, data, starts, config)
         for start, chain in zip(starts, chains):
@@ -629,15 +612,9 @@ class TestObservedCells:
             loglik, dev = mixture_loglik(params, design, data)
             n_iter, converged, degenerate = 0, False, False
             for iteration in range(1, config.max_iter + 1):
-                try:
-                    params = m_step(posterior_weights(params, design), design, data,
-                                    start=params, config=config,
-                                    min_mass=config.degenerate_mass)
-                except fitting.DegenerateClassError:
-                    degenerate = True
-                    break
-                offsets = design.class_offsets(params.coefficients)
-                if np.abs(offsets).max() > config.degenerate_offset:
+                (step,) = run_chains(design, data, [params], one)
+                params = step.params
+                if step.degenerate:
                     degenerate = True
                     break
                 loglik, new_dev = mixture_loglik(params, design, data)
