@@ -247,8 +247,8 @@ def _write_fit_outputs(
     names = list(extra_columns)
     for name in names:
         suffix = "" if len(names) == 1 else f"_{name}"
-        expected = posthoc.crosstab(result, data, extra_columns[name],
-                                    mode="expected")
+        coded = posthoc._category_codes(data, extra_columns[name])
+        expected = posthoc._crosstab(result, data, coded, "expected")
         artifacts.write_csv(
             os.path.join(outdir, f"crosstab{suffix}.csv"),
             ["category"] + [f"class_{r + 1}" for r in range(result.spec.n_classes)],
@@ -257,7 +257,7 @@ def _write_fit_outputs(
                 for i, lab in enumerate(expected.row_labels)
             ],
         )
-        hard = posthoc.crosstab(result, data, extra_columns[name], mode="hard")
+        hard = posthoc._crosstab(result, data, coded, "hard")
         rows = []
         R = result.spec.n_classes
         for cls in range(R - 1):

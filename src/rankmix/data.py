@@ -243,10 +243,12 @@ def _aggregate(space, values, covariates, declarations, recheck_ranks, where,
     cells, row_cells, cell_counts = np.unique(flat, return_inverse=True, return_counts=True)
     cell_set, cell_pattern = np.divmod(cells, space.size)
     nf = len(_of_kind(declarations, "factor"))
-    sets = tuple(  # in key order; values from the set's first row
-        CovariateSet(k, tuple(read[codes[i]] for read, _, codes in columns[:nf]),
-                     tuple(float(read[codes[i]]) for read, _, codes in columns[nf:]))
-        for k, i in enumerate(first.tolist()))
+    # in key order; each column's values at the sets' first rows, zipped per set
+    at_first = [np.asarray(read, dtype=object)[codes[first]].tolist()
+                for read, _, codes in columns]
+    sets = tuple(map(CovariateSet, range(first.size),
+                     zip(*at_first[:nf]) if nf else repeat(()),
+                     zip(*at_first[nf:]) if nf < len(columns) else repeat(())))
     # standardize continuous covariates over respondents, not over sets
     scale = {d.name: _mean_std(read[codes])
              for d, (read, _, codes) in zip(ordered[nf:], columns[nf:])}

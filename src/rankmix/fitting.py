@@ -25,11 +25,12 @@ Cov[s] = E[s s'] - E[s] E[s]'; the score and information kernels are
 those of ``rankmix.model``. The pattern space enters only through the
 design's enumeration kernel, ``design.enumeration`` (a
 ``model._Enumeration``): its ``log_normalizer`` gives each block's
-log Z, its pattern weights (proportional to p) and log P at the cells in
-one pass over the patterns; a step-halving trial needs log Z alone, the
-accepted trial's weights give E[s] and Cov[s] (``score_moments``, one
-product with the kernel's moment table [1 | s | s_i s_j]), and its log P
-gives the E step, so no normalizer runs between M steps. In the loop,
+log Z, the sums of its pattern weights (proportional to p) times the
+kernel's moment table [1 | s | s_i s_j], and log P at the cells, in one
+cache-sized pass over the patterns per chunk of blocks; a step-halving
+trial needs log Z alone, the accepted trial's sums give E[s] and Cov[s]
+(``score_moments``, a division), and its log P gives the E step, so no
+normalizer runs between M steps. In the loop,
 log P, the posterior weights and the expected counts are class-major
 (B, R, nnz) arrays:
 sums over classes run over a short leading axis, sums over cells over
@@ -41,7 +42,8 @@ posterior weights.
 Several independent chains are run from random starts; the chain with the
 best final likelihood wins. Chains that collapse a class (vanishing mass
 or runaway offsets) are flagged degenerate and excluded from selection
-while any healthy chain exists.
+while any healthy chain exists. A one-class likelihood is concave, so its
+one chain starts at the uniform model (all coefficients zero).
 
 Every EM iteration happens in one loop, ``_run_stack``, which runs
 independent chains of one design, a fit's random and warm starts, as a
@@ -55,8 +57,8 @@ the Newton solve) serves the whole stack, while every chain keeps its own
 Newton steps, step halving, convergence test and iteration count; a chain
 leaves the stack when it converges, degenerates, hits ``max_iter`` or
 fails, and the others go on, so each chain takes exactly the iterations
-it takes alone. A stack holds as many chains as keep its pattern
-weights within ``_STACK_ENTRIES`` entries.
+it takes alone. A stack holds as many chains as keep the pattern weights
+that its normalizer passes over within ``_STACK_ENTRIES`` entries.
 
 The constrained refits of the corrected standard errors do not run EM:
 ``_damped_newton`` climbs the mixture likelihood itself by damped Newton
@@ -121,7 +123,12 @@ class IrlsDivergenceError(FitError):
 
 @dataclass
 class FitConfig:
-    """Tuning knobs for the multi-start EM fit; a bad field raises ``ValueError``."""
+    """Tuning knobs for the multi-start EM fit; a bad field raises ``ValueError``.
+
+    ``n_starts`` and ``seed`` set the random starts of a fit with more than
+    one class; a one-class fit starts at the uniform model and reads
+    neither.
+    """
 
     n_starts: int = 50
     max_iter: int = 500
@@ -233,10 +240,8 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
     """Maximize sum m[b, r, cell] log P over the coefficients of B chains.
 
     ``m`` (B, R, nnz) holds each chain's expected counts, class-major, and
-    ``beta`` (B, P) its start. ``start`` is the list [a, log Z, pattern
-    weights] of the kernel ``design.enumeration.log_normalizer`` at
-    ``beta``; it is emptied, so that the weights are freed by the first
-    moment product, before the first trial allocates its own. Each chain
+    ``beta`` (B, P) its start. ``start`` holds (a, log Z, moment sums) of
+    the kernel ``design.enumeration.log_normalizer`` at ``beta``. Each chain
     takes its own Newton steps with its own step halving and stops by its
     own deviance change; the stack shrinks as chains stop. A chain whose
     information fails the Cholesky test takes a zero step (an identity
@@ -244,12 +249,11 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
 
     Returns the coefficients (B, P), and the normalizer's arrays there (the
     accepted trial's, so the caller needs no further normalizer): the item
-    effects (B, K, R, J), log Z (B, K, R), the pattern weights
-    (B, K * R, L) and the cells' log P (B, R, nnz); and per chain None or
-    the ``FitError`` that stopped it.
+    effects (B, K, R, J), log Z (B, K, R), the moment sums
+    (B, K * R, 1 + J + (J-1)^2) and the cells' log P (B, R, nnz); and per
+    chain None or the ``FitError`` that stopped it.
     """
-    a, log_z, w = start
-    start.clear()
+    a, log_z, sums = start
     n = len(beta)
     m_plus, observed = design.block_totals(m)
     # sum m log(m / m_plus) over the cells, where 0 log 0 = 0
@@ -265,8 +269,8 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
     def trial_at(b, observed, m_plus, saturated):
         """Deviances at coefficients ``b``, with the normalizer's arrays there."""
         a = design.block_effects(b)
-        log_z, w, logp = design.enumeration.log_normalizer(a)
-        return deviance(a, log_z, observed, m_plus, saturated), a, log_z, w, logp
+        log_z, sums, logp = design.enumeration.log_normalizer(a)
+        return deviance(a, log_z, observed, m_plus, saturated), a, log_z, sums, logp
 
     errors: list[FitError | None] = [None] * n
     # the chains still stepping; every array below has one row per chain
@@ -275,8 +279,7 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
     dev = deviance(a, log_z, observed, m_plus, saturated)
     out = None  # per chain, where it stopped, once a chain has stopped
     for iteration in range(1, max_iter + 1):
-        mean, info = _moments_information(w, design, products)
-        del w  # freed before the trials allocate theirs
+        mean, info = _moments_information(sums, design, products)
         score = _coefficient_score(design.X, observed, m_plus, mean)
         # the failing chains take a zero step and leave
         failed = _cholesky_failures(info)
@@ -290,8 +293,8 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
         # every chain still rising after h halvings has step 2^-h
         bound = dev + 1e-10 * (np.abs(dev) + 1.0)
         trial = beta + direction
-        dev_try, a, log_z, w, logp = trial_at(trial, observed, m_plus,
-                                              saturated)
+        dev_try, a, log_z, sums, logp = trial_at(trial, observed, m_plus,
+                                                 saturated)
         rising = ~(dev_try <= bound)
         for halvings in range(1, 40):
             if not np.count_nonzero(rising):
@@ -299,11 +302,10 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
             j = np.nonzero(rising)[0]
             trial[j] = beta[j] + 0.5 ** halvings * direction[j]
             if len(j) == len(chains):
-                del w  # every trial was rejected: free its weights first
-                dev_try, a, log_z, w, logp = trial_at(trial, observed, m_plus,
-                                                      saturated)
+                dev_try, a, log_z, sums, logp = trial_at(trial, observed, m_plus,
+                                                         saturated)
             else:
-                dev_try[j], a[j], log_z[j], w[j], logp[j] = trial_at(
+                dev_try[j], a[j], log_z[j], sums[j], logp[j] = trial_at(
                     trial[j], observed[j], m_plus[j], saturated[j])
             rising[j] = ~(dev_try[j] <= bound[j])
         stop = np.abs(dev - dev_try) <= tol * np.maximum(np.abs(dev_try), 1.0)
@@ -316,9 +318,9 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
         beta, dev = trial, dev_try
         stopped = np.count_nonzero(stop)
         if stopped == n:  # the whole stack stops at once: no copies
-            return beta, a, log_z, w, logp, errors
+            return beta, a, log_z, sums, logp, errors
         if stopped:
-            state = (beta, a, log_z, w, logp)
+            state = (beta, a, log_z, sums, logp)
             if out is None:
                 out = [np.empty((n,) + x.shape[1:]) for x in state]
             done = chains[stop]
@@ -327,8 +329,8 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
             if stopped == len(chains):
                 break
             going = ~stop
-            chains, beta, dev, w, m_plus, observed, saturated, products = (
-                x[going] for x in (chains, beta, dev, w, m_plus, observed,
+            chains, beta, dev, sums, m_plus, observed, saturated, products = (
+                x[going] for x in (chains, beta, dev, sums, m_plus, observed,
                                    saturated, products))
     return (*out, errors)
 
@@ -374,8 +376,7 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, callback):
 
     # the running chains' state, one row per chain: w holds the posterior
     # weights (B, R, nnz) for the next M step, at_b the item effects, log Z
-    # and pattern weights at b, where the next Newton solve starts (and
-    # frees the weights)
+    # and moment sums at b, where the next Newton solve starts
     chains = np.arange(B)
     b = np.array([s.coefficients for s in starts], dtype=np.float64)
     q = np.array([s.mixing for s in starts], dtype=np.float64)
@@ -472,7 +473,7 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, callback):
 
 
 def _stack_size(design: Design) -> int:
-    """Chains per stack: their pattern weights keep within ``_STACK_ENTRIES``."""
+    """Chains per stack: their blocks' pattern weights keep within ``_STACK_ENTRIES``."""
     block_entries = design.n_sets * design.n_classes * design.n_patterns
     return max(1, _STACK_ENTRIES // block_entries)
 
@@ -657,11 +658,13 @@ def fit(
 ) -> FitResult:
     """Multi-start EM fit; returns the best chain by final log-likelihood.
 
-    With a single class the likelihood is concave, so one chain suffices
-    and the configured start count is ignored. ``extra_starts`` appends
-    warm-start chains (used by the class-count search) after the random
-    ones. All chains run as stacks (see :func:`run_chains`); the first
-    chain in start order that raises a ``FitError`` fails the fit.
+    With a single class the likelihood is concave, so one chain from the
+    uniform model (zero coefficients, label ``uniform``) suffices, and
+    neither the configured start count nor the seed is used.
+    ``extra_starts`` appends warm-start chains (used by the class-count
+    search) after the random ones. All chains run as stacks (see
+    :func:`run_chains`); the first chain in start order that raises a
+    ``FitError`` fails the fit.
 
     The best chain has the highest final log-likelihood among the chains
     that did not degenerate; ties go to the earlier start, and a chain
@@ -671,10 +674,13 @@ def fit(
     """
     config = config or FitConfig()
     design = Design(spec, data)
-    n_random = 1 if spec.n_classes == 1 else config.n_starts
-    seeds = chain_seeds(config.seed, n_random)
-    starts = [init_start(seed, design) for seed in seeds]
-    labels = [f"seed:{seed}" for seed in seeds]
+    if spec.n_classes == 1:
+        starts = [Parameters(np.zeros(design.n_coefficients), np.ones(1))]
+        labels = ["uniform"]
+    else:
+        seeds = chain_seeds(config.seed, config.n_starts)
+        starts = [init_start(seed, design) for seed in seeds]
+        labels = [f"seed:{seed}" for seed in seeds]
     starts += list(extra_starts)
     labels += [f"warm:{i}" for i in range(len(extra_starts))]
     chains = run_chains(design, data, starts, config, labels=labels,

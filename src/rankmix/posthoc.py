@@ -106,6 +106,11 @@ def crosstab(fit: FitResult, data: AggregatedData, categories,
     mode sums posterior weights, so row totals match category sizes up to
     rounding; hard mode counts argmax assignments and matches exactly.
     """
+    return _crosstab(fit, data, _category_codes(data, categories), mode)
+
+
+def _category_codes(data: AggregatedData, categories):
+    """The sorted distinct categories of the respondent rows, and each row's index."""
     if (rows := data.row_cells) is None:
         raise DataError("aggregated data has no per-respondent rows")
     categories = list(categories)
@@ -114,16 +119,25 @@ def crosstab(fit: FitResult, data: AggregatedData, categories,
             f"external column has {len(categories)} values for "
             f"{rows.size} respondents"
         )
+    # labels sort as strings, so category 10 comes before category 9
+    return _coded(list(map(str, categories)), sort=True)
+
+
+def _crosstab(fit: FitResult, data: AggregatedData, coded, mode: str) -> CrossTab:
+    """:func:`crosstab` of the rows' coded categories, (labels, codes)."""
     if mode not in ("expected", "hard"):
         raise ValueError(f"unknown crosstab mode {mode!r}")
-    # labels sort as strings, so category 10 comes before category 9
-    labels, codes = _coded(list(map(str, categories)), sort=True)
-    table = np.zeros((labels.size, fit.design.n_classes))
+    labels, codes = coded
+    R = fit.design.n_classes
+    # np.bincount adds the rows in order
     if mode == "expected":
         fit.design.check_data(data)
-        np.add.at(table, codes, fit.posteriors[rows])
+        table = np.stack([np.bincount(codes, weights=w, minlength=labels.size)
+                          for w in fit.posteriors.T[:, data.row_cells]], axis=1)
     else:
-        np.add.at(table, (codes, cell_assignments(fit, data)[0][rows] - 1), 1.0)
+        assigned = cell_assignments(fit, data)[0][data.row_cells] - 1
+        table = np.bincount(codes * R + assigned, minlength=labels.size * R)
+        table = table.reshape(-1, R).astype(np.float64)
     return CrossTab(row_labels=labels.tolist(), table=table, mode=mode)
 
 

@@ -711,6 +711,24 @@ class TestFit:
         assert result.params.coefficients == pytest.approx(theta_hat, abs=1e-6)
         assert result.loglik == pytest.approx(loglik_hat, abs=1e-8)
 
+    def test_single_class_starts_at_the_uniform_model(self):
+        # neither the seed nor the start count reaches a one-class fit
+        rng = np.random.default_rng(12)
+        counts = rng.multinomial(400, oracles.ranking_probabilities([0.4, -0.2, 0.0]))
+        design, data = small_design(1, counts)
+        a, b = (fit(design.spec, data, FitConfig(seed=seed, n_starts=n))
+                for seed, n in ((3, 1), (11, 7)))
+        assert a.best_start == b.best_start == "uniform"
+        assert [c["label"] for c in a.chain_summaries] == ["uniform"]
+        assert a.loglik == b.loglik
+        assert np.array_equal(a.params.coefficients, b.params.coefficients)
+        assert np.array_equal(a.posteriors, b.posteriors)
+        assert a.deviance_trace == b.deviance_trace
+        assert a.chain_summaries == b.chain_summaries
+        # the trace starts at the uniform model, every ranking equally likely
+        assert a.deviance_trace[0] == pytest.approx(
+            2.0 * (design.saturated_loglik - 400 * math.log(1 / 6)), rel=1e-12)
+
     def test_trace_and_normalization_invariants(self):
         design, data = small_design(2, (26, 9, 15, 4, 12, 6))
         seen = []
