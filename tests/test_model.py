@@ -285,8 +285,8 @@ class TestLogNormalizer:
             want = dense[design.cell_set, design.cell_pattern].T
             assert np.abs(logp[b] - want).max() < 1e-12
         if n_items == 6:
-            # exp underflows many of the extreme chain's pattern weights,
-            # P_l / max P, (most of them in a block with a class offset),
+            # exp underflows many of the extreme chain's pattern weights
+            # P_l / max_l P_l (most of them in a block with a class offset),
             # while its cells' log P stays finite
             dense = design.log_pattern_probs(coefficients[-1])
             weights = np.exp(dense - dense.max(axis=1, keepdims=True))
