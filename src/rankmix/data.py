@@ -244,11 +244,12 @@ def _aggregate(space, values, covariates, declarations, recheck_ranks, where,
     cell_set, cell_pattern = np.divmod(cells, space.size)
     nf = len(_of_kind(declarations, "factor"))
     # in key order; each column's values at the sets' first rows, zipped per set
-    at_first = [np.asarray(read, dtype=object)[codes[first]].tolist()
-                for read, _, codes in columns]
+    levels = [np.asarray(read, dtype=object)[codes[first]].tolist()  # lists of str
+              for read, _, codes in columns[:nf]]
+    numbers = [read[codes[first]].tolist() for read, _, codes in columns[nf:]]
     sets = tuple(map(CovariateSet, range(first.size),
-                     zip(*at_first[:nf]) if nf else repeat(()),
-                     zip(*at_first[nf:]) if nf < len(columns) else repeat(())))
+                     zip(*levels) if levels else repeat(()),
+                     zip(*numbers) if numbers else repeat(())))
     # standardize continuous covariates over respondents, not over sets
     scale = {d.name: _mean_std(read[codes])
              for d, (read, _, codes) in zip(ordered[nf:], columns[nf:])}

@@ -25,12 +25,11 @@ Cov[s] = E[s s'] - E[s] E[s]'; the score and information kernels are
 those of ``rankmix.model``. The pattern space enters only through the
 design's enumeration kernel, ``design.enumeration`` (a
 ``model._Enumeration``): its ``log_normalizer`` gives each block's
-log Z, the sums of its pattern weights (proportional to p) times the
-kernel's moment table [1 | s | s_i s_j], and log P at the cells, in one
-cache-sized pass over the patterns per chunk of blocks; a step-halving
-trial needs log Z alone, the accepted trial's sums give E[s] and Cov[s]
-(``score_moments``, a division), and its log P gives the E step, so no
-normalizer runs between M steps. In the loop,
+log Z, its pattern weights (proportional to p) and log P at the cells in
+one pass over the patterns; a step-halving trial needs log Z alone, the
+accepted trial's weights give E[s] and Cov[s] (``score_moments``, one
+product with the kernel's moment table [1 | s | s_i s_j]), and its log P
+gives the E step, so no normalizer runs between M steps. In the loop,
 log P, the posterior weights and the expected counts are class-major
 (B, R, nnz) arrays:
 sums over classes run over a short leading axis, sums over cells over
@@ -57,8 +56,8 @@ the Newton solve) serves the whole stack, while every chain keeps its own
 Newton steps, step halving, convergence test and iteration count; a chain
 leaves the stack when it converges, degenerates, hits ``max_iter`` or
 fails, and the others go on, so each chain takes exactly the iterations
-it takes alone. A stack holds as many chains as keep the pattern weights
-that its normalizer passes over within ``_STACK_ENTRIES`` entries.
+it takes alone. A stack holds as many chains as keep its pattern
+weights within ``_STACK_ENTRIES`` entries.
 
 The constrained refits of the corrected standard errors do not run EM:
 ``_damped_newton`` climbs the mixture likelihood itself by damped Newton
@@ -240,8 +239,10 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
     """Maximize sum m[b, r, cell] log P over the coefficients of B chains.
 
     ``m`` (B, R, nnz) holds each chain's expected counts, class-major, and
-    ``beta`` (B, P) its start. ``start`` holds (a, log Z, moment sums) of
-    the kernel ``design.enumeration.log_normalizer`` at ``beta``. Each chain
+    ``beta`` (B, P) its start. ``start`` is the list [a, log Z, pattern
+    weights] of the kernel ``design.enumeration.log_normalizer`` at
+    ``beta``; it is emptied, so that the weights are freed by the first
+    moment product, before the first trial allocates its own. Each chain
     takes its own Newton steps with its own step halving and stops by its
     own deviance change; the stack shrinks as chains stop. A chain whose
     information fails the Cholesky test takes a zero step (an identity
@@ -249,11 +250,12 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
 
     Returns the coefficients (B, P), and the normalizer's arrays there (the
     accepted trial's, so the caller needs no further normalizer): the item
-    effects (B, K, R, J), log Z (B, K, R), the moment sums
-    (B, K * R, 1 + J + (J-1)^2) and the cells' log P (B, R, nnz); and per
-    chain None or the ``FitError`` that stopped it.
+    effects (B, K, R, J), log Z (B, K, R), the pattern weights
+    (B, K * R, L) and the cells' log P (B, R, nnz); and per chain None or
+    the ``FitError`` that stopped it.
     """
-    a, log_z, sums = start
+    a, log_z, w = start
+    start.clear()
     n = len(beta)
     m_plus, observed = design.block_totals(m)
     # sum m log(m / m_plus) over the cells, where 0 log 0 = 0
@@ -269,8 +271,8 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
     def trial_at(b, observed, m_plus, saturated):
         """Deviances at coefficients ``b``, with the normalizer's arrays there."""
         a = design.block_effects(b)
-        log_z, sums, logp = design.enumeration.log_normalizer(a)
-        return deviance(a, log_z, observed, m_plus, saturated), a, log_z, sums, logp
+        log_z, w, logp = design.enumeration.log_normalizer(a)
+        return deviance(a, log_z, observed, m_plus, saturated), a, log_z, w, logp
 
     errors: list[FitError | None] = [None] * n
     # the chains still stepping; every array below has one row per chain
@@ -279,7 +281,8 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
     dev = deviance(a, log_z, observed, m_plus, saturated)
     out = None  # per chain, where it stopped, once a chain has stopped
     for iteration in range(1, max_iter + 1):
-        mean, info = _moments_information(sums, design, products)
+        mean, info = _moments_information(w, design, products)
+        del w  # freed before the trials allocate theirs
         score = _coefficient_score(design.X, observed, m_plus, mean)
         # the failing chains take a zero step and leave
         failed = _cholesky_failures(info)
@@ -293,8 +296,8 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
         # every chain still rising after h halvings has step 2^-h
         bound = dev + 1e-10 * (np.abs(dev) + 1.0)
         trial = beta + direction
-        dev_try, a, log_z, sums, logp = trial_at(trial, observed, m_plus,
-                                                 saturated)
+        dev_try, a, log_z, w, logp = trial_at(trial, observed, m_plus,
+                                              saturated)
         rising = ~(dev_try <= bound)
         for halvings in range(1, 40):
             if not np.count_nonzero(rising):
@@ -302,10 +305,11 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
             j = np.nonzero(rising)[0]
             trial[j] = beta[j] + 0.5 ** halvings * direction[j]
             if len(j) == len(chains):
-                dev_try, a, log_z, sums, logp = trial_at(trial, observed, m_plus,
-                                                         saturated)
+                del w  # every trial was rejected: free its weights first
+                dev_try, a, log_z, w, logp = trial_at(trial, observed, m_plus,
+                                                      saturated)
             else:
-                dev_try[j], a[j], log_z[j], sums[j], logp[j] = trial_at(
+                dev_try[j], a[j], log_z[j], w[j], logp[j] = trial_at(
                     trial[j], observed[j], m_plus[j], saturated[j])
             rising[j] = ~(dev_try[j] <= bound[j])
         stop = np.abs(dev - dev_try) <= tol * np.maximum(np.abs(dev_try), 1.0)
@@ -318,9 +322,9 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
         beta, dev = trial, dev_try
         stopped = np.count_nonzero(stop)
         if stopped == n:  # the whole stack stops at once: no copies
-            return beta, a, log_z, sums, logp, errors
+            return beta, a, log_z, w, logp, errors
         if stopped:
-            state = (beta, a, log_z, sums, logp)
+            state = (beta, a, log_z, w, logp)
             if out is None:
                 out = [np.empty((n,) + x.shape[1:]) for x in state]
             done = chains[stop]
@@ -329,8 +333,8 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
             if stopped == len(chains):
                 break
             going = ~stop
-            chains, beta, dev, sums, m_plus, observed, saturated, products = (
-                x[going] for x in (chains, beta, dev, sums, m_plus, observed,
+            chains, beta, dev, w, m_plus, observed, saturated, products = (
+                x[going] for x in (chains, beta, dev, w, m_plus, observed,
                                    saturated, products))
     return (*out, errors)
 
@@ -376,7 +380,8 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, callback):
 
     # the running chains' state, one row per chain: w holds the posterior
     # weights (B, R, nnz) for the next M step, at_b the item effects, log Z
-    # and moment sums at b, where the next Newton solve starts
+    # and pattern weights at b, where the next Newton solve starts (and
+    # frees the weights)
     chains = np.arange(B)
     b = np.array([s.coefficients for s in starts], dtype=np.float64)
     q = np.array([s.mixing for s in starts], dtype=np.float64)
@@ -473,7 +478,7 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, callback):
 
 
 def _stack_size(design: Design) -> int:
-    """Chains per stack: their blocks' pattern weights keep within ``_STACK_ENTRIES``."""
+    """Chains per stack: their pattern weights keep within ``_STACK_ENTRIES``."""
     block_entries = design.n_sets * design.n_classes * design.n_patterns
     return max(1, _STACK_ENTRIES // block_entries)
 

@@ -28,12 +28,10 @@ log P_lkr = s_l . a_kr - log Z_kr, so the J! pattern space enters only
 through each (set, class) block's log-normalizer log Z_kr and its score
 moments. One class, ``_Enumeration`` (``Design.enumeration``), enumerates
 the patterns and holds every array over them: its ``log_normalizer``
-gives log Z, the sums [sum w | sum w s | sum w s_i s_j] of the
-(unnormalized) pattern weights w and log P at the observed cells, from
-one product, one ``exp``, one row sum and one product with its moment
-table per cache-sized chunk of blocks, and its ``score_moments`` divides
-those sums into every block's E[s] and Cov[s]; no array over all the
-patterns of a stack outlives a chunk. ``Design`` keeps the rest: the
+gives log Z, the pattern weights (unnormalized) and log P at the
+observed cells from one product, one ``exp`` and one row sum, and its
+``score_moments`` gives every block's E[s] and Cov[s] from one product
+of those weights with its moment table. ``Design`` keeps the rest: the
 block design matrix X and the coefficients, and the observed cells with
 their counts, their rows [1 | s | s_i s_j] and each set's run of cells,
 from which ``block_totals`` and the missing information read the
@@ -73,14 +71,11 @@ import numpy as np
 
 from .data import AggregatedData, DataError
 
-# Chains of one design advance as one stack while the pattern weights that
-# its normalizer passes over, B x K x R x L, stay within this many entries;
-# a design whose blocks alone exceed it runs one chain at a time. The
-# missing information's temporaries keep within it too.
+# Chains of one design advance as one stack while their pattern weights,
+# B x K x R x L doubles, stay within this many entries (8 MB); a design
+# whose blocks alone exceed it runs one chain at a time. The missing
+# information's temporaries keep within it too.
 _STACK_ENTRIES = 1_000_000
-# The normalizer holds the pattern weights of whole blocks, about this many
-# doubles (512 KB), at a time, so that they stay in a 2 MB L2 cache.
-_CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -180,10 +175,9 @@ class _Enumeration:
     It holds every array with one entry per pattern: [S'; 1] over the
     patterns' net-win scores S (L, J), the moment table [1 | s | s_i s_j]
     (L, 1 + J + (J-1)^2), and the places of the observed cells among a
-    stack's pattern weights. Its ``log_normalizer`` is the only
-    computation of the fit that visits every pattern: it gives each
-    (set, class) block's log-normalizer and score moment sums, which
-    ``score_moments`` turns into E[s] and Cov[s].
+    stack's pattern weights. Its two methods are the only computations of
+    the fit that visit every pattern: the log-normalizer and the score
+    moments of each (set, class) block.
     """
 
     def __init__(self, data: AggregatedData, n_classes: int):
@@ -195,36 +189,29 @@ class _Enumeration:
         # the largest s . a over all J! patterns pairs the sorted effects
         # with the sorted scores 1 - J, 3 - J, ..., J - 1
         self._score_ramp = np.arange(1.0 - J, J, 2.0)
-        # one product with a block's pattern weights gives its total, first
-        # and second score moments
+        # one product with the pattern weights gives every block's total,
+        # first and second score moments
         self._moment_table = _moment_rows(scores)
         # per class and observed cell, class-major (R, nnz): the cell's block
         # row in a chain's (K * R, L) pattern weights, and its entry there
         self._cell_blocks = data.cell_set * n_classes + np.arange(n_classes)[:, None]
         self._cell_entries = self._cell_blocks * L + data.cell_pattern
-        # the same entries in increasing order, and their places in (R, nnz),
-        # for a stack whose weights take more than one chunk
-        self._cell_order = np.argsort(self._cell_entries, axis=None)
-        self._sorted_entries = self._cell_entries.ravel()[self._cell_order]
 
     def log_normalizer(self, a: np.ndarray):
-        """Per-block log-normalizers, score moment sums, and log P at the cells.
+        """Per-block log-normalizers, pattern weights, and log P at the cells.
 
         ``a`` holds the item effects (..., K, R, J). Returns log Z
-        (..., K, R), with Z_kr = sum_l exp(s_l . a_kr); the sums
-        [sum w | sum w s | sum w s_i s_j] of the pattern weights
-        w_l = exp(s_l . a_kr - shift_kr), proportional to the pattern
-        probabilities, as one row per block, (..., K * R, 1 + J + (J-1)^2),
+        (..., K, R), with Z_kr = sum_l exp(s_l . a_kr); the pattern weights
+        exp(s_l . a_kr - shift_kr), proportional to the pattern
+        probabilities, as one row of L patterns per block, (..., K * R, L),
         in (set, class) order; and log P = s_l . a_kr - log Z_kr at the
         observed cells, class-major, (..., R, nnz). The shift is the largest
         s_l . a_kr: the space holds every ranking, so it is the sorted
-        effects times the sorted scores. The blocks of all chains go through
-        one pass in chunks of whole blocks of about ``_CHUNK_ENTRIES``
-        weights, so that a chunk's weights stay in cache: a product with the
-        score matrix, which subtracts the shift too, the cells' log P
-        gathered from it before an ``exp`` in place (so it stays exact where
-        the weights underflow), one row sum, and one product with the
-        moment table. A stack that fits one chunk takes one round of these.
+        effects times the sorted scores. All blocks of all chains are rows
+        of one product with the score matrix, which subtracts the shift
+        too; the cells' log P is gathered from it before an ``exp`` in
+        place (so it stays exact where the weights underflow) and one row
+        sum.
         """
         K, R, J = a.shape[-3:]
         lead = a.shape[:-3]
@@ -232,52 +219,34 @@ class _Enumeration:
         rows[:, :J] = a.reshape(-1, J)
         shift = np.sort(rows[:, :J], axis=1) @ self._score_ramp
         rows[:, J] = -shift
-        n, L = len(rows), self._shifted_scores.shape[1]
-        size = max(1, _CHUNK_ENTRIES // L)
-        log_total = np.empty(n)
-        sums = np.empty((n, self._moment_table.shape[1]))
-        if n > size:
-            # every chain's cells in entry order, as entries of the whole
-            # stack's weights, and where each chunk's run of them starts
-            entries = (np.arange(n // (K * R))[:, None] * (K * R * L)
-                       + self._sorted_entries).ravel()
-            bounds = np.searchsorted(entries, np.append(np.arange(0, n, size), n) * L)
-            gathered = np.empty(entries.size)
-        for i, lo in enumerate(range(0, n, size)):
-            w = rows[lo:lo + size] @ self._shifted_scores
-            if n <= size:
-                logp = np.take(w.reshape(-1, K * R * L), self._cell_entries, axis=1)
-            else:
-                run = slice(bounds[i], bounds[i + 1])
-                gathered[run] = np.take(w, entries[run] - lo * L)
-            np.exp(w, out=w)
-            log_total[lo:lo + size] = np.log(w.sum(axis=1))
-            np.matmul(w, self._moment_table, out=sums[lo:lo + size])
-        if n > size:
-            logp = np.empty((n // (K * R), self._cell_order.size))
-            logp[:, self._cell_order] = gathered.reshape(len(logp), -1)
-            logp = logp.reshape((-1,) + self._cell_entries.shape)
+        w = rows @ self._shifted_scores
+        logp = np.take(w.reshape(-1, K * R * w.shape[1]), self._cell_entries,
+                       axis=1)
+        np.exp(w, out=w)
+        log_total = np.log(w.sum(axis=1))
         logp -= np.take(log_total.reshape(-1, K * R), self._cell_blocks, axis=1)
         return ((log_total + shift).reshape(lead + (K, R)),
-                sums.reshape(lead + (K * R, -1)),
+                w.reshape(lead + (K * R, -1)),
                 logp.reshape(lead + logp.shape[1:]))
 
-    def score_moments(self, sums: np.ndarray):
-        """Per-block score moments from the moment sums (..., K * R, 1 + J + (J-1)^2).
+    def score_moments(self, w: np.ndarray):
+        """Per-block score moments from the pattern weights (..., K * R, L).
 
         Returns E[s] (..., K, R, J) and Cov[s] over the non-reference
         items, one flattened row per block, (N, (J-1)^2) with N all blocks
-        of all chains: the sums of :meth:`log_normalizer` divided by their
-        first column, the weights' total, give E[s] and E[s s'], and
+        of all chains: one product of the weights of
+        :meth:`log_normalizer` with the moment table, divided by its first
+        column, the weights' total, gives E[s] and E[s s'], and
         Cov[s] = E[s s'] - E[s] E[s]'.
         """
         J = self._score_ramp.size
-        moments = sums.reshape(-1, sums.shape[-1])
-        moments = moments / moments[:, :1]
-        free = moments[:, 1:J]
-        cov = moments[:, J + 1:] - (free[:, :, None] * free[:, None, :]).reshape(
-            len(moments), -1)
-        return moments[:, 1:J + 1].reshape(sums.shape[:-2] + self._blocks + (J,)), cov
+        sums = w.reshape(-1, w.shape[-1]) @ self._moment_table
+        sums /= sums[:, :1]
+        free = sums[:, 1:J]
+        cov = sums[:, J + 1:] - (free[:, :, None] * free[:, None, :]).reshape(
+            len(sums), -1)
+        # a copy, so that the means do not keep the whole product alive
+        return sums[:, 1:J + 1].reshape(w.shape[:-2] + self._blocks + (J,)).copy(), cov
 
 
 class Design:
@@ -550,20 +519,20 @@ def _column_products(design: Design, m_plus: np.ndarray) -> np.ndarray:
             * X[:, None, :]).reshape(-1, K * R, Q * Q)
 
 
-def _moments_information(sums: np.ndarray, design: Design, products: np.ndarray):
+def _moments_information(w: np.ndarray, design: Design, products: np.ndarray):
     """Per-block score means E[s] (..., K, R, J) and the information (B, P, P).
 
-    ``sums`` holds the moment sums as one row per (set, class) block,
-    (..., K * R, 1 + J + (J-1)^2), as :meth:`_Enumeration.log_normalizer`
-    returns them, and ``products`` the :func:`_column_products` of the
-    block totals. The entry for coefficients (c, i) and (d, j) is
-    sum_kr m_plus[k, r] X_krc X_krd Cov_kr[s]_ij over the non-reference
-    items, one matrix product of the column products with the block
-    covariances of :meth:`_Enumeration.score_moments`.
+    ``w`` holds the pattern weights as one row per (set, class) block,
+    (..., K * R, L), as :meth:`_Enumeration.log_normalizer` returns them,
+    and ``products`` the :func:`_column_products` of the block totals. The
+    entry for coefficients (c, i) and (d, j) is sum_kr m_plus[k, r]
+    X_krc X_krd Cov_kr[s]_ij over the non-reference items, one matrix
+    product of the column products with the block covariances of
+    :meth:`_Enumeration.score_moments`.
     """
     J1 = design.n_items - 1
     Q = design.X.shape[-1]
-    mean, cov = design.enumeration.score_moments(sums)
+    mean, cov = design.enumeration.score_moments(w)
     info = np.swapaxes(products, 1, 2) @ cov.reshape(products.shape[:2] + (-1,))
     info = info.reshape(-1, Q, Q, J1, J1).transpose(0, 1, 3, 2, 4)
     return mean, info.reshape(-1, Q * J1, Q * J1)
@@ -606,7 +575,7 @@ def _information_stack(coefficients: np.ndarray, log_mixing: np.ndarray,
     item inner, then the R - 1 mass log-ratios log(q_r / q_R)), shaped
     (B, D) and (B, D, D) with D = P + R - 1, all from one normalizer call:
     its log P gives the log-likelihood and the posterior weights w, its
-    moment sums the structural information at the expected counts
+    pattern weights the structural information at the expected counts
     m = n w, to which the complete-data information adds the mass block
     N (diag(q~) - q~ q~'), q~ the first R - 1 masses. The score is the
     posterior mean of the complete-data score (Fisher's identity), and the
@@ -619,13 +588,14 @@ def _information_stack(coefficients: np.ndarray, log_mixing: np.ndarray,
     B, p = coefficients.shape
     R = design.n_classes
     n = design.cell_counts
-    _, sums, logp = design.enumeration.log_normalizer(
+    _, weights, logp = design.enumeration.log_normalizer(
         design.block_effects(coefficients))
     log_mixture, w = _mixture(logp, log_mixing[:, :, None])
     m = w * n
     m_plus = design.set_sums(m, axis=-1).swapaxes(1, 2)  # (B, K, R)
-    mean, structural = _moments_information(sums, design,
+    mean, structural = _moments_information(weights, design,
                                             _column_products(design, m_plus))
+    del weights
     q = np.exp(log_mixing[:, :-1])
     score = np.empty((B, p + R - 1))
     score[:, p:] = m.sum(axis=-1)[:, :-1] - design.n_respondents * q

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from rankmix import model
 from rankmix.data import CovariateDecl, DataError, aggregate
 from rankmix.fitting import FitConfig
 from rankmix.model import (
@@ -197,33 +196,8 @@ class TestLogNormalizer:
                - np.outer(mean[:-1], mean[:-1]))
         return log_z, mean, cov.ravel()
 
-    @staticmethod
-    def chunked(monkeypatch, enumeration, a, chunk):
-        """The normalizer at ``a``, first in one chunk, then with ``chunk``
-        blocks per chunk (the same call again if ``chunk`` is None)."""
-        single = enumeration.log_normalizer(a)
-        if chunk is not None:
-            L = enumeration._shifted_scores.shape[1]
-            monkeypatch.setattr(model, "_CHUNK_ENTRIES", chunk * L)
-        return single, enumeration.log_normalizer(a)
-
-    @staticmethod
-    def assert_same_results(single, chunked, enumeration):
-        """log Z, E[s], Cov[s] and the cells' log P agree to 1e-12."""
-        (log_z, sums, logp), (want_log_z, want_sums, want_logp) = chunked, single
-        assert log_z == pytest.approx(want_log_z, rel=1e-12, abs=1e-12)
-        for x, want in zip(enumeration.score_moments(sums),
-                           enumeration.score_moments(want_sums)):
-            assert np.abs(x - want).max() <= 1e-12
-        assert np.abs(logp - want_logp).max() <= 1e-12
-
-    @pytest.mark.parametrize("n_items, chunk", [
-        *(pytest.param(j, None, id=str(j)) for j in (2, 3, 4, 5, 6)),
-        # two one-block chains per chunk: the five chains take three chunks
-        pytest.param(3, 2, id="3-chunks_of_2"),
-        pytest.param(6, 2, id="6-chunks_of_2"),
-    ])
-    def test_log_z_and_moments_match_enumeration(self, monkeypatch, n_items, chunk):
+    @pytest.mark.parametrize("n_items", [2, 3, 4, 5, 6])
+    def test_log_z_and_moments_match_enumeration(self, n_items):
         design, _ = design_for_items(n_items)
         rng = np.random.default_rng(n_items)
         blocks = np.array([
@@ -235,16 +209,12 @@ class TestLogNormalizer:
             np.linspace(-50.0, 50.0, n_items),
         ])
         # a stack of blocks, each its own chain of one set and one class
-        single, (log_z, sums, logp) = self.chunked(
-            monkeypatch, design.enumeration, blocks[:, None, None, :], chunk)
-        self.assert_same_results(single, (log_z, sums, logp), design.enumeration)
-        mean, cov = design.enumeration.score_moments(sums)
+        log_z, w, _ = design.enumeration.log_normalizer(blocks[:, None, None, :])
+        mean, cov = design.enumeration.score_moments(w)
         assert np.isfinite(log_z).all()
-        # the shift is the largest s . a, so the weights' total is Z over
-        # exp of it
-        top = (design.data.space.score_matrix() @ blocks.T).max(axis=0)
-        assert np.log(sums[:, 0, 0]) == pytest.approx(log_z[:, 0, 0] - top,
-                                                      rel=1e-12, abs=1e-12)
+        # the shift is the largest s . a, so each block's top weight is 1
+        assert w.max(axis=-1) == pytest.approx(np.ones((len(blocks), 1)),
+                                               rel=1e-12)
         for b, effects in enumerate(blocks):
             want_log_z, want_mean, want_cov = self.enumerated(effects)
             assert log_z[b, 0, 0] == pytest.approx(want_log_z, rel=1e-12,
@@ -254,14 +224,8 @@ class TestLogNormalizer:
 
     @pytest.mark.parametrize("n_items", [3, 6])
     @pytest.mark.parametrize("n_classes", [1, 2, 3])
-    @pytest.mark.parametrize("stack, chunk", [
-        pytest.param(1, None, id="1"), pytest.param(3, None, id="3"),
-        # two blocks per chunk, so that chains straddle chunks
-        pytest.param(1, 2, id="1-chunks_of_2"),
-        pytest.param(3, 2, id="3-chunks_of_2"),
-    ])
-    def test_cells_log_p_matches_the_dense_table(self, monkeypatch, n_items,
-                                                 n_classes, stack, chunk):
+    @pytest.mark.parametrize("stack", [1, 3])
+    def test_cells_log_p_matches_the_dense_table(self, n_items, n_classes, stack):
         # three sets, about half the cells observed; the last chain's
         # coefficients all sit just inside the degenerate class offset, with
         # the sign of their item, so that the effects add up within a block
@@ -275,24 +239,21 @@ class TestLogNormalizer:
         edge = 0.995 * FitConfig().degenerate_offset
         signs = np.where(np.arange(n_items - 1) < n_items // 2, 1.0, -1.0)
         coefficients[-1] = np.tile(edge * signs, design.X.shape[-1])
-        single, (log_z, sums, logp) = self.chunked(
-            monkeypatch, design.enumeration, design.block_effects(coefficients),
-            chunk)
-        self.assert_same_results(single, (log_z, sums, logp), design.enumeration)
+        _, w, logp = design.enumeration.log_normalizer(
+            design.block_effects(coefficients))
         assert logp.shape == (stack, n_classes, design.cell_set.size)
         for b in range(stack):
             dense = design.log_pattern_probs(coefficients[b])
             want = dense[design.cell_set, design.cell_pattern].T
             assert np.abs(logp[b] - want).max() < 1e-12
         if n_items == 6:
-            # exp underflows many of the extreme chain's pattern weights
-            # P_l / max_l P_l (most of them in a block with a class offset),
-            # while its cells' log P stays finite
-            dense = design.log_pattern_probs(coefficients[-1])
-            weights = np.exp(dense - dense.max(axis=1, keepdims=True))
-            underflow = np.mean(weights == 0.0, axis=1).max()
+            # exp underflows many of the extreme chain's pattern weights (most
+            # of them in a block with a class offset), while its cells' log P
+            # stays finite
+            underflow = np.mean(w[-1] == 0.0, axis=-1).max()
             assert underflow > (0.5 if n_classes > 1 else 0.4)
         assert np.isfinite(logp).all()
+
 
     @staticmethod
     def two_set_design(n_items, seed):
