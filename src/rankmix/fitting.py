@@ -57,7 +57,16 @@ Newton steps, step halving, convergence test and iteration count; a chain
 leaves the stack when it converges, degenerates, hits ``max_iter`` or
 fails, and the others go on, so each chain takes exactly the iterations
 it takes alone. A stack holds as many chains as keep its pattern
-weights within ``_STACK_ENTRIES`` entries.
+weights and the information's column products within ``_STACK_ENTRIES``
+entries. A stack whose starts are all the uniform model takes their
+normalizer, and the first Newton iteration their moments, in closed form
+(``_Enumeration.uniform``), with no pass over the patterns.
+
+A one-class chain is the exception to the loop's stopping rule: with no
+latent variable, the expected counts are the observed ones, so its first
+M step already maximizes the likelihood. It stops after that one Newton
+solve, with one iteration, converged if the solve met ``_IRLS_TOL`` and
+not if it stopped at ``irls_max_iter``; ``tol`` does not reach it.
 
 The constrained refits of the corrected standard errors do not run EM:
 ``_damped_newton`` climbs the mixture likelihood itself by damped Newton
@@ -85,7 +94,7 @@ from .model import (
     _column_products,
     _information_stack,
     _mixture,
-    _moments_information,
+    _structural_information,
     _theta_names,
     _unpack_theta,
     bic,
@@ -124,9 +133,10 @@ class IrlsDivergenceError(FitError):
 class FitConfig:
     """Tuning knobs for the multi-start EM fit; a bad field raises ``ValueError``.
 
-    ``n_starts`` and ``seed`` set the random starts of a fit with more than
-    one class; a one-class fit starts at the uniform model and reads
-    neither.
+    ``n_starts``, ``seed`` and ``tol`` set the random starts and the EM
+    stopping rule of a fit with more than one class. A one-class fit reads
+    none of them: it is one Newton solve from the uniform model, capped by
+    ``irls_max_iter`` (``max_iter`` 0 returns the uniform model itself).
     """
 
     n_starts: int = 50
@@ -241,18 +251,21 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
     ``m`` (B, R, nnz) holds each chain's expected counts, class-major, and
     ``beta`` (B, P) its start. ``start`` is the list [a, log Z, pattern
     weights] of the kernel ``design.enumeration.log_normalizer`` at
-    ``beta``; it is emptied, so that the weights are freed by the first
-    moment product, before the first trial allocates its own. Each chain
-    takes its own Newton steps with its own step halving and stops by its
-    own deviance change; the stack shrinks as chains stop. A chain whose
+    ``beta``, with None for the weights when ``beta`` is zero: the first
+    iteration then takes the uniform model's moments in closed form. The
+    list is emptied, so that the weights are freed by the first moment
+    product, before the first trial allocates its own. Each chain takes
+    its own Newton steps with its own step halving and stops by its own
+    deviance change; the stack shrinks as chains stop. A chain whose
     information fails the Cholesky test takes a zero step (an identity
     system and a zero score) and leaves with its error.
 
     Returns the coefficients (B, P), and the normalizer's arrays there (the
     accepted trial's, so the caller needs no further normalizer): the item
     effects (B, K, R, J), log Z (B, K, R), the pattern weights
-    (B, K * R, L) and the cells' log P (B, R, nnz); and per chain None or
-    the ``FitError`` that stopped it.
+    (B, K * R, L) and the cells' log P (B, R, nnz); per chain None or the
+    ``FitError`` that stopped it; and per chain whether its last step met
+    ``tol``, which a chain stopped by ``max_iter`` has not.
     """
     a, log_z, w = start
     start.clear()
@@ -275,22 +288,26 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
         return deviance(a, log_z, observed, m_plus, saturated), a, log_z, w, logp
 
     errors: list[FitError | None] = [None] * n
+    met = np.zeros(n, dtype=bool)
     # the chains still stepping; every array below has one row per chain
     chains = np.arange(n)
     products = _column_products(design, m_plus)
     dev = deviance(a, log_z, observed, m_plus, saturated)
     out = None  # per chain, where it stopped, once a chain has stopped
     for iteration in range(1, max_iter + 1):
-        mean, info = _moments_information(w, design, products)
-        del w  # freed before the trials allocate theirs
+        mean, cov = (design.enumeration.uniform_moments(len(chains)) if w is None
+                     else design.enumeration.score_moments(w))
+        info = _structural_information(cov, design, products)
+        del w, cov  # freed before the trials allocate theirs
         score = _coefficient_score(design.X, observed, m_plus, mean)
         # the failing chains take a zero step and leave
         failed = _cholesky_failures(info)
-        for j in failed:
-            errors[chains[j]] = _rank_deficiency(
-                info[j], [c.name for c in design.coefficients])
-        info[failed] = np.eye(info.shape[-1])
-        score[failed] = 0.0
+        if failed:
+            for j in failed:
+                errors[chains[j]] = _rank_deficiency(
+                    info[j], [c.name for c in design.coefficients])
+            info[failed] = np.eye(info.shape[-1])
+            score[failed] = 0.0
         direction = np.linalg.solve(info, score[..., None])[..., 0]
 
         # every chain still rising after h halvings has step 2^-h
@@ -313,6 +330,7 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
                     trial[j], observed[j], m_plus[j], saturated[j])
             rising[j] = ~(dev_try[j] <= bound[j])
         stop = np.abs(dev - dev_try) <= tol * np.maximum(np.abs(dev_try), 1.0)
+        met[chains[stop]] = True
         for j in np.nonzero(rising)[0]:
             errors[chains[j]] = IrlsDivergenceError(iteration, dev[j], dev_try[j])
         stop |= rising
@@ -322,7 +340,7 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
         beta, dev = trial, dev_try
         stopped = np.count_nonzero(stop)
         if stopped == n:  # the whole stack stops at once: no copies
-            return beta, a, log_z, w, logp, errors
+            return beta, a, log_z, w, logp, errors, met
         if stopped:
             state = (beta, a, log_z, w, logp)
             if out is None:
@@ -336,7 +354,7 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
             chains, beta, dev, w, m_plus, observed, saturated, products = (
                 x[going] for x in (chains, beta, dev, w, m_plus, observed,
                                    saturated, products))
-    return (*out, errors)
+    return (*out, errors, met)
 
 
 def _mass_update(w, design: Design, min_mass: float):
@@ -381,12 +399,17 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, callback):
     # the running chains' state, one row per chain: w holds the posterior
     # weights (B, R, nnz) for the next M step, at_b the item effects, log Z
     # and pattern weights at b, where the next Newton solve starts (and
-    # frees the weights)
+    # frees the weights). Starts that are all the uniform model have their
+    # normalizer in closed form, and no weights.
     chains = np.arange(B)
     b = np.array([s.coefficients for s in starts], dtype=np.float64)
     q = np.array([s.mixing for s in starts], dtype=np.float64)
     a = design.block_effects(b)
-    *at_b, logp = a, *design.enumeration.log_normalizer(a)
+    if b.any():
+        *at_b, logp = a, *design.enumeration.log_normalizer(a)
+    else:
+        log_z, logp = design.enumeration.uniform(B)
+        at_b = [a, log_z, None]
     ll, d, w = e_step(logp, q)
     # per chain, the final state, written when the chain leaves the stack
     beta, mixing, loglik, dev = b.copy(), q.copy(), ll.copy(), d.copy()
@@ -406,7 +429,7 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, callback):
         n_iter[done] = iterations
         keep = ~stop
         chains, b, q, ll, d, w = (x[keep] for x in (chains, b, q, ll, d, w))
-        return [x[keep] for x in rows]
+        return [None if x is None else x[keep] for x in rows]
 
     for iteration in range(1, config.max_iter + 1):
         if not chains.size:
@@ -424,15 +447,15 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, callback):
             m, new_q, *at_b = leave(sick, iteration - 1, m, new_q, *at_b)
             if not chains.size:
                 break
-        b, *at_b, logp, errors = _newton(m, design, b, at_b, _IRLS_TOL,
-                                         config.irls_max_iter)
+        b, *at_b, logp, errors, solved = _newton(m, design, b, at_b, _IRLS_TOL,
+                                                 config.irls_max_iter)
         q = new_q
         # a chain whose Newton solve failed leaves with its error
         failed = np.array([e is not None for e in errors])
         if failed.any():
             for j in np.nonzero(failed)[0]:
                 failures[chains[j]] = errors[j]
-            logp, *at_b = leave(failed, iteration - 1, logp, *at_b)
+            logp, solved, *at_b = leave(failed, iteration - 1, logp, solved, *at_b)
             if not chains.size:
                 break
         # E step: one softmax gives the log-likelihood and the next weights
@@ -444,8 +467,8 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, callback):
         if runaway.any():
             for j in np.nonzero(runaway)[0]:
                 messages[chains[j]] = f"class offset reached {offsets[j]:.3g}"
-            ll_new, dev_new, *at_b = leave(runaway, iteration - 1, ll_new,
-                                           dev_new, *at_b)
+            ll_new, dev_new, solved, *at_b = leave(runaway, iteration - 1, ll_new,
+                                                   dev_new, solved, *at_b)
             if not chains.size:
                 break
         for c, x in zip(chains.tolist(), dev_new.tolist()):
@@ -453,10 +476,13 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, callback):
         if callback is not None:
             callback(iteration, Parameters(b[0].copy(), q[0].copy()), dense_w,
                      float(ll_new[0]))
-        stop = np.abs(dev_new - d) < config.tol
+        # a one-class solve maximized the likelihood itself: its chain
+        # stops, converged if the solve met its tolerance
+        one_class = design.n_classes == 1
+        stop = solved if one_class else np.abs(dev_new - d) < config.tol
         ll, d = ll_new, dev_new
         converged[chains[stop]] = True
-        if iteration == config.max_iter:
+        if iteration == config.max_iter or one_class:
             stop[:] = True
         if stop.any():
             at_b = leave(stop, iteration, *at_b)
@@ -478,8 +504,10 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, callback):
 
 
 def _stack_size(design: Design) -> int:
-    """Chains per stack: their pattern weights keep within ``_STACK_ENTRIES``."""
-    block_entries = design.n_sets * design.n_classes * design.n_patterns
+    """Chains per stack: their pattern weights, and the information's column
+    products (see ``model._column_products``), keep within ``_STACK_ENTRIES``."""
+    Q = design.X.shape[-1]
+    block_entries = design.n_sets * design.n_classes * max(design.n_patterns, Q * Q)
     return max(1, _STACK_ENTRIES // block_entries)
 
 
@@ -663,9 +691,10 @@ def fit(
 ) -> FitResult:
     """Multi-start EM fit; returns the best chain by final log-likelihood.
 
-    With a single class the likelihood is concave, so one chain from the
-    uniform model (zero coefficients, label ``uniform``) suffices, and
-    neither the configured start count nor the seed is used.
+    With a single class the likelihood is concave, so one Newton solve
+    from the uniform model (zero coefficients, label ``uniform``)
+    suffices, and neither the configured start count, the seed nor ``tol``
+    is used.
     ``extra_starts`` appends warm-start chains (used by the class-count
     search) after the random ones. All chains run as stacks (see
     :func:`run_chains`); the first chain in start order that raises a

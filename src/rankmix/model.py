@@ -31,7 +31,9 @@ the patterns and holds every array over them: its ``log_normalizer``
 gives log Z, the pattern weights (unnormalized) and log P at the
 observed cells from one product, one ``exp`` and one row sum, and its
 ``score_moments`` gives every block's E[s] and Cov[s] from one product
-of those weights with its moment table. ``Design`` keeps the rest: the
+of those weights with its moment table. At zero effects, the uniform
+model, ``uniform`` and ``uniform_moments`` give the same in closed form
+without visiting the patterns. ``Design`` keeps the rest: the
 block design matrix X and the coefficients, and the observed cells with
 their counts, their rows [1 | s | s_i s_j] and each set's run of cells,
 from which ``block_totals`` and the missing information read the
@@ -44,8 +46,8 @@ mixture log sum_r q_r P_r and the posterior weights to the EM loop,
 the dense ``Design.log_pattern_probs``, which reads the pattern space's
 score matrix itself, gives every (K, L, R) cell.
 
-The information kernels live here too: ``_moments_information`` for the
-Newton solve, and ``_information_stack``, the log-likelihood, score,
+The information kernels live here too: ``_structural_information`` for
+the Newton solve, and ``_information_stack``, the log-likelihood, score,
 complete-data and observed information of the mixture likelihood by
 Louis's identity (Louis 1982, JRSS-B 44:226) for a stack of chains, at
 per-block cost: its missing information comes from per-(set, class,
@@ -65,6 +67,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,8 +75,9 @@ import numpy as np
 from .data import AggregatedData, DataError
 
 # Chains of one design advance as one stack while their pattern weights,
-# B x K x R x L doubles, stay within this many entries (8 MB); a design
-# whose blocks alone exceed it runs one chain at a time. The missing
+# B x K x R x L doubles, and the information's column products,
+# B x K x R x Q^2, stay within this many entries (8 MB); a design whose
+# blocks alone exceed it runs one chain at a time. The missing
 # information's temporaries keep within it too.
 _STACK_ENTRIES = 1_000_000
 
@@ -175,9 +179,10 @@ class _Enumeration:
     It holds every array with one entry per pattern: [S'; 1] over the
     patterns' net-win scores S (L, J), the moment table [1 | s | s_i s_j]
     (L, 1 + J + (J-1)^2), and the places of the observed cells among a
-    stack's pattern weights. Its two methods are the only computations of
-    the fit that visit every pattern: the log-normalizer and the score
-    moments of each (set, class) block.
+    stack's pattern weights. Two of its methods are the only computations
+    of the fit that visit every pattern: the log-normalizer and the score
+    moments of each (set, class) block. The other two give both at zero
+    effects in closed form.
     """
 
     def __init__(self, data: AggregatedData, n_classes: int):
@@ -247,6 +252,30 @@ class _Enumeration:
             len(sums), -1)
         # a copy, so that the means do not keep the whole product alive
         return sums[:, 1:J + 1].reshape(w.shape[:-2] + self._blocks + (J,)).copy(), cov
+
+    def uniform(self, n: int):
+        """log Z (n, K, R) and log P at the cells (n, R, nnz) of n chains at zero effects.
+
+        At a = 0 every block is the uniform model, so no pattern is visited:
+        each of the J! patterns has probability 1 / J!, log Z = log J! and
+        log P = -log J!.
+        """
+        log_z = math.log(math.factorial(self._score_ramp.size))
+        return (np.full((n,) + self._blocks, log_z),
+                np.full((n,) + self._cell_blocks.shape, -log_z))
+
+    def uniform_moments(self, n: int):
+        """:meth:`score_moments` of n chains at zero effects, without the product.
+
+        E[s] = 0, as each item's net wins run uniformly over 1 - J, 3 - J,
+        ..., J - 1, whose variance is (J^2 - 1) / 3; the scores sum to zero,
+        so Cov[s]_ij = (J + 1) / 3 (J delta_ij - 1).
+        """
+        J = self._score_ramp.size
+        cov = (J + 1) / 3.0 * (J * np.eye(J - 1) - 1.0)
+        blocks = n * self._blocks[0] * self._blocks[1]
+        return (np.zeros((n,) + self._blocks + (J,)),
+                np.broadcast_to(cov.ravel(), (blocks, cov.size)))
 
 
 class Design:
@@ -519,23 +548,20 @@ def _column_products(design: Design, m_plus: np.ndarray) -> np.ndarray:
             * X[:, None, :]).reshape(-1, K * R, Q * Q)
 
 
-def _moments_information(w: np.ndarray, design: Design, products: np.ndarray):
-    """Per-block score means E[s] (..., K, R, J) and the information (B, P, P).
+def _structural_information(cov: np.ndarray, design: Design, products: np.ndarray):
+    """The information (B, P, P) over the coefficients of B chains.
 
-    ``w`` holds the pattern weights as one row per (set, class) block,
-    (..., K * R, L), as :meth:`_Enumeration.log_normalizer` returns them,
-    and ``products`` the :func:`_column_products` of the block totals. The
-    entry for coefficients (c, i) and (d, j) is sum_kr m_plus[k, r]
-    X_krc X_krd Cov_kr[s]_ij over the non-reference items, one matrix
-    product of the column products with the block covariances of
-    :meth:`_Enumeration.score_moments`.
+    ``cov`` holds the block covariances as :meth:`_Enumeration.score_moments`
+    returns them, and ``products`` the :func:`_column_products` of the
+    block totals. The entry for coefficients (c, i) and (d, j) is
+    sum_kr m_plus[k, r] X_krc X_krd Cov_kr[s]_ij over the non-reference
+    items, one matrix product of the column products with the covariances.
     """
     J1 = design.n_items - 1
     Q = design.X.shape[-1]
-    mean, cov = design.enumeration.score_moments(w)
     info = np.swapaxes(products, 1, 2) @ cov.reshape(products.shape[:2] + (-1,))
     info = info.reshape(-1, Q, Q, J1, J1).transpose(0, 1, 3, 2, 4)
-    return mean, info.reshape(-1, Q * J1, Q * J1)
+    return info.reshape(-1, Q * J1, Q * J1)
 
 
 def _unpack_theta(theta: np.ndarray, design: Design):
@@ -593,9 +619,10 @@ def _information_stack(coefficients: np.ndarray, log_mixing: np.ndarray,
     log_mixture, w = _mixture(logp, log_mixing[:, :, None])
     m = w * n
     m_plus = design.set_sums(m, axis=-1).swapaxes(1, 2)  # (B, K, R)
-    mean, structural = _moments_information(weights, design,
-                                            _column_products(design, m_plus))
+    mean, cov = design.enumeration.score_moments(weights)
     del weights
+    structural = _structural_information(cov, design,
+                                         _column_products(design, m_plus))
     q = np.exp(log_mixing[:, :-1])
     score = np.empty((B, p + R - 1))
     score[:, p:] = m.sum(axis=-1)[:, :-1] - design.n_respondents * q
@@ -652,11 +679,21 @@ def _missing_information(w: np.ndarray, mean: np.ndarray, design: Design):
     D = (A[..., J1 + 2:].reshape(E.shape + (J1,))
          - mu[:, :, None, :, :, None] * A[..., None, 1:J1 + 1]
          - E[..., :, None] * mu[:, None, :, :, None, :])
-    # the (class, class', set) products of the design rows, (R * R * K, Q * Q)
-    X = design.X.transpose(1, 0, 2)
-    pairs = (X[:, None, :, :, None] * X[None, :, :, None, :]).reshape(-1, Q * Q)
+    # the coefficient block sums the (class, class', set) products of the
+    # design rows (R * R * K, Q * Q) times D, over runs of those rows whose
+    # products keep within _STACK_ENTRIES entries
+    X = design.X.transpose(1, 0, 2)  # (R, K, Q)
+    D = D.reshape(B, -1, J1 * J1)
+    rows = np.arange(D.shape[1])
+    run = max(1, _STACK_ENTRIES // (Q * Q))
+
+    def coefficient_block(lo):
+        r, r2, k = np.unravel_index(rows[lo:lo + run], (R, R, K))
+        pairs = (X[r, k, :, None] * X[r2, k, None, :]).reshape(-1, Q * Q)
+        return pairs.T @ D[:, lo:lo + run]
+
+    coef = sum(coefficient_block(lo) for lo in range(0, rows.size, run))
     missing = np.empty((B, p + R - 1, p + R - 1))
-    coef = pairs.T @ D.reshape(B, -1, J1 * J1)  # (B, Q * Q, J1 * J1)
     missing[:, :p, :p] = coef.reshape(B, Q, Q, J1, J1).transpose(
         0, 1, 3, 2, 4).reshape(B, p, p)
     cross = np.einsum("krq,brskj->bqjs", design.X, E[:, :, :-1]).reshape(B, p, -1)

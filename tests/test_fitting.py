@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rankmix.fitting as fitting
+import rankmix.model as model
 from rankmix.data import CovariateDecl, DataError, aggregate
 from rankmix.fitting import (
     FitConfig,
@@ -347,6 +348,22 @@ class TestInformationStack:
             for x, y in zip(stack[1::2], louis_by_cells(params, design)):
                 assert np.abs(x[b] - y).max() <= 1e-10 * np.abs(y).max()
 
+    def test_missing_information_in_runs_within_the_stack_bound(self, monkeypatch):
+        # with the bound lowered, the coefficient block of the missing
+        # information sums the (class, class', set) rows in several runs
+        design = TestObservedCells.instance()[0]
+        design = Design(design.spec.with_classes(3), design.data)
+        rng = np.random.default_rng(29)
+        p = design.n_coefficients
+        theta = np.hstack([rng.normal(0.0, 0.7, (3, p)), rng.normal(0.0, 1.0, (3, 2))])
+        whole = _information_stack(*_unpack_theta(theta, design), design)
+        Q = design.X.shape[-1]
+        # runs of 4 of the 3 * 3 * K rows, one chain at a time
+        monkeypatch.setattr(model, "_STACK_ENTRIES", 4 * Q * Q)
+        runs = _information_stack(*_unpack_theta(theta, design), design)
+        for x, y in zip(whole, runs):
+            assert np.abs(x - y).max() <= 1e-12 * np.abs(x).max()
+
     def test_parameters_pack_to_theta(self):
         design = self.criterion_7_design()
         params = Parameters(np.arange(design.n_coefficients) / 10.0,
@@ -468,6 +485,21 @@ class TestObservedCells:
                               FitConfig(max_iter=4, tol=1e-12))
         assert chain.n_iterations == 4 and not chain.converged
         assert calls == [(1, 2, design.cell_set.size)] * 5
+
+    def test_stack_of_uniform_starts_with_several_classes(self):
+        # the closed-form start serves any class count; a chain whose mass is
+        # already below the bound leaves at the uniform model, and equal
+        # classes from the uniform model stay equal, at the one-class fit
+        design, data = self.instance()
+        starts = [Parameters(np.zeros(design.n_coefficients), q)
+                  for q in ([0.5, 0.5], [0.05, 0.95])]
+        kept, emptied = run_chains(design, data, starts,
+                                   FitConfig(degenerate_mass=0.1))
+        assert (emptied.degenerate, emptied.n_iterations) == (True, 0)
+        assert not emptied.params.coefficients.any()
+        assert not kept.degenerate and kept.converged
+        one_class = fit(design.spec.with_classes(1), data)
+        assert kept.loglik == pytest.approx(one_class.loglik, abs=1e-8)
 
     @pytest.mark.parametrize("options", [
         {}, {"max_iter": 0},
@@ -692,12 +724,55 @@ class TestObservedCells:
 
 
 class TestFit:
-    def test_single_class_two_iterations(self):
+    def test_single_class_is_one_newton_solve(self):
         design, data = small_design(1)
         result = fit(design.spec, data, FitConfig(seed=1))
         assert result.converged
-        assert result.n_iterations <= 2
+        assert result.n_iterations == 1
+        assert len(result.deviance_trace) == 2
         assert result.n_starts == 1
+
+    def test_single_class_pattern_passes(self, monkeypatch):
+        # the uniform start needs no normalizer and its first Newton
+        # iteration no moment product: a normalizer call per Newton trial,
+        # and a moment product per Newton iteration but the first
+        design, data = TestObservedCells.instance()
+        design = Design(design.spec.with_classes(1), data)
+        calls = []
+
+        def counted(owner, name, tag):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(tag)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(Design, "block_effects", "trial")
+        counted(_Enumeration, "log_normalizer", "normalizer")
+        counted(_Enumeration, "score_moments", "moments")
+        counted(fitting, "_structural_information", "iteration")
+        result = fit(design.spec, data)
+        assert result.converged and result.n_iterations == 1
+        assert calls.index("iteration") < calls.index("normalizer")
+        trials = calls.count("trial") - 1  # the first places the start
+        assert calls.count("normalizer") == trials >= calls.count("iteration")
+        assert calls.count("moments") == calls.count("iteration") - 1 >= 1
+        # a solve stopped by its cap has not converged
+        capped = fit(design.spec, data, FitConfig(irls_max_iter=1))
+        assert (capped.converged, capped.n_iterations) == (False, 1)
+        assert len(capped.deviance_trace) == 2
+        # no iteration leaves the uniform model, in closed form
+        calls.clear()
+        start = fit(design.spec, data, FitConfig(max_iter=0))
+        assert calls == ["trial"]
+        assert (start.converged, start.n_iterations) == (False, 0)
+        assert not start.params.coefficients.any()
+        n = design.n_respondents  # over the 24 rankings of four items
+        assert start.loglik == pytest.approx(-n * math.log(24), rel=1e-15)
+        assert start.deviance_trace == [start.deviance]
+        assert np.array_equal(start.posteriors, np.ones((data.cell_set.size, 1)))
 
     def test_matches_fixed_effect_oracle(self):
         rng = np.random.default_rng(11)

@@ -222,6 +222,22 @@ class TestLogNormalizer:
             assert mean[b, 0, 0] == pytest.approx(want_mean, abs=1e-12)
             assert cov[b] == pytest.approx(want_cov, abs=1e-12)
 
+    @pytest.mark.parametrize("n_items", [2, 3, 4, 5, 6, 7])
+    def test_uniform_closed_form_is_the_pass_at_zero(self, n_items):
+        # two chains of three sets and two classes at zero effects
+        rng = np.random.default_rng(n_items)
+        counts = rng.integers(0, 3, (3, math.factorial(n_items)))
+        counts[:, 0] += 1
+        design = Design(ModelSpec(tuple("ABCDEFG"[:n_items]), ("g",), 2),
+                        make_data(n_items, counts, factor_levels=["a", "b", "c"]))
+        enumeration = design.enumeration
+        log_z, w, logp = enumeration.log_normalizer(np.zeros((2, 3, 2, n_items)))
+        passes = (log_z, logp, *enumeration.score_moments(w))
+        closed = (*enumeration.uniform(2), *enumeration.uniform_moments(2))
+        for got, want in zip(closed, passes):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
+
     @pytest.mark.parametrize("n_items", [3, 6])
     @pytest.mark.parametrize("n_classes", [1, 2, 3])
     @pytest.mark.parametrize("stack", [1, 3])
