@@ -41,25 +41,28 @@ posterior weights.
 Several independent chains are run from random starts; the chain with the
 best final likelihood wins. Chains that collapse a class (vanishing mass
 or runaway offsets) are flagged degenerate and excluded from selection
-while any healthy chain exists. A one-class likelihood is concave, so its
-one chain starts at the uniform model (all coefficients zero).
+while any healthy chain exists; a chain whose Newton solve failed is
+flagged too, and never selected. A one-class likelihood is concave, so
+its one chain starts at the uniform model (all coefficients zero).
 
 Every EM iteration happens in one loop, ``_run_stack``, which runs
 independent chains of one design, a fit's random and warm starts, as a
-stack with a leading chain axis B. An iteration updates the masses, lets the
-chains whose smallest mass fell below ``degenerate_mass`` leave, runs one
-Newton solve (``_newton``) for the rest, and then one softmax over the
-accepted Newton trial's log P at the cells gives both the log-likelihood
-and the next iteration's posterior weights. Each kernel call (block
-effects, the normalizer, the moments and information, the Cholesky test,
-the Newton solve) serves the whole stack, while every chain keeps its own
-Newton steps, step halving, convergence test and iteration count; a chain
-leaves the stack when it converges, degenerates, hits ``max_iter`` or
-fails, and the others go on, so each chain takes exactly the iterations
-it takes alone. A stack holds as many chains as keep its pattern
-weights and the information's column products within ``_STACK_ENTRIES``
-entries. A stack whose starts are all the uniform model takes their
-normalizer, and the first Newton iteration their moments, in closed form
+stack with a leading chain axis B. An iteration runs one Newton solve
+(``_newton``); one softmax over the accepted Newton trial's log P at the
+cells then gives the log-likelihood and the posterior weights, and these
+the masses of the next M step (``_mass_update``). Right after that E step
+is the loop's one exit, where a chain leaves as the record of that
+completed iteration (the start is iteration 0): when its solve failed or
+its class offsets ran away, when it converges or hits ``max_iter``, or
+else when a class mass of its next M step fell below ``degenerate_mass``.
+Each kernel call (block effects, the normalizer, the moments and
+information, the Cholesky test, the Newton solve) serves the whole stack,
+while every chain keeps its own Newton steps, step halving, convergence
+test and iteration count, so each chain takes exactly the iterations it
+takes alone. A stack holds as many chains as keep its pattern weights
+and the information's column products within ``_STACK_ENTRIES`` entries.
+A stack whose starts are all the uniform model takes their normalizer,
+and the first Newton iteration their moments, in closed form
 (``_Enumeration.uniform``), with no pass over the patterns.
 
 A one-class chain is the exception to the loop's stopping rule: with no
@@ -240,6 +243,29 @@ def _cholesky_failures(a: np.ndarray) -> list[int]:
         return failures
 
 
+def _solve(a: np.ndarray, b: np.ndarray, failed: list[int]):
+    """x with a x = b for a stack (B, D, D), (B, D), and the systems that fail.
+
+    These are ``failed`` and those numpy's solve finds singular, as a matrix
+    that passes the Cholesky test with eigenvalues near zero can be; their
+    x is 0. ``a`` and ``b`` are left as they are.
+    """
+    failed = list(failed)
+    if failed:  # an identity system with a zero right side
+        a, b = a.copy(), b.copy()
+        a[failed], b[failed] = np.eye(a.shape[-1]), 0.0
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0], failed
+    except np.linalg.LinAlgError:
+        x = np.zeros_like(b)
+        for j in range(len(a)):
+            try:
+                x[j] = np.linalg.solve(a[j], b[j])
+            except np.linalg.LinAlgError:
+                failed.append(j)
+        return x, sorted(failed)
+
+
 # A Newton solve stops once a step changes its deviance by at most this
 # times the deviance (or times 1, if the deviance is smaller).
 _IRLS_TOL = 1e-10
@@ -257,8 +283,8 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
     product, before the first trial allocates its own. Each chain takes
     its own Newton steps with its own step halving and stops by its own
     deviance change; the stack shrinks as chains stop. A chain whose
-    information fails the Cholesky test takes a zero step (an identity
-    system and a zero score) and leaves with its error.
+    information fails the Cholesky test, or whose solve numpy finds
+    singular, takes a zero step and leaves with its error.
 
     Returns the coefficients (B, P), and the normalizer's arrays there (the
     accepted trial's, so the caller needs no further normalizer): the item
@@ -301,14 +327,10 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
         del w, cov  # freed before the trials allocate theirs
         score = _coefficient_score(design.X, observed, m_plus, mean)
         # the failing chains take a zero step and leave
-        failed = _cholesky_failures(info)
-        if failed:
-            for j in failed:
-                errors[chains[j]] = _rank_deficiency(
-                    info[j], [c.name for c in design.coefficients])
-            info[failed] = np.eye(info.shape[-1])
-            score[failed] = 0.0
-        direction = np.linalg.solve(info, score[..., None])[..., 0]
+        direction, failed = _solve(info, score, _cholesky_failures(info))
+        for j in failed:
+            errors[chains[j]] = _rank_deficiency(
+                info[j], [c.name for c in design.coefficients])
 
         # every chain still rising after h halvings has step 2^-h
         bound = dev + 1e-10 * (np.abs(dev) + 1.0)
@@ -384,24 +406,15 @@ class _Chain:
     n_iterations: int
     message: str | None = None
     posteriors: np.ndarray | None = None  # (nnz, R), at params
+    error: FitError | None = None  # why its last Newton solve failed
 
 
 def _run_stack(design: Design, starts, config: FitConfig, labels, callback):
     """EM for a stack of chains; see :func:`run_chains`."""
     B = len(starts)
-
-    def e_step(logp, q):
-        """Log-likelihoods, deviances and posterior weights from the cells' log P."""
-        log_mixture, w = _mixture(logp, np.log(q)[:, :, None])
-        ll = log_mixture @ design.cell_counts
-        return ll, 2.0 * (design.saturated_loglik - ll), w
-
-    # the running chains' state, one row per chain: w holds the posterior
-    # weights (B, R, nnz) for the next M step, at_b the item effects, log Z
-    # and pattern weights at b, where the next Newton solve starts (and
-    # frees the weights). Starts that are all the uniform model have their
-    # normalizer in closed form, and no weights.
-    chains = np.arange(B)
+    one_class = design.n_classes == 1
+    results: list = [None] * B
+    traces: list[list[float]] = [[] for _ in range(B)]
     b = np.array([s.coefficients for s in starts], dtype=np.float64)
     q = np.array([s.mixing for s in starts], dtype=np.float64)
     a = design.block_effects(b)
@@ -410,97 +423,62 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, callback):
     else:
         log_z, logp = design.enumeration.uniform(B)
         at_b = [a, log_z, None]
-    ll, d, w = e_step(logp, q)
-    # per chain, the final state, written when the chain leaves the stack
-    beta, mixing, loglik, dev = b.copy(), q.copy(), ll.copy(), d.copy()
-    posteriors = w
-    traces = [[float(x)] for x in d]
-    n_iter = np.zeros(B, dtype=int)
-    converged = np.zeros(B, dtype=bool)
-    messages: list[str | None] = [None] * B  # why a chain degenerated
-    failures: list[FitError | None] = [None] * B
-
-    def leave(stop, iterations, *rows):
-        """Write the stopping chains' state, drop them, keep the rest of ``rows``."""
-        nonlocal chains, b, q, ll, d, w
-        done = chains[stop]
-        beta[done], mixing[done], loglik[done], dev[done], posteriors[done] = \
-            b[stop], q[stop], ll[stop], d[stop], w[stop]
-        n_iter[done] = iterations
-        keep = ~stop
-        chains, b, q, ll, d, w = (x[keep] for x in (chains, b, q, ll, d, w))
-        return [None if x is None else x[keep] for x in rows]
-
-    for iteration in range(1, config.max_iter + 1):
-        if not chains.size:
+    # the running chains' state, one row per chain: the coefficients, the
+    # expected counts and masses of the next M step, the deviance, and the
+    # item effects, log Z and pattern weights at the coefficients, where the
+    # next Newton solve starts (and frees the weights). Starts that are all
+    # the uniform model have their normalizer in closed form, and no weights.
+    state = [np.arange(B), b, None, q, np.full(B, np.inf), *at_b]
+    for iteration in range(config.max_iter + 1):
+        chains, b, m, q, last, *at_b = state
+        del state  # at_b holds the only reference to the pattern weights
+        n = len(chains)
+        errors, solved, offsets = [None] * n, np.zeros(n, dtype=bool), np.zeros(n)
+        if iteration:  # M step: the coefficients, as q came with the E step
+            b, *at_b, logp, errors, solved = _newton(m, design, b, at_b, _IRLS_TOL,
+                                                     config.irls_max_iter)
+            offsets = np.abs(design.coefficient_matrix(b)[:, design.n_covariate_columns:])
+            offsets = offsets.max(axis=(1, 2), initial=0.0)
+        # E step: one softmax gives the log-likelihood and the posterior
+        # weights, and these the next M step's expected counts and masses
+        log_mixture, w = _mixture(logp, np.log(q)[:, :, None])
+        ll = log_mixture @ design.cell_counts
+        dev = 2.0 * (design.saturated_loglik - ll)
+        m, next_q, low_mass = _mass_update(w, design, config.degenerate_mass)
+        for c, x in zip(chains.tolist(), dev.tolist()):
+            traces[c].append(x)
+        if callback is not None and iteration:
+            callback(iteration, Parameters(b[0].copy(), q[0].copy()), dense_w,
+                     float(ll[0]))
+        # The one exit. A chain leaves degenerate when its solve failed or its
+        # class offsets ran away. Else it stops by tol, at max_iter or after
+        # its one-class solve (converged if that met its tolerance), and only
+        # a chain that does not stop leaves degenerate when a class mass of
+        # its next M step fell below degenerate_mass.
+        met = solved if one_class else np.abs(dev - last) < config.tol
+        stop = met | (iteration == config.max_iter or one_class and iteration > 0)
+        why = [str(e) if e is not None
+               else f"class offset reached {x:.3g}" if x > config.degenerate_offset
+               else None if s else low
+               for e, x, s, low in zip(errors, offsets.tolist(), stop.tolist(), low_mass)]
+        leave = stop | np.array([x is not None for x in why])
+        for j in np.nonzero(leave)[0]:
+            c = chains[j]
+            results[c] = _Chain(
+                label=labels[c], params=Parameters(b[j].copy(), q[j].copy()),
+                loglik=float(ll[j]), deviance=float(dev[j]), trace=traces[c],
+                converged=why[j] is None and bool(met[j]),
+                degenerate=why[j] is not None, n_iterations=iteration,
+                message=why[j], posteriors=w[j].T.copy(), error=errors[j])
+        if leave.all():
             break
-        if callback is not None:
+        state = [chains, b, m, next_q, dev, *at_b]
+        if leave.any():
+            state = [None if x is None else x[~leave] for x in state]
+        if callback is not None:  # a lone chain: the weights of its next M step
             dense_w = _mixture(design.log_pattern_probs(b[0]).transpose(0, 2, 1),
                                np.log(q[0])[:, None])[1].transpose(0, 2, 1)
-        # M step: the masses, then the coefficients of the chains whose
-        # classes all kept their mass; the others keep their last parameters
-        m, new_q, low_mass = _mass_update(w, design, config.degenerate_mass)
-        sick = np.array([x is not None for x in low_mass])
-        if sick.any():
-            for j in np.nonzero(sick)[0]:
-                messages[chains[j]] = low_mass[j]
-            m, new_q, *at_b = leave(sick, iteration - 1, m, new_q, *at_b)
-            if not chains.size:
-                break
-        b, *at_b, logp, errors, solved = _newton(m, design, b, at_b, _IRLS_TOL,
-                                                 config.irls_max_iter)
-        q = new_q
-        # a chain whose Newton solve failed leaves with its error
-        failed = np.array([e is not None for e in errors])
-        if failed.any():
-            for j in np.nonzero(failed)[0]:
-                failures[chains[j]] = errors[j]
-            logp, solved, *at_b = leave(failed, iteration - 1, logp, solved, *at_b)
-            if not chains.size:
-                break
-        # E step: one softmax gives the log-likelihood and the next weights
-        ll_new, dev_new, w = e_step(logp, q)
-        # a chain whose class offsets ran away leaves with the new parameters
-        offsets = np.abs(design.coefficient_matrix(b)[:, design.n_covariate_columns:])
-        offsets = offsets.max(axis=(1, 2), initial=0.0)
-        runaway = offsets > config.degenerate_offset
-        if runaway.any():
-            for j in np.nonzero(runaway)[0]:
-                messages[chains[j]] = f"class offset reached {offsets[j]:.3g}"
-            ll_new, dev_new, solved, *at_b = leave(runaway, iteration - 1, ll_new,
-                                                   dev_new, solved, *at_b)
-            if not chains.size:
-                break
-        for c, x in zip(chains.tolist(), dev_new.tolist()):
-            traces[c].append(x)
-        if callback is not None:
-            callback(iteration, Parameters(b[0].copy(), q[0].copy()), dense_w,
-                     float(ll_new[0]))
-        # a one-class solve maximized the likelihood itself: its chain
-        # stops, converged if the solve met its tolerance
-        one_class = design.n_classes == 1
-        stop = solved if one_class else np.abs(dev_new - d) < config.tol
-        ll, d = ll_new, dev_new
-        converged[chains[stop]] = True
-        if iteration == config.max_iter or one_class:
-            stop[:] = True
-        if stop.any():
-            at_b = leave(stop, iteration, *at_b)
-    return [
-        failures[c] or _Chain(
-            label=labels[c],
-            params=Parameters(beta[c].copy(), mixing[c].copy()),
-            posteriors=posteriors[c].T.copy(),
-            loglik=float(loglik[c]),
-            deviance=float(dev[c]),
-            trace=traces[c],
-            converged=bool(converged[c]),
-            degenerate=messages[c] is not None,
-            n_iterations=int(n_iter[c]),
-            message=messages[c],
-        )
-        for c in range(B)
-    ]
+    return results
 
 
 def _stack_size(design: Design) -> int:
@@ -529,8 +507,10 @@ def run_chains(
     ``callback(iteration, params, w, loglik)`` receives the dense (K, L, R)
     weights of each iteration's M step, built only for it; with a callback
     each chain runs alone, so the callback sees each chain's iterations in
-    one run. Returns, in start order, each chain's ``_Chain`` or the
-    ``FitError`` that stopped it.
+    one run. Returns, in start order, each chain's ``_Chain``: the state of
+    its last completed iteration. A chain whose Newton solve failed ends at
+    the iteration of that solve (whose failing step is zero), degenerate,
+    with its ``FitError`` as ``error`` and the error text as ``message``.
     """
     design.check_data(data)
     n = len(starts)
@@ -570,9 +550,9 @@ def _damped_newton(design: Design, theta, held, max_iter: int,
     steps, accepted or not. A chain whose smallest class mass is below
     ``min_mass`` at an accepted point (its start included) has degenerated:
     it stops there, unconverged, before its information is tested. A
-    chain fails alone when its free I_c block fails the Cholesky test
-    (with the error naming the aliased coordinates) or when lambda passes
-    ``_MAX_DAMPING``. The chains run in stacks of
+    chain fails alone when its free I_c block fails the Cholesky test or
+    numpy's solve (with the error naming the aliased coordinates) or when
+    lambda passes ``_MAX_DAMPING``. The chains run in stacks of
     :func:`_stack_size`, one kernel call and one batched Cholesky test and
     solve per step for a stack.
 
@@ -609,21 +589,29 @@ def _damped_stack(design: Design, theta, held, max_iter: int, min_mass: float) -
     state = [np.arange(B), theta, free, np.zeros(B), *at(theta, free)]
     for step in range(max_iter + 1):
         chains, theta, free, lam, ll, g, complete, observed = state
-        # a chain whose class emptied stops unconverged; its information
-        # may be flat there. The masses are compared as exp of the log
-        # masses, so that min_mass 0 takes no log of 0.
-        emptied = np.exp(_unpack_theta(theta, design)[1].min(axis=1)) < min_mass
-        failed = [j for j in _cholesky_failures(complete) if not emptied[j]]
+        # The one exit. A chain fails when its damping passed _MAX_DAMPING,
+        # or its I_c block fails the Cholesky test or numpy's solve; one whose
+        # class emptied stops unconverged (its information may be flat
+        # there), its masses compared as exp of the log masses, so that
+        # min_mass 0 takes no log of 0.
+        over = lam > _MAX_DAMPING
+        emptied = ~over & (np.exp(_unpack_theta(theta, design)[1].min(axis=1))
+                           < min_mass)
+        solution, singular = _solve(complete, g, _cholesky_failures(complete))
+        ok = ~(over | emptied)
+        failed = [j for j in singular if ok[j]]
+        ok[singular] = False
+        decrement = np.full(len(chains), np.inf)
+        if ok.any():
+            decrement[ok] = 0.5 * _row_dots(g[ok], solution[ok])
+        done = emptied | ok & ((decrement < _DECREMENT) | (step == max_iter))
+        for j in np.nonzero(over)[0]:
+            results[chains[j]] = FitError(
+                f"damped Newton found no ascent step in {step} steps: the "
+                f"damping passed {_MAX_DAMPING:g}")
         for j in failed:
             results[chains[j]] = _rank_deficiency(complete[j],
                                                   [names[i] for i in free[j]])
-        ok = ~emptied
-        ok[failed] = False
-        decrement = np.full(len(chains), np.inf)
-        if ok.any():
-            decrement[ok] = 0.5 * _row_dots(g[ok], np.linalg.solve(
-                complete[ok], g[ok][..., None]))
-        done = emptied | ok & ((decrement < _DECREMENT) | (step == max_iter))
         for j in np.nonzero(done)[0]:
             results[chains[j]] = (theta[j].copy(), float(ll[j]),
                                   bool(decrement[j] < _DECREMENT))
@@ -632,16 +620,15 @@ def _damped_stack(design: Design, theta, held, max_iter: int, min_mass: float) -
         if not chains.size:
             break
         # the damping rises until the matrix is positive definite; a chain
-        # whose matrix is not by _MAX_DAMPING takes no step
+        # whose matrix is not by _MAX_DAMPING, or that numpy's solve finds
+        # singular, takes no step
         matrix = observed + lam[:, None, None] * complete
         flat = _cholesky_failures(matrix)
         while flat and lam[flat].max() <= _MAX_DAMPING:
             lam[flat] = np.maximum(4.0 * lam[flat], _MIN_DAMPING)
             matrix[flat] = observed[flat] + lam[flat, None, None] * complete[flat]
             flat = [flat[i] for i in _cholesky_failures(matrix[flat])]
-        matrix[flat] = np.eye(D - 1)
-        direction = np.linalg.solve(matrix, g[..., None])[..., 0]
-        direction[flat] = 0.0
+        direction, flat = _solve(matrix, g, flat)
         trial = theta.copy()
         trial[np.arange(len(chains))[:, None], free] += direction
         ll_try, *at_trial = at(trial, free)
@@ -653,12 +640,6 @@ def _damped_stack(design: Design, theta, held, max_iter: int, min_mass: float) -
         lam[up] /= 4.0
         lam[up & (lam < _MIN_DAMPING)] = 0.0
         lam[~up] = np.maximum(4.0 * lam[~up], _MIN_DAMPING)
-        over = lam > _MAX_DAMPING
-        for j in np.nonzero(over)[0]:
-            results[chains[j]] = FitError(
-                f"damped Newton found no ascent step in {step + 1} steps: the "
-                f"damping passed {_MAX_DAMPING:g}")
-        state[:] = [x[~over] for x in state]
     return results
 
 
@@ -671,15 +652,13 @@ def _best_chain(chains: list[_Chain]) -> _Chain:
     """The highest log-likelihood among the non-degenerate chains.
 
     Ties go to the earlier start. A chain stopped by ``max_iter`` competes
-    like a converged one. Only when every chain degenerated is the best of
-    the degenerate chains taken.
+    like a converged one. A chain whose Newton solve failed never competes;
+    only when every other chain degenerated is the best of the degenerate
+    ones taken.
     """
-    eligible = [c for c in chains if not c.degenerate] or chains
-    best = eligible[0]
-    for c in eligible[1:]:
-        if c.loglik > best.loglik:
-            best = c
-    return best
+    solved = [c for c in chains if c.error is None]
+    return max([c for c in solved if not c.degenerate] or solved,
+               key=lambda c: c.loglik)
 
 
 def fit(
@@ -697,14 +676,17 @@ def fit(
     is used.
     ``extra_starts`` appends warm-start chains (used by the class-count
     search) after the random ones. All chains run as stacks (see
-    :func:`run_chains`); the first chain in start order that raises a
-    ``FitError`` fails the fit.
+    :func:`run_chains`). A chain whose Newton solve failed is listed in
+    ``chain_summaries`` as degenerate, with the error as its message, and
+    never wins; only when every chain failed does the fit raise, with the
+    first chain's ``FitError``.
 
     The best chain has the highest final log-likelihood among the chains
     that did not degenerate; ties go to the earlier start, and a chain
     that stopped at ``max_iter`` without converging can win. If every
-    chain degenerated, the best of them is returned. Chains are compared
-    in a fixed order, so results are reproducible for a given seed.
+    chain degenerated, the best of those that did not fail is returned.
+    Chains are compared in a fixed order, so results are reproducible for
+    a given seed.
     """
     config = config or FitConfig()
     design = Design(spec, data)
@@ -719,25 +701,16 @@ def fit(
     labels += [f"warm:{i}" for i in range(len(extra_starts))]
     chains = run_chains(design, data, starts, config, labels=labels,
                         callback=callback)
-    for chain in chains:
-        if isinstance(chain, FitError):
-            raise chain
+    if all(c.error is not None for c in chains):
+        raise chains[0].error
     best = _best_chain(chains)
 
     n_params = count_parameters(design, config.count_masses)
     minus_two = -2.0 * best.loglik
-    summaries = [
-        {
-            "label": c.label,
-            "minus_two_loglik": -2.0 * c.loglik,
-            "deviance": c.deviance,
-            "iterations": c.n_iterations,
-            "converged": c.converged,
-            "degenerate": c.degenerate,
-            "message": c.message,
-        }
-        for c in chains
-    ]
+    summaries = [{"label": c.label, "minus_two_loglik": -2.0 * c.loglik,
+                  "deviance": c.deviance, "iterations": c.n_iterations,
+                  "converged": c.converged, "degenerate": c.degenerate,
+                  "message": c.message} for c in chains]
     return FitResult(
         spec=spec,
         design=design,

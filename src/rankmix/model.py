@@ -409,14 +409,13 @@ class Design:
         """Per-(item, covariate set, class) effects a_ikr, reference rows 0."""
         return self.block_effects(coefficients).transpose(2, 0, 1)
 
-    def eta(self, coefficients: np.ndarray) -> np.ndarray:
-        """Linear predictors for all cells, shaped (K, L, R)."""
-        a = self.item_effects(coefficients)
-        return np.einsum("lj,jkr->klr", self.data.space.score_matrix(), a)
-
     def log_pattern_probs(self, coefficients: np.ndarray) -> np.ndarray:
-        """log P_lkr, normalized over patterns within each (k, r); (K, L, R)."""
-        e = self.eta(coefficients)
+        """log P_lkr, normalized over patterns within each (k, r); (K, L, R).
+
+        s_l . a_kr for every pattern, less its log-sum-exp over patterns.
+        """
+        e = np.einsum("lj,jkr->klr", self.data.space.score_matrix(),
+                      self.item_effects(coefficients))
         e -= _logsumexp(e, axis=1)
         return e
 

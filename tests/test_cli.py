@@ -194,6 +194,35 @@ class TestFit:
             assert len(err.strip().splitlines()) == 1
             assert ":x" in err
 
+    @pytest.mark.parametrize("rows, terms, classes, seed", [
+        # an EM chain's Newton system
+        (["3,4,1,2,y", "2,1,4,3,y", "2,4,1,3,x", "3,2,4,1,y", "3,2,1,4,y",
+          "3,2,4,1,y"], ["g"], 2, 7),
+        # a corrected-SE refit's complete-data information
+        (["3,1,2,4,x", "4,3,2,1,x", "2,4,1,3,y", "1,3,4,2,y", "1,3,2,4,x",
+          "3,4,2,1,y"], [], 7, 0),
+    ], ids=["em_newton_solve", "refit_decrement"])
+    def test_system_that_numpy_finds_singular_fails_its_chain(
+            self, tmp_path, capsys, rows, terms, classes, seed):
+        # the system passes the Cholesky test, but numpy's LU solve finds a
+        # zero pivot: that chain fails, and the fit goes on or names why
+        (tmp_path / "tiny.csv").write_text("a,b,c,d,g\n" + "\n".join(rows) + "\n")
+        cfg = fit_config(
+            tmp_path, tmp_path / "tiny.csv", items=["a", "b", "c", "d"],
+            covariates=[{"name": "g", "type": "factor"}], terms=terms,
+            classes=classes, fit={"n_starts": 4, "seed": seed}, se_method="all",
+        )
+        code = main(["fit", "--config", cfg])
+        err = capsys.readouterr().err
+        if code == 1:
+            assert err.startswith("error:")
+            assert len(err.strip().splitlines()) == 1
+            assert "Singular matrix" not in err
+        else:
+            assert code in (0, 2)
+            for name in ("fit.json", "worths.csv", "classes.csv", "se.csv"):
+                assert (tmp_path / "out" / name).exists(), name
+
     def test_undeclared_level_exits_one_citing_its_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("A,B,C,g\n,,,a\n1,2,3,a\n2,1,3,z\n")

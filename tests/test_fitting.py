@@ -630,9 +630,9 @@ class TestObservedCells:
     ])
     def test_stacked_chains_follow_the_em_recursion(self, options):
         # the EM loop written out from one-iteration chains and the public
-        # likelihood: a chain that degenerates reports its last completed
-        # iteration, keeping the parameters of a failed M step's start but
-        # moving to those of a step whose class offsets ran away
+        # likelihood: a chain whose next M step has too small a class mass
+        # reports its last completed iteration, and one whose class offsets
+        # ran away reports the iteration that ran away
         design, data = self.instance()
         config = FitConfig(n_starts=4, seed=0, **options)
         one = dataclasses.replace(config, max_iter=1)
@@ -648,6 +648,9 @@ class TestObservedCells:
                 params = step.params
                 if step.degenerate:
                     degenerate = True
+                    if step.n_iterations:  # the step ran away: it is the record
+                        loglik, _ = mixture_loglik(params, design, data)
+                        n_iter = iteration
                     break
                 loglik, new_dev = mixture_loglik(params, design, data)
                 n_iter = iteration
@@ -661,6 +664,65 @@ class TestObservedCells:
             assert chain.params.coefficients == pytest.approx(
                 params.coefficients, abs=1e-9)
             assert chain.params.mixing == pytest.approx(params.mixing, abs=1e-12)
+
+    @pytest.mark.parametrize("options", [
+        {}, {"degenerate_mass": 0.2}, {"degenerate_mass": 0.3},
+        {"degenerate_offset": 2.0}, {"max_iter": 7}, {"max_iter": 0},
+    ])
+    def test_each_chain_record_is_one_iterations_state(self, options):
+        # whatever stopped a chain, its parameters, log-likelihood,
+        # deviance, trace and posteriors belong to one completed iteration
+        design, data = self.instance()
+        config = FitConfig(n_starts=4, seed=0, **options)
+        starts = [init_start(seed, design)
+                  for seed in chain_seeds(config.seed, config.n_starts)]
+        for chain in run_chains(design, data, starts, config):
+            loglik, _ = mixture_loglik(chain.params, design, data)
+            assert chain.loglik == pytest.approx(loglik, abs=1e-9)
+            assert chain.deviance == chain.trace[-1]
+            assert len(chain.trace) == chain.n_iterations + 1
+            want = posterior_weights(chain.params, design)
+            assert np.abs(chain.posteriors - want).max() < 1e-12
+
+    def test_a_failed_chain_leaves_the_fit_to_the_others(self, monkeypatch):
+        # the second chain's first Newton solve fails: it is listed as
+        # degenerate with its error, and the fit is the best of the others
+        design, data = self.instance()
+        config = FitConfig(n_starts=3, seed=0)
+        seeds = chain_seeds(config.seed, config.n_starts)
+        starts = [init_start(seed, design) for seed in seeds]
+        others = run_chains(design, data, starts[::2], config,
+                            labels=[f"seed:{seed}" for seed in seeds[::2]])
+        failures, calls = fitting._cholesky_failures, []
+
+        def second_fails(a):
+            calls.append(1)
+            return sorted(set(failures(a)) | ({1} if len(calls) == 1 else set()))
+
+        monkeypatch.setattr(fitting, "_cholesky_failures", second_fails)
+        chains = run_chains(design, data, starts, config)
+        failed = chains[1]
+        assert isinstance(failed.error, RankDeficientDesignError)
+        assert (failed.n_iterations, failed.converged, failed.degenerate) == (
+            1, False, True)
+        assert failed.message == str(failed.error)
+        # a zero step: the coefficients of its start, with the masses and
+        # likelihood of the iteration's E step
+        assert np.array_equal(failed.params.coefficients, starts[1].coefficients)
+        loglik, _ = mixture_loglik(failed.params, design, data)
+        assert failed.loglik == pytest.approx(loglik, abs=1e-9)
+
+        calls.clear()
+        result = fit(design.spec, data, config)
+        best = max(others, key=lambda c: c.loglik)
+        assert result.best_start == best.label
+        assert result.loglik == best.loglik
+        assert np.array_equal(result.params.coefficients, best.params.coefficients)
+        summary = result.chain_summaries[1]
+        assert summary.keys() == result.chain_summaries[0].keys()
+        assert (summary["converged"], summary["degenerate"]) == (False, True)
+        assert summary["message"] == str(failed.error)
+        assert result.n_degenerate == 1 + sum(c.degenerate for c in others)
 
     @classmethod
     def forged_fit(cls):

@@ -96,28 +96,40 @@ class TestWorths:
         assert np.all(base > 0)
 
 
+def linear_predictor(design, coefficients):
+    """eta_l = s_l . a of every pattern of the first set and class.
+
+    It is log P less its mean over the patterns, as the net-win scores of
+    all orderings of the items sum to zero.
+    """
+    log_p = design.log_pattern_probs(coefficients)[0, :, 0]
+    return log_p - log_p.mean()
+
+
 class TestLinearPredictor:
     def test_zero_coefficients_zero_eta(self):
+        # every pattern has eta 0, so log P is the same for all of them
         design, _ = design_for(np.ones(6))
-        eta = design.eta(np.zeros(design.n_coefficients))
-        assert np.abs(eta).max() == 0.0
+        log_p = design.log_pattern_probs(np.zeros(design.n_coefficients))
+        assert np.abs(log_p - log_p[:, :1]).max() == 0.0
 
     def test_identity_pattern_doubles_first_effect(self):
         # ranking 1>2>3 has eta = 2*lambda_1 when lambda_2 = lambda_3 = 0
         design, _ = design_for(np.ones(6))
         coefs = np.array([0.37, 0.0])
-        assert design.eta(coefs)[0, 0, 0] == pytest.approx(2 * 0.37)
+        assert linear_predictor(design, coefs)[0] == pytest.approx(2 * 0.37)
         # algebraic expansion for the general case
         coefs = np.array([0.37, -0.11])
         expected = (0.37 - -0.11) + 0.37 + -0.11
-        assert design.eta(coefs)[0, 0, 0] == pytest.approx(expected)
+        assert linear_predictor(design, coefs)[0] == pytest.approx(expected)
 
     def test_single_flip_pairs_differ_by_twice_effect_gap(self, space4):
+        # a gap between two patterns' eta is the gap between their log P
         design, _ = design_for(np.ones(24))
         rng = np.random.default_rng(4)
         coefs = rng.normal(0, 0.8, design.n_coefficients)
         effects = np.append(coefs, 0.0)
-        eta = design.eta(coefs)[0, :, 0]
+        log_p = design.log_pattern_probs(coefs)[0, :, 0]
         patterns = space4.patterns
         for la in range(space4.size):
             for lb in range(space4.size):
@@ -128,7 +140,7 @@ class TestLinearPredictor:
                 pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
                 i, j = pairs[pos]
                 sign = patterns[la][pos]
-                gap = eta[la] - eta[lb]
+                gap = log_p[la] - log_p[lb]
                 assert gap == pytest.approx(2 * sign * (effects[i] - effects[j]),
                                             abs=1e-10)
 
