@@ -171,6 +171,11 @@ def search_rows(result: SearchResult) -> list[dict]:
     return [asdict(row) for row in result.rows]
 
 
+def degenerate_note(chains: list[dict], best_start: str) -> str | None:
+    """Why the returned start degenerated, from the chain summaries; None if it did not."""
+    return next((c["message"] for c in chains if c["label"] == best_start), None)
+
+
 def render_report(doc: dict) -> str:
     """Human-readable summary of a fit document, stable ordering."""
     model = doc["model"]
@@ -185,9 +190,11 @@ def render_report(doc: dict) -> str:
         f"parameters {fit['n_params']}  BIC {fit['bic']:.3f}"
     )
     status = "converged" if fit["converged"] else "NOT converged"
+    note = degenerate_note(doc["chains"], fit["best_start"])
     lines.append(
         f"{status} after {fit['iterations']} iterations "
-        f"(best start {fit['best_start']}, {fit['starts']} starts)"
+        f"(best start {fit['best_start']}, {fit['starts']} starts"
+        + (f"; it degenerated: {note})" if note else ")")
     )
     if model["classes"] > 1 and "class_shares" in doc:
         shares = doc["class_shares"]

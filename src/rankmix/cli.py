@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields as dataclass_fields
@@ -77,6 +78,22 @@ def _config_value(value, what: str, kind: type = int):
             else isinstance(value, kind) and isinstance(value, bool) == (kind is bool)):
         raise DataError(f"config {what} must be {_JSON_KINDS[kind]}, got {value!r}")
     return tuple(value) if entries else value
+
+
+def _numbers(entry: dict, key: str, where: str, many: bool = True):
+    """``entry[key]``, a finite JSON number as a float, or with ``many`` a list
+    of them as a tuple; a ``DataError`` naming ``where`` and ``key`` if it is
+    missing or anything else."""
+    if key not in entry:
+        raise DataError(f"config {where} has no {key!r}")
+    value = entry[key]
+    values = value if many and isinstance(value, list) else [value]
+    if many != isinstance(value, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+            for v in values):
+        kind = "a list of finite numbers" if many else "a finite number"
+        raise DataError(f"config {where} {key!r} must be {kind}, got {value!r}")
+    return tuple(map(float, values)) if many else float(value)
 
 
 def _config_path(cfg: dict, args, key: str, what: str) -> str:
@@ -293,9 +310,18 @@ def cmd_fit(args) -> int:
         _se_methods(cfg, args), ingest.extra_columns, continuity=continuity,
     )
     if not result.converged:
-        print("warning: EM did not converge; artifacts written", file=sys.stderr)
-        return 2
+        return _not_converged("EM did not converge", result)
     return 0
+
+
+def _not_converged(what: str, result: FitResult) -> int:
+    """Exit 2 with a warning that says ``what``, and why the returned start
+    degenerated if it did."""
+    note = artifacts.degenerate_note(result.chain_summaries, result.best_start)
+    if note:
+        what += f"; the returned start {result.best_start} degenerated: {note}"
+    print(f"warning: {what}; artifacts written", file=sys.stderr)
+    return 2
 
 
 def cmd_search(args) -> int:
@@ -355,39 +381,41 @@ def cmd_search(args) -> int:
         search_rows=rows,
     )
     if not best.converged:
-        print("warning: best model did not converge; artifacts written",
-              file=sys.stderr)
-        return 2
+        return _not_converged("best model did not converge", best)
     return 0
 
 
 def _truth_from_config(cfg: dict, args) -> SyntheticTruth:
     classes = tuple(
-        ClassTruth(prob=float(c["prob"]), worths=tuple(float(w) for w in c["worths"]))
-        for c in _config_value(cfg.get("classes", []), "'classes'", dict)
+        ClassTruth(prob=_numbers(c, "prob", f"'classes' entry {i}", many=False),
+                   worths=_numbers(c, "worths", f"'classes' entry {i}"))
+        for i, c in enumerate(_config_value(cfg.get("classes", []), "'classes'", dict), 1)
     )
     covariates = []
-    for entry in _config_value(cfg.get("covariates", []), "'covariates'", dict):
-        kind = entry.get("type", "factor")
-        values = entry.get("levels" if kind == "factor" else "values")
-        if values is None:
-            raise DataError(
-                f"covariate {entry.get('name')!r}: needs levels (factor) "
-                f"or values (continuous)"
-            )
+    for i, entry in enumerate(
+            _config_value(cfg.get("covariates", []), "'covariates'", dict), 1):
+        where = f"'covariates' entry {i}"
+        name = _config_value(entry.get("name"), f"{where} 'name'", str)
+        kind = _config_value(entry.get("type", "factor"), f"{where} 'type'", str)
+        key = "levels" if kind == "factor" else "values"
+        if key not in entry:
+            raise DataError(f"covariate {name!r}: needs levels (factor) "
+                            f"or values (continuous)")
+        values, effects = entry[key], entry.get("effects", {})
+        if kind != "factor":
+            _numbers(entry, key, where)  # the CSV keeps the values as written
+        elif not isinstance(values, list):
+            raise DataError(f"config {where} 'levels' must be a list, got {values!r}")
+        if not isinstance(effects, dict):
+            raise DataError(f"config {where} 'effects' must be an object, got {effects!r}")
         covariates.append(
             CovariateTruth(
-                name=entry["name"],
+                name=name,
                 kind=kind,
                 values=tuple(values),
-                probs=tuple(float(p) for p in entry["probs"]),
-                effects={
-                    k: tuple(float(x) for x in v)
-                    for k, v in entry.get("effects", {}).items()
-                },
-                slopes=tuple(float(x) for x in entry["slopes"])
-                if entry.get("slopes")
-                else None,
+                probs=_numbers(entry, "probs", where),
+                effects={k: _numbers(effects, k, f"{where} 'effects'") for k in effects},
+                slopes=_numbers(entry, "slopes", where) if entry.get("slopes") else None,
             )
         )
     seed = args.seed if args.seed is not None else _config_value(cfg.get("seed", 0), "'seed'")

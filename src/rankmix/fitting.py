@@ -42,8 +42,8 @@ Several independent chains are run from random starts; the chain with the
 best final likelihood wins. Chains that collapse a class (vanishing mass
 or runaway offsets) are flagged degenerate and excluded from selection
 while any healthy chain exists; a chain whose Newton solve failed is
-flagged too, and never selected. A one-class likelihood is concave, so
-its one chain starts at the uniform model (all coefficients zero).
+flagged too, and never selected; as ``Design`` refuses aliased columns,
+a solve fails only where effects run off or a class empties.
 
 Every EM iteration happens in one loop, ``_run_stack``, which runs
 independent chains of one design, a fit's random and warm starts, as a
@@ -65,11 +65,13 @@ A stack whose starts are all the uniform model takes their normalizer,
 and the first Newton iteration their moments, in closed form
 (``_Enumeration.uniform``), with no pass over the patterns.
 
-A one-class chain is the exception to the loop's stopping rule: with no
-latent variable, the expected counts are the observed ones, so its first
-M step already maximizes the likelihood. It stops after that one Newton
-solve, with one iteration, converged if the solve met ``_IRLS_TOL`` and
-not if it stopped at ``irls_max_iter``; ``tol`` does not reach it.
+A one-class chain starts at the uniform model (all coefficients zero),
+its likelihood being concave, and is the exception to the loop's
+stopping rule: with no latent variable, the expected counts are the
+observed ones, so its first M step already maximizes the likelihood. It
+stops after that one Newton solve, with one iteration, converged if the
+solve met ``_IRLS_TOL`` and not if it stopped at ``irls_max_iter``;
+``tol`` does not reach it.
 
 The constrained refits of the corrected standard errors do not run EM:
 ``_damped_newton`` climbs the mixture likelihood itself by damped Newton
@@ -90,33 +92,20 @@ import numpy as np
 from .data import AggregatedData
 from .model import (
     Design,
+    FitError,
     ModelSpec,
     Parameters,
+    RankDeficientDesignError,  # noqa: F401 (re-exported; Design raises it)
     _STACK_ENTRIES,
     _coefficient_score,
     _column_products,
     _information_stack,
     _mixture,
     _structural_information,
-    _theta_names,
     _unpack_theta,
     bic,
     count_parameters,
 )
-
-
-class FitError(RuntimeError):
-    """Estimation failed in a way that invalidates the result."""
-
-
-class RankDeficientDesignError(FitError):
-    """The structural design has aliased columns."""
-
-    def __init__(self, columns):
-        self.columns = list(columns)
-        super().__init__(
-            "design is rank deficient; aliased columns: " + ", ".join(self.columns)
-        )
 
 
 class IrlsDivergenceError(FitError):
@@ -210,18 +199,6 @@ def init_start(seed, design: Design, scale: float = 0.5) -> Parameters:
     return Parameters(coefs, mixing)
 
 
-def _rank_deficiency(info: np.ndarray, names: list[str]) -> RankDeficientDesignError:
-    """The error naming the coefficients along the flat directions of ``info``."""
-    eigvals, eigvecs = np.linalg.eigh(info)
-    bad = eigvals < max(eigvals.max(), 1.0) * 1e-12
-    aliased = set()
-    for idx in np.nonzero(bad)[0]:
-        v = np.abs(eigvecs[:, idx])
-        for c in np.nonzero(v >= 0.3 * v.max())[0]:
-            aliased.add(names[c])
-    return RankDeficientDesignError(sorted(aliased))
-
-
 def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Dot product of each chain's row of ``x`` and ``y`` (B, ...), as (B,)."""
     n = len(x)
@@ -269,6 +246,8 @@ def _solve(a: np.ndarray, b: np.ndarray, failed: list[int]):
 # A Newton solve stops once a step changes its deviance by at most this
 # times the deviance (or times 1, if the deviance is smaller).
 _IRLS_TOL = 1e-10
+_SINGULAR = ("the information went singular at {}: effects are running off, "
+             "or a class is emptying")
 
 
 def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
@@ -329,8 +308,7 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
         # the failing chains take a zero step and leave
         direction, failed = _solve(info, score, _cholesky_failures(info))
         for j in failed:
-            errors[chains[j]] = _rank_deficiency(
-                info[j], [c.name for c in design.coefficients])
+            errors[chains[j]] = FitError(_SINGULAR.format(f"Newton iteration {iteration}"))
 
         # every chain still rising after h halvings has step 2^-h
         bound = dev + 1e-10 * (np.abs(dev) + 1.0)
@@ -551,10 +529,9 @@ def _damped_newton(design: Design, theta, held, max_iter: int,
     ``min_mass`` at an accepted point (its start included) has degenerated:
     it stops there, unconverged, before its information is tested. A
     chain fails alone when its free I_c block fails the Cholesky test or
-    numpy's solve (with the error naming the aliased coordinates) or when
-    lambda passes ``_MAX_DAMPING``. The chains run in stacks of
-    :func:`_stack_size`, one kernel call and one batched Cholesky test and
-    solve per step for a stack.
+    numpy's solve, or when lambda passes ``_MAX_DAMPING``. The chains run
+    in stacks of :func:`_stack_size`, one kernel call and one batched
+    Cholesky test and solve per step for a stack.
 
     Returns, in start order, each chain's (theta, log-likelihood,
     converged) at its last accepted point, or the ``FitError`` that
@@ -573,7 +550,6 @@ def _damped_newton(design: Design, theta, held, max_iter: int,
 def _damped_stack(design: Design, theta, held, max_iter: int, min_mass: float) -> list:
     """:func:`_damped_newton` for one stack; ``theta`` is updated in place."""
     B, D = theta.shape
-    names = _theta_names(design)
     results: list = [None] * B
 
     def at(theta, free):
@@ -610,8 +586,7 @@ def _damped_stack(design: Design, theta, held, max_iter: int, min_mass: float) -
                 f"damped Newton found no ascent step in {step} steps: the "
                 f"damping passed {_MAX_DAMPING:g}")
         for j in failed:
-            results[chains[j]] = _rank_deficiency(complete[j],
-                                                  [names[i] for i in free[j]])
+            results[chains[j]] = FitError(_SINGULAR.format(f"damped Newton step {step}"))
         for j in np.nonzero(done)[0]:
             results[chains[j]] = (theta[j].copy(), float(ll[j]),
                                   bool(decrement[j] < _DECREMENT))
@@ -676,17 +651,12 @@ def fit(
     is used.
     ``extra_starts`` appends warm-start chains (used by the class-count
     search) after the random ones. All chains run as stacks (see
-    :func:`run_chains`). A chain whose Newton solve failed is listed in
-    ``chain_summaries`` as degenerate, with the error as its message, and
-    never wins; only when every chain failed does the fit raise, with the
-    first chain's ``FitError``.
-
-    The best chain has the highest final log-likelihood among the chains
-    that did not degenerate; ties go to the earlier start, and a chain
-    that stopped at ``max_iter`` without converging can win. If every
-    chain degenerated, the best of those that did not fail is returned.
-    Chains are compared in a fixed order, so results are reproducible for
-    a given seed.
+    :func:`run_chains`), and :func:`_best_chain` picks the result in a fixed
+    order, so results are reproducible for a given seed. A design that
+    ``Design`` refuses raises before any chain runs. A chain whose Newton
+    solve failed is listed in ``chain_summaries`` as degenerate, with the
+    error as its message, and never wins; only when every chain failed
+    does the fit raise, with the first chain's ``FitError``.
     """
     config = config or FitConfig()
     design = Design(spec, data)

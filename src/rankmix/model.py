@@ -19,7 +19,12 @@ row (k, r) of the block design matrix X holds the set's covariate
 columns and the class indicators, and B holds one row of item
 coefficients per column. Class r carries mixing weight q_r; the
 observed-data likelihood multiplies sum_r q_r P_lkr over cells to the
-power n_lk.
+power n_lk. ``Design`` refuses, once, a covariate set with no respondents
+and each column of X that adds no rank to the columns before it over the
+block rows X_kr: with every Cov_kr[s] positive definite, the information
+sum_kr m_kr (X_kr X_kr') (x) Cov_kr[s] is singular exactly when those
+rows fail to span the columns (Fienberg & Rinaldo 2012, Ann. Statist.
+40:996).
 
 The fit works on the observed cells, the (set, pattern) pairs with a
 nonzero count, which ``AggregatedData`` stores sorted by (set, pattern)
@@ -73,6 +78,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import AggregatedData, DataError
+
+
+class FitError(RuntimeError):
+    """Estimation failed in a way that invalidates the result."""
+
+
+class RankDeficientDesignError(FitError):
+    """The structural design has aliased columns."""
+
+    def __init__(self, columns):
+        self.columns = list(columns)
+        super().__init__(
+            "design is rank deficient; aliased columns: " + ", ".join(self.columns)
+        )
+
 
 # Chains of one design advance as one stack while their pattern weights,
 # B x K x R x L doubles, and the information's column products,
@@ -304,14 +324,16 @@ class Design:
             )
         self.spec = spec
         self.data = data
-        # the cells are sorted by set, so each set's cells are one contiguous run
+        K, R, J = data.n_sets, spec.n_classes, spec.n_items
         self.cell_set, self.cell_pattern = data.cell_set, data.cell_pattern
         self.cell_counts = data.cell_counts.astype(np.float64)
         self.n_respondents = self.cell_counts.sum()
-        self._observed_sets, self._set_starts = np.unique(
-            self.cell_set, return_index=True
-        )
-        K, R, J = data.n_sets, spec.n_classes, spec.n_items
+        # each set's cells (positive counts, sorted by set) are one contiguous run
+        runs = np.bincount(self.cell_set, minlength=K)
+        if not runs.all():
+            raise DataError("covariate sets with no respondents: "
+                            f"{np.flatnonzero(runs == 0).tolist()}")
+        self._set_starts = np.cumsum(runs) - runs
         self.enumeration = _Enumeration(data, R)
         # [1 | s | s_i s_j] per cell, from the cells' own rankings
         self._cell_moments = _moment_rows(
@@ -367,6 +389,10 @@ class Design:
             add_column(np.eye(R)[r], "class", f":class{r + 1}", class_index=r)
 
         self.X = np.stack([np.broadcast_to(c, (K, R)) for c in columns], axis=-1)
+        if aliased := _aliased_columns(self.X.reshape(K * R, -1)):
+            raise RankDeficientDesignError(
+                c.name for j in aliased
+                for c in self.coefficients[j * (J - 1):(j + 1) * (J - 1)])
         self.name_to_index = {c.name: i for i, c in enumerate(self.coefficients)}
 
     @property
@@ -424,13 +450,7 @@ class Design:
 
         The result has K in place of nnz on that axis.
         """
-        shape = list(x.shape)
-        shape[axis] = self.n_sets
-        out = np.zeros(shape)
-        index = [slice(None)] * x.ndim
-        index[axis] = self._observed_sets
-        out[tuple(index)] = np.add.reduceat(x, self._set_starts, axis=axis)
-        return out
+        return np.add.reduceat(x, self._set_starts, axis=axis)
 
     def block_totals(self, m: np.ndarray):
         """Block totals m_plus (..., K, R) and score totals t (..., K, R, J).
@@ -447,12 +467,8 @@ class Design:
     @functools.cached_property
     def saturated_loglik(self) -> float:
         """Log-likelihood of the saturated multinomial (one probability per cell)."""
-        totals = self.set_sums(self.cell_counts)
-        if np.any(totals <= 0):
-            empty = np.nonzero(totals <= 0)[0]
-            raise DataError(f"covariate sets with no respondents: {empty.tolist()}")
         n = self.cell_counts
-        return float(n @ np.log(n / totals[self.cell_set]))
+        return float(n @ np.log(n / self.set_sums(n)[self.cell_set]))
 
     def check_data(self, data: AggregatedData):
         """Raise unless ``data`` holds the count table the design was built on."""
@@ -472,6 +488,25 @@ class Design:
         out[:-1, :-1] = self.coefficient_matrix(coefficients)[
             self.n_covariate_columns:].T
         return out
+
+
+def _aliased_columns(X: np.ndarray) -> list[int]:
+    """The columns of ``X`` (n, Q) that add no rank to the columns before them.
+
+    One Gram-Schmidt pass, a QR factorization that skips those columns:
+    column j is aliased when its part orthogonal to the columns kept before
+    it is at most sqrt(eps) of its norm, where X'X is singular in working
+    precision. Each projection is taken twice, to keep the basis orthogonal.
+    """
+    basis, aliased = np.empty((len(X), 0)), []
+    for j, x in enumerate(X.T):
+        r = x - basis @ (basis.T @ x)
+        r -= basis @ (basis.T @ r)
+        if r @ r <= np.finfo(float).eps * (x @ x):
+            aliased.append(j)
+        else:
+            basis = np.column_stack([basis, r / np.sqrt(r @ r)])
+    return aliased
 
 
 def pairwise_win_prob(effect_i: float, effect_j: float) -> float:
@@ -574,12 +609,6 @@ def _unpack_theta(theta: np.ndarray, design: Design):
     return theta[:, :p], ratios - _logsumexp(ratios, axis=1)
 
 
-def _theta_names(design: Design) -> list[str]:
-    """Names of the coordinates of ``theta``: the coefficients, then mass1..mass(R-1)."""
-    return [c.name for c in design.coefficients] + [
-        f"mass{r + 1}" for r in range(design.n_classes - 1)]
-
-
 def _information(params: Parameters, design: Design):
     """Score, complete-data and observed information at ``params``.
 
@@ -596,19 +625,19 @@ def _information_stack(coefficients: np.ndarray, log_mixing: np.ndarray,
     """Log-likelihood, score, complete-data and observed information of B chains.
 
     ``coefficients`` is (B, P) and ``log_mixing`` (B, R). The score and
-    informations are over theta = (coefficients, design column outer and
-    item inner, then the R - 1 mass log-ratios log(q_r / q_R)), shaped
-    (B, D) and (B, D, D) with D = P + R - 1, all from one normalizer call:
-    its log P gives the log-likelihood and the posterior weights w, its
-    pattern weights the structural information at the expected counts
-    m = n w, to which the complete-data information adds the mass block
-    N (diag(q~) - q~ q~'), q~ the first R - 1 masses. The score is the
-    posterior mean of the complete-data score (Fisher's identity), and the
-    observed information (Louis's identity) the complete-data information
-    minus :func:`_missing_information`. The score totals and the missing
-    information are formed for groups of chains whose temporaries keep
-    within ``_STACK_ENTRIES`` entries; a chain whose own exceed it goes
-    alone.
+    informations are over theta = (coefficients, design column outer and item
+    inner, then the R - 1 mass log-ratios log(q_r / q_R)), shaped (B, D) and
+    (B, D, D) with D = P + R - 1, all from one normalizer call: its log P
+    gives the posterior weights w and the log-likelihood (one dot product per
+    chain, which rounds as it does for the chain alone), its pattern weights
+    the structural information at the expected counts m = n w, to which the
+    complete-data information adds the mass block N (diag(q~) - q~ q~'), q~
+    the first R - 1 masses. The score is the posterior mean of the
+    complete-data score (Fisher's identity), and the observed information
+    (Louis's identity) the complete-data information minus
+    :func:`_missing_information`. The score totals and the missing
+    information are formed for groups of chains whose temporaries keep within
+    ``_STACK_ENTRIES`` entries; a chain whose own exceed it goes alone.
     """
     B, p = coefficients.shape
     R = design.n_classes
@@ -640,7 +669,7 @@ def _information_stack(coefficients: np.ndarray, log_mixing: np.ndarray,
         if R > 1:
             observed[chains] -= _missing_information(w[chains], mean[chains],
                                                      design)
-    return (log_mixture @ n, score, complete,
+    return ((log_mixture[:, None] @ n[:, None])[:, 0, 0], score, complete,
             0.5 * (observed + observed.swapaxes(1, 2)))
 
 

@@ -12,6 +12,7 @@ fit against the truth.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +65,11 @@ class SyntheticTruth:
         J = len(self.item_labels)
         if J < 2:
             raise DataError("need at least two items")
+        for name in ("n", "seed"):
+            value = getattr(self, name)
+            if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+                    or value < 0):
+                raise DataError(f"{name} must be an integer >= 0, got {value!r}")
         if not self.classes:
             raise DataError("need at least one class")
         if abs(sum(c.prob for c in self.classes) - 1.0) > 1e-8:
@@ -74,6 +80,10 @@ class SyntheticTruth:
         for cov in self.covariates:
             if cov.kind == "factor":
                 for lev, eff in cov.effects.items():
+                    if lev not in cov.values:
+                        raise DataError(
+                            f"covariate {cov.name!r}: effect for undeclared level {lev!r}"
+                        )
                     if len(eff) != J:
                         raise DataError(
                             f"covariate {cov.name!r}: effect for {lev!r} needs J entries"

@@ -1,7 +1,10 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import rankmix
 import rankmix.fitting as fitting
@@ -64,17 +67,23 @@ def test_cli_import_loads_no_scipy():
         assert out.strip() == "[]"
 
 
-def test_benchmark_calls_still_fit(monkeypatch):
-    # perfbench/workloads.py, loaded without writing to perfbench/: its
-    # fit options still construct, and its summarize reads every chain
-    # summary of a fit, a failed chain's too, with the types it counts on
+@pytest.fixture
+def workloads(monkeypatch):
+    """perfbench/workloads.py, loaded without writing to perfbench/."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(PERFBENCH)
     spec = importlib.util.spec_from_file_location(
         "workloads", os.path.join(PERFBENCH, "workloads.py"))
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, "workloads", workloads)
-    spec.loader.exec_module(workloads)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_calls_still_fit(monkeypatch, workloads):
+    # the benchmark's fit options still construct, and its summarize reads
+    # every chain summary of a fit, a failed chain's too, with the types it
+    # counts on
     FitConfig(**workloads.WARMUP_OPTIONS)
 
     failures, calls = fitting._cholesky_failures, []
@@ -86,7 +95,8 @@ def test_benchmark_calls_still_fit(monkeypatch):
     monkeypatch.setattr(fitting, "_cholesky_failures", second_fails)
     data = make_data(3, [26, 9, 15, 4, 12, 6])
     result = fit(ModelSpec(("A", "B", "C"), (), 2), data, FitConfig(n_starts=3))
-    assert result.chain_summaries[1]["message"].startswith("design is rank")
+    assert result.chain_summaries[1]["message"].startswith(
+        "the information went singular")
     for chain in result.chain_summaries:
         assert isinstance(chain["label"], str)
         assert type(chain["iterations"]) is int
@@ -95,3 +105,22 @@ def test_benchmark_calls_still_fit(monkeypatch):
     state = workloads.State(workloads.WORKLOADS["dense_cells"], None, None, "")
     summary = workloads.summarize(state, result)
     assert len(summary["chains"]) == 3
+
+
+@pytest.mark.parametrize("name", ["dense_cells", "cli_se_all"])
+def test_benchmark_reference_check_passes(workloads, tmp_path, name):
+    # the benchmark's steps on a gated workload, with the inputs of its
+    # permutation seed 1: a log-likelihood that drifts past the reference
+    # check's 1e-8 fails here before it fails every benchmark call
+    with open(os.path.join(PERFBENCH, "references.json"), encoding="utf-8") as fh:
+        reference = json.load(fh)[name]
+    w = workloads.WORKLOADS[name]
+    ranks, covs = workloads.draw(w, 1)
+    assert workloads.inputs.count_table_digest(ranks, covs) == reference["counts_sha256"]
+    state = workloads.prepare(w, ranks, covs, str(tmp_path))
+    if w.kind == "cli":
+        assert workloads.csv_digest(state.csv_path) == reference["csv_sha256"]
+    else:
+        workloads.setup(state)
+    summary = workloads.summarize(state, workloads.call(state))
+    assert workloads.check(summary, reference)[0] == []

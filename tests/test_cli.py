@@ -94,6 +94,31 @@ class TestSimulate:
         assert f"'{field}'" in err
         assert not (tmp_path / "sim.csv").exists()
 
+    @pytest.mark.parametrize("change, named", [
+        ({"classes": [{"worths": [0.5, 0.3, 0.2]}]},
+         "config 'classes' entry 1 has no 'prob'"),
+        ({"covariates": [{"name": "g", "levels": ["x", "y"]}]},
+         "config 'covariates' entry 1 has no 'probs'"),
+        ({"classes": [{"prob": "1", "worths": [0.5, 0.3, 0.2]}]},
+         "config 'classes' entry 1 'prob' must be a finite number, got '1'"),
+        ({"n": -5}, "n must be an integer >= 0, got -5"),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"covariates": [{"name": "g", "levels": ["x", "y"], "probs": [0.5, 0.5],
+                          "effects": {"q": [1.0, 0.0, 0.0]}}]},
+         "covariate 'g': effect for undeclared level 'q'"),
+    ], ids=["class_without_prob", "covariate_without_probs", "prob_as_string",
+            "negative_n", "negative_seed", "effect_for_undeclared_level"])
+    def test_bad_truth_entry_exits_one_naming_it(self, tmp_path, capsys, change,
+                                                 named):
+        cfg = {"items": ["a", "b", "c"], "n": 10,
+               "classes": [{"prob": 1.0, "worths": [0.5, 0.3, 0.2]}],
+               "out": str(tmp_path / "sim.csv"), **change}
+        assert main(["simulate", "--config", write_json(tmp_path / "c.json", cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert named in err
+        assert not (tmp_path / "sim.csv").exists()
+
     def test_seed_reproducible_bytes(self, tmp_path):
         cfg = dict(SIM_CONFIG, n=50, out=str(tmp_path / "a.csv"))
         main(["simulate", "--config", write_json(tmp_path / "a.json", cfg)])
@@ -222,6 +247,56 @@ class TestFit:
             assert code in (0, 2)
             for name in ("fit.json", "worths.csv", "classes.csv", "se.csv"):
                 assert (tmp_path / "out" / name).exists(), name
+
+    def test_full_rank_design_is_not_called_rank_deficient(self, tmp_path, capsys):
+        # four rows and nine classes: every chain's information goes singular
+        # as its classes empty, though the design has full rank; a declared
+        # level that no respondent has is refused as aliased before any chain
+        (tmp_path / "tiny.csv").write_text(
+            "a,b,c,d,g\n1,2,3,4,x\n2,1,4,3,y\n4,3,2,1,x\n3,4,1,2,y\n")
+        for levels, terms, aliased in ((None, [], False),
+                                       (["x", "y", "z"], ["g"], True)):
+            cfg = fit_config(
+                tmp_path, tmp_path / "tiny.csv", items=["a", "b", "c", "d"],
+                covariates=[{"name": "g", "type": "factor", "levels": levels}],
+                terms=terms, classes=9, fit={"n_starts": 4, "seed": 0},
+                se_method="all",
+            )
+            assert main(["fit", "--config", cfg]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+            if aliased:
+                assert err.strip().endswith("aliased columns: a:g=z, b:g=z, c:g=z")
+            else:
+                assert "rank deficient" not in err
+
+    def test_degenerate_returned_start_is_named(self, tmp_path, capsys):
+        # input B of the numpy-singular test: every chain's class offset runs
+        # away, so the fit returns the best degenerate chain; the warning and
+        # the report's status line say which and why
+        (tmp_path / "tiny.csv").write_text("a,b,c,d,g\n" + "\n".join(
+            ["3,1,2,4,x", "4,3,2,1,x", "2,4,1,3,y", "1,3,4,2,y", "1,3,2,4,x",
+             "3,4,2,1,y"]) + "\n")
+        cfg = fit_config(
+            tmp_path, tmp_path / "tiny.csv", items=["a", "b", "c", "d"],
+            covariates=[{"name": "g", "type": "factor"}], terms=[], classes=7,
+            fit={"n_starts": 4, "seed": 0}, se_method="all",
+        )
+        assert main(["fit", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        doc = json.loads((tmp_path / "out" / "fit.json").read_text())
+        best = doc["fit"]["best_start"]
+        (chain,) = [c for c in doc["chains"] if c["label"] == best]
+        assert chain["degenerate"] and chain["message"]
+        assert err.strip() == (
+            f"warning: EM did not converge; the returned start {best} "
+            f"degenerated: {chain['message']}; artifacts written")
+        assert main(["report", str(tmp_path / "out" / "fit.json")]) == 0
+        status = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("NOT converged")]
+        assert status == [f"NOT converged after {chain['iterations']} iterations "
+                          f"(best start {best}, 4 starts; it degenerated: "
+                          f"{chain['message']})"]
 
     def test_undeclared_level_exits_one_citing_its_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

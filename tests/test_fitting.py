@@ -197,23 +197,30 @@ class TestMStep:
 
 
 class TestFitStructural:
-    def test_rank_deficient_design_names_columns(self):
+    def test_rank_deficient_design_names_columns(self, monkeypatch):
         data = make_data(3, np.array([[5, 2, 3, 1, 2, 1], [2, 4, 1, 3, 1, 2]]),
                          factor_levels=["a", "b"])
         spec = ModelSpec(("A", "B", "C"), ("g", "g"), 1)
         with pytest.raises(RankDeficientDesignError, match="A:g=b"):
             fit(spec, data)
-        # the damped Newton driver on two items and the term twice: in a
-        # stack of three, the chain that holds the item main at zero keeps
-        # both copies of the term free and fails alone, naming them; the
-        # others, each holding one copy at zero, finish as they do alone
+        # damped Newton on a full-rank design: in a stack of
+        # three, the chain whose information fails the Cholesky test fails
+        # alone, naming no coefficient; the others finish as they do alone
         data = make_data(2, np.array([[5, 2], [2, 4]]), factor_levels=["a", "b"])
-        design = Design(ModelSpec(("A", "B"), ("g", "g"), 1), data)
-        held = [0, 1, 2]
+        design = Design(ModelSpec(("A", "B"), ("g",), 1), data)
+        failures, calls = fitting._cholesky_failures, []
+
+        def first_fails(a):
+            calls.append(1)
+            return sorted(set(failures(a)) | ({0} if len(calls) == 1 else set()))
+
+        monkeypatch.setattr(fitting, "_cholesky_failures", first_fails)
+        held = [0, 1, 0]
         starts = np.zeros((3, design.n_coefficients))
         stacked = fitting._damped_newton(design, starts, held, 20)
-        assert isinstance(stacked[0], RankDeficientDesignError)
-        assert "A:g=b" in str(stacked[0])
+        assert isinstance(stacked[0], FitError)
+        assert not isinstance(stacked[0], RankDeficientDesignError)
+        assert "singular at damped Newton step 0" in str(stacked[0])
         for chain, i in zip(stacked[1:], held[1:]):
             (alone,) = fitting._damped_newton(design, starts[:1], [i], 20)
             assert chain[2] and alone[2]  # converged
@@ -702,7 +709,8 @@ class TestObservedCells:
         monkeypatch.setattr(fitting, "_cholesky_failures", second_fails)
         chains = run_chains(design, data, starts, config)
         failed = chains[1]
-        assert isinstance(failed.error, RankDeficientDesignError)
+        assert isinstance(failed.error, FitError)
+        assert not isinstance(failed.error, RankDeficientDesignError)
         assert (failed.n_iterations, failed.converged, failed.degenerate) == (
             1, False, True)
         assert failed.message == str(failed.error)

@@ -120,7 +120,7 @@ class TestCorrectedSE:
         # A held at zero and the mass log-ratio moved so far that a class is
         # all but empty: the chain stops at its start, unconverged, where it
         # would otherwise reach a flat point 275 below the fit (-700) or fail
-        # as rank deficient (+700)
+        # with a singular information (+700)
         result, _ = two_class_two_set_fit()
         design = result.design
         held = design.name_to_index["A"]

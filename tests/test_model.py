@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,10 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from rankmix.data import CovariateDecl, DataError, aggregate
+from rankmix.data import AggregatedData, CovariateDecl, CovariateSet, DataError, aggregate
 from rankmix.fitting import FitConfig
 from rankmix.model import (
     Design,
+    RankDeficientDesignError,
     _coefficient_score,
     _information,
     _logsumexp,
@@ -435,11 +437,83 @@ class TestMixtureLoglik:
         assert deviance == pytest.approx(0.0, abs=1e-10)
 
     def test_empty_covariate_set_is_an_error(self):
-        design, data = design_for([[1, 1, 1, 1, 1, 1], [0, 0, 0, 0, 0, 0]],
-                                  factor_levels=["a", "b"])
-        params = Parameters(np.zeros(design.n_coefficients), np.array([1.0]))
         with pytest.raises(DataError, match="no respondents"):
-            mixture_loglik(params, design, data)
+            design_for([[1, 1, 1, 1, 1, 1], [0, 0, 0, 0, 0, 0]],
+                       factor_levels=["a", "b"])
+
+
+@st.composite
+def factor_designs(draw):
+    """J = 3 and one or two factors (u, v) of two or three levels: the
+    observed level combinations (all but a drawn few), each a covariate set
+    with at least one respondent, and R from 1 to 3. The terms are the
+    factors' main effects, with one term drawn again, or one factor
+    declaring a level (not its reference) that no respondent has, or
+    neither. Returns the data, the terms, R, the columns of X over the sets,
+    their labels, and the columns that change added."""
+    names = ["u", "v"][:draw(st.integers(1, 2))]
+    levels = [[f"{n}{i}" for i in range(draw(st.integers(2, 3)))] for n in names]
+    combos = list(itertools.product(*levels))
+    dropped = draw(st.lists(st.sampled_from(combos), unique=True,
+                            max_size=len(combos) - 1))
+    combos = [c for c in combos if c not in dropped]
+    counts = np.array([draw(st.lists(st.integers(0, 3), min_size=6, max_size=6))
+                       for _ in combos])
+    counts[np.arange(len(combos)),
+           draw(st.lists(st.integers(0, 5), min_size=len(combos),
+                         max_size=len(combos)))] += 1
+    terms, change = list(names), draw(st.sampled_from(["none", "duplicate", "unseen"]))
+    if change == "duplicate":
+        terms.append(draw(st.sampled_from(names)))
+    elif change == "unseen":
+        f = draw(st.integers(0, len(names) - 1))
+        levels[f].insert(draw(st.integers(1, len(levels[f]))), f"{names[f]}_none")
+    data = AggregatedData(
+        space=shared_space(3),
+        declarations=tuple(CovariateDecl(n, "factor", tuple(lv))
+                           for n, lv in zip(names, levels)),
+        covariate_sets=tuple(CovariateSet(k, c, ()) for k, c in enumerate(combos)),
+        **table_cells(counts))
+    columns, labels, changed = [np.ones(len(combos))], [""], []
+    for i, term in enumerate(terms):
+        f = names.index(term)
+        for level in levels[f][1:]:
+            if i == len(names) or level.endswith("_none"):
+                changed.append(len(labels))
+            columns.append(np.array([c[f] == level for c in combos], dtype=float))
+            labels.append(f":{term}={level}")
+    return (data, tuple(terms), draw(st.integers(1, 3)), np.column_stack(columns),
+            labels, changed)
+
+
+class TestAliasing:
+    @given(factor_designs())
+    def test_design_refuses_exactly_the_columns_that_add_no_rank(self, case):
+        # a column adds no rank when the brute-force one-class Hessian at
+        # zero effects over the columns up to it has the rank of the one
+        # over the columns before it; Design refuses exactly those columns,
+        # whatever R, and a full-rank design builds
+        data, terms, n_classes, X, labels, changed = case
+        counts = data.counts
+
+        def loglik(theta):
+            a = X @ theta.reshape(len(labels), 2)
+            return oracles.mixture_loglik_direct(
+                counts, {(k, 0): np.append(a[k], 0.0) for k in range(len(a))}, [1.0])
+
+        hessian = oracles.numerical_hessian(loglik, np.zeros(2 * len(labels)))
+        ranks = [0] + [int(np.sum(np.linalg.eigvalsh(hessian[:2 * q, :2 * q]) < -1e-3))
+                       for q in range(1, len(labels) + 1)]
+        aliased = [j for j in range(len(labels)) if ranks[j + 1] == ranks[j]]
+        assert set(changed) <= set(aliased)
+        spec = ModelSpec(("A", "B", "C"), terms, n_classes)
+        if not aliased:
+            assert Design(spec, data).n_coefficients == 2 * (len(labels) + n_classes - 1)
+            return
+        with pytest.raises(RankDeficientDesignError) as refused:
+            Design(spec, data)
+        assert refused.value.columns == [item + labels[j] for j in aliased
+                                         for item in ("A", "B")]
 
 
 class TestScore:
