@@ -214,7 +214,7 @@ def _write_fit_outputs(
     data,
     config: FitConfig,
     se_methods,
-    extra_columns: dict,
+    crosstabs: dict,
     continuity: bool,
     search_rows=None,
 ):
@@ -261,10 +261,8 @@ def _write_fit_outputs(
     artifacts.write_classes_csv(os.path.join(outdir, "classes.csv"), data,
                                 *posthoc.cell_assignments(result, data))
 
-    names = list(extra_columns)
-    for name in names:
-        suffix = "" if len(names) == 1 else f"_{name}"
-        coded = posthoc._category_codes(data, extra_columns[name])
+    for name, coded in crosstabs.items():  # (sorted labels, each row's code)
+        suffix = "" if len(crosstabs) == 1 else f"_{name}"
         expected = posthoc._crosstab(result, data, coded, "expected")
         artifacts.write_csv(
             os.path.join(outdir, f"crosstab{suffix}.csv"),
@@ -307,7 +305,7 @@ def cmd_fit(args) -> int:
     result = fit_model(spec, ingest.data, config)
     _write_fit_outputs(
         outdir, result, ingest.data, config,
-        _se_methods(cfg, args), ingest.extra_columns, continuity=continuity,
+        _se_methods(cfg, args), ingest._coded_columns, continuity=continuity,
     )
     if not result.converged:
         return _not_converged("EM did not converge", result)
@@ -377,7 +375,7 @@ def cmd_search(args) -> int:
     best = search.fits[search.best_key]
     _write_fit_outputs(
         outdir, best, ingest.data, config,
-        _se_methods(cfg, args), ingest.extra_columns, continuity=continuity,
+        _se_methods(cfg, args), ingest._coded_columns, continuity=continuity,
         search_rows=rows,
     )
     if not best.converged:

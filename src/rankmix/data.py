@@ -7,10 +7,11 @@ of cells sorted by (set, pattern) that no other module rebuilds.
 Continuous covariates are centered and scaled here so downstream IRLS sees
 standardized columns; the scale is kept so raw-scale coefficients can be
 reported back. A CSV file is coded through its distinct lines (records,
-where a quoted field holds a line break): each is parsed once, and a
-column's cells are coded through their fields, so values are checked,
-converted and sorted once per distinct value and a row costs one dict
-lookup. A failing row is rechecked alone.
+where a quoted field holds a line break): each is parsed, checked, keyed
+and given its cell once, and a column's cells are coded through their
+fields, so values are checked, converted and sorted once per distinct
+value. A row costs one dict lookup, which finds its record, and its place
+in a few array gathers and one count. A failing record is rechecked alone.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ class CovariateDecl:
 
     For factors, ``levels`` fixes the level order (first level is the
     reference); when omitted, levels are the sorted observed values.
+    Declared levels are distinct strings, as the values they match are read.
     """
 
     name: str
@@ -84,6 +86,11 @@ class CovariateDecl:
     def __post_init__(self):
         if self.kind not in ("factor", "continuous"):
             raise DataError(f"covariate {self.name!r}: unknown kind {self.kind!r}")
+        for pos, level in enumerate(self.levels or ()):
+            if not isinstance(level, str):
+                raise DataError(f"covariate {self.name!r}: level {level!r} is not a string")
+            if level in self.levels[:pos]:
+                raise DataError(f"covariate {self.name!r}: level {level!r} is declared twice")
 
 
 @dataclass(frozen=True)
@@ -192,26 +199,35 @@ def aggregate(space: PatternSpace, rows, declarations) -> AggregatedData:
     """
     rows, declarations = list(rows), tuple(declarations)
     rank_rows = [ranks for ranks, _ in rows]
-    # each row is its own entry: equal values may still print apart (1 and 1.0)
+    # each row is its own record: equal values may still print apart (1 and 1.0)
     covariates = {d.name: (np.fromiter((c.get(d.name, _MISSING) for _, c in rows), object),
                            np.arange(len(rows))) for d in declarations}
     return _aggregate(space, _floats(np.array(rank_rows, dtype=object)), covariates,
-                      declarations, lambda i: validate_ranks(rank_rows[i], space.n_items),
+                      np.arange(len(rows)), declarations,
+                      lambda r: validate_ranks(rank_rows[r], space.n_items),
                       lambda i: f"row {i + 1}")
 
 
-def _aggregate(space, values, covariates, declarations, recheck_ranks, where,
+def _aggregate(space, values, covariates, rows, declarations, recheck_ranks, where,
                orders=False, n_rejected=0) -> AggregatedData:
-    """Aggregate float rank rows (order rows with ``orders``) and covariates, each as
-    distinct values and row codes; failing rows are rechecked in order until one raises."""
-    n, n_items = len(values), space.n_items
+    """Aggregate respondent ``rows``, each given as the index of its record.
+
+    A record is a float rank row of ``values`` (an order row with ``orders``)
+    and, per covariate, a code into its distinct values: ``covariates[name]``
+    is (distinct values, record codes). Every record is used by some row, and
+    records come in the order of their first rows, so a set's values as read
+    are those of its first row. Records are checked, keyed and coded once, and
+    rows are counted into their records' cells. A failing record is rechecked
+    by ``recheck_ranks(record)``, citing ``where(row)`` of its first row.
+    """
+    n, n_items = len(rows), space.n_items
     if n == 0:
         raise DataError("no usable rows to aggregate")
     bad = (~np.all(np.sort(values, axis=1) == np.arange(1, n_items + 1), axis=1)
-           if values.shape[1:] == (n_items,) else np.ones(n, dtype=bool))
-    # a row's key: factor levels, then continuous values, each coded by rank
+           if values.shape[1:] == (n_items,) else np.ones(len(values), dtype=bool))
+    # a record's key: factor levels, then continuous values, each coded by rank
     ordered = _of_kind(declarations, "factor") + _of_kind(declarations, "continuous")
-    columns = []  # per covariate: each distinct value as read, its rank, row codes
+    columns = []  # per covariate: each distinct value as read, its rank, record codes
     for decl in ordered:
         distinct, codes = covariates[decl.name]
         if decl.kind == "factor":
@@ -225,25 +241,28 @@ def _aggregate(space, values, covariates, declarations, recheck_ranks, where,
             ok = np.isfinite(read)  # a missing value reads as NaN
         bad |= ~ok[codes]
         columns.append((read, rank, codes))
-    for i in np.flatnonzero(bad):  # raises at the first row that truly fails
-        _recheck_row(i, where, recheck_ranks, covariates, ordered)
+    for r in np.flatnonzero(bad):  # raises at the first row that truly fails
+        _recheck_record(r, where(int(np.argmax(rows == r))), recheck_ranks,
+                        covariates, ordered)
     if bad.any():  # only if the array checks and the scalar checks disagree
-        raise AssertionError(f"{where(int(np.argmax(bad)))} fails the array checks only")
+        raise AssertionError(f"{where(int(np.argmax(bad[rows])))} fails the array checks only")
 
-    # fold the key column by column: sets in lexicographic order, the key below n
-    set_index, first = np.zeros(n, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    # fold the key column by column: sets in lexicographic order, keys below len(values)
+    set_index, first = np.zeros(len(values), dtype=np.intp), np.zeros(1, dtype=np.intp)
     for _, rank, codes in columns:
         _, first, set_index = np.unique(set_index * (int(rank.max()) + 1) + rank[codes],
                                         return_index=True, return_inverse=True)
     ranks = values.astype(np.int64)
     if orders:
         ranks = np.argsort(ranks, axis=1) + 1  # the inverse permutation, 1-based
-    # a row's cell as one sortable number, set-major; only this module knows it
+    # a record's cell as one sortable number, set-major; only this module knows it
     flat = set_index * space.size + _lehmer_code(ranks)
-    cells, row_cells, cell_counts = np.unique(flat, return_inverse=True, return_counts=True)
+    cells, record_cells = np.unique(flat, return_inverse=True)
+    row_cells = record_cells[rows]
+    cell_counts = np.bincount(row_cells, minlength=cells.size)
     cell_set, cell_pattern = np.divmod(cells, space.size)
     nf = len(_of_kind(declarations, "factor"))
-    # in key order; each column's values at the sets' first rows, zipped per set
+    # in key order; each column's values at the sets' first records, zipped per set
     levels = [np.asarray(read, dtype=object)[codes[first]].tolist()  # lists of str
               for read, _, codes in columns[:nf]]
     numbers = [read[codes[first]].tolist() for read, _, codes in columns[nf:]]
@@ -251,7 +270,7 @@ def _aggregate(space, values, covariates, declarations, recheck_ranks, where,
                      zip(*levels) if levels else repeat(()),
                      zip(*numbers) if numbers else repeat(())))
     # standardize continuous covariates over respondents, not over sets
-    scale = {d.name: _mean_std(read[codes])
+    scale = {d.name: _mean_std(read[codes[rows]])
              for d, (read, _, codes) in zip(ordered[nf:], columns[nf:])}
     return AggregatedData(space, declarations, sets, cell_set, cell_pattern, cell_counts,
                           continuous_scale=scale, n_rejected=n_rejected,
@@ -266,11 +285,11 @@ def _mean_std(x: np.ndarray) -> tuple[float, float]:
     return float(np.ldexp(y.mean(), e)), float(np.ldexp(y.std(), e)) or 1.0
 
 
-def _recheck_row(i, where, recheck_ranks, covariates, ordered):
-    """Row ``i``'s scalar checks in their original order; errors cite ``where(i)``."""
-    values = {name: distinct[codes[i]] for name, (distinct, codes) in covariates.items()}
+def _recheck_record(r, place, recheck_ranks, covariates, ordered):
+    """Record ``r``'s scalar checks in their original order; errors cite ``place``."""
+    values = {name: distinct[codes[r]] for name, (distinct, codes) in covariates.items()}
     try:
-        recheck_ranks(i)
+        recheck_ranks(r)
         for name, value in values.items():
             if value is _MISSING:
                 raise DataError(f"missing covariate {name!r}")
@@ -283,14 +302,23 @@ def _recheck_row(i, where, recheck_ranks, covariates, ordered):
                     f"level {str(value)!r} not among declared levels of {decl.name!r}")
     except ValueError as exc:
         kind = DataError if isinstance(exc, DataError) else RankingValidationError
-        raise kind(f"{where(i)}: {exc}") from exc
+        raise kind(f"{place}: {exc}") from exc
 
 
 @dataclass
 class IngestResult:
+    """What :func:`read_ranking_csv` read: the aggregated data, each extra
+    column coded once, and the number of rejected rows."""
+
     data: AggregatedData
-    extra_columns: dict[str, list[str]]  # aligned with accepted rows
+    _coded_columns: dict[str, tuple[np.ndarray, np.ndarray]]  # sorted labels, row codes
     n_rejected: int
+
+    @property
+    def extra_columns(self) -> dict[str, list[str]]:
+        """Each extra column's cells, aligned with the accepted rows."""
+        return {name: labels[codes].tolist()
+                for name, (labels, codes) in self._coded_columns.items()}
 
 
 def _rank_cell(text: str) -> int:
@@ -362,25 +390,37 @@ def read_ranking_csv(
     fields = {name: _coded(cells) for name, cells in zip(header, columns)
               if name in {*used, *extra_columns}}
     del lines, texts, records, columns  # the text, and the iterators that hold every record
-    blank = np.any([np.array([not v.strip() for v in cells], dtype=bool)[field]
-                    for cells, field in map(fields.get, used)], axis=0)[codes]
-    n_rejected = int(np.count_nonzero(blank))
-    codes, first_line = codes[~blank], first_line[~blank]
-    column = {name: (cells, field[codes]) for name, (cells, field) in fields.items()}
+    kept = ~np.any([np.array([not v.strip() for v in cells], dtype=bool)[field]
+                    for cells, field in map(fields.get, used)], axis=0)
+    accepted = kept[codes]  # a record with a blank used cell rejects its rows
+    n_rejected = int(accepted.size - np.count_nonzero(accepted))
+    # each accepted row's record among the kept ones, which keep their order
+    rows, first_line = (np.cumsum(kept) - 1)[codes[accepted]], first_line[accepted]
+    column = {name: (cells, field[kept]) for name, (cells, field) in fields.items()}
     items = [column[name] for name in item_columns]
 
-    def recheck_ranks(i):
-        values = np.array([_rank_cell(cells[codes[i]]) for cells, codes in items], np.int64)
+    def recheck_ranks(r):
+        values = np.array([_rank_cell(cells[codes[r]]) for cells, codes in items], np.int64)
         # order columns hold 1-based item positions by preference
         ranks = order_to_ranks(values - 1) if ranking_format == "orders" else values
         validate_ranks(ranks, space.n_items)
 
     data = _aggregate(
         space, np.column_stack([_floats(cells)[codes] for cells, codes in items]),
-        {d.name: column[covariate_columns[d.name]] for d in declarations},
+        {d.name: column[covariate_columns[d.name]] for d in declarations}, rows,
         declarations, recheck_ranks,
         lambda i: f"line {first_line[i]}",
         orders=ranking_format == "orders", n_rejected=n_rejected,
     )
-    extras = {name: column[name][0][column[name][1]].tolist() for name in extra_columns}
-    return IngestResult(data=data, extra_columns=extras, n_rejected=n_rejected)
+    extras = {name: _sorted_codes(*column[name], rows) for name in extra_columns}
+    return IngestResult(data, extras, n_rejected)
+
+
+def _sorted_codes(cells, codes, rows):
+    """The distinct ``cells`` that the records' ``codes`` use, sorted as
+    :func:`posthoc.crosstab` sorts categories, and each row's index into them."""
+    present = np.unique(codes)
+    labels, rank = _coded(cells[present].tolist(), sort=True)
+    index = np.zeros(len(cells), dtype=np.intp)
+    index[present] = rank
+    return labels, index[codes][rows]

@@ -420,7 +420,7 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, callback):
         # E step: one softmax gives the log-likelihood and the posterior
         # weights, and these the next M step's expected counts and masses
         log_mixture, w = _mixture(logp, np.log(q)[:, :, None])
-        ll = log_mixture @ design.cell_counts
+        ll = (log_mixture[:, None] @ design.cell_counts[:, None])[:, 0, 0]  # per chain
         dev = 2.0 * (design.saturated_loglik - ll)
         m, next_q, low_mass = _mass_update(w, design, config.degenerate_mass)
         for c, x in zip(chains.tolist(), dev.tolist()):

@@ -374,6 +374,20 @@ class TestFit:
                          covariates=[{"name": "grp", "type": "factor", "levels": 5}])
         self.assert_one_error_line(["fit", "--config", cfg], capsys, "levels")
 
+    @pytest.mark.parametrize("levels, message", [
+        # a number never matches a CSV cell, so it would fail at line 2
+        ([1, 2], "covariate 'g': level 1 is not a string"),
+        # a repeated level would alias its own columns in the design
+        (["1", "2", "1"], "covariate 'g': level '1' is declared twice"),
+    ])
+    def test_levels_must_be_distinct_strings(self, tmp_path, capsys, levels, message):
+        (tmp_path / "tiny.csv").write_text("a,b,c,g\n1,2,3,1\n2,1,3,2\n3,2,1,1\n2,3,1,2\n")
+        cfg = fit_config(tmp_path, tmp_path / "tiny.csv", items=["a", "b", "c"],
+                         covariates=[{"name": "g", "type": "factor", "levels": levels}],
+                         terms=["g"], classes=1)
+        assert main(["fit", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_fractional_class_count_is_rejected(self, tmp_path, sim_csv, capsys):
         cfg = fit_config(tmp_path, sim_csv, classes=2.7)
         self.assert_one_error_line(["fit", "--config", cfg], capsys, "'classes'")

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rankmix.data
+import rankmix.posthoc
 from rankmix.data import (
     AggregatedData,
     CovariateDecl,
@@ -324,6 +325,61 @@ class TestCsvIngest:
         )
         assert res.extra_columns["country"] == ["AT", "", ""]
 
+    # Each distinct record is checked and coded once, and its rows are
+    # mapped back to it: these fail on a mapping that cites, keys or counts
+    # a record by anything but its own rows.
+
+    @pytest.mark.parametrize("bad, error, where", [
+        ("1,1,3,0.5", RankingValidationError, "^line 3: "),
+        ("2,1,3,abc", DataError, "^line 3: covariate 'x'"),
+    ])
+    @pytest.mark.parametrize("before", [0, 2])
+    def test_a_repeated_bad_record_cites_its_first_line(self, tmp_path, space3, bad,
+                                                        error, where, before):
+        # the bad record is on lines 3 and 7 (5 and 9 after two more rows of
+        # the record on line 2), so its first row is not its record's index
+        good = ["1,2,3,0.5"] * (1 + before) + [bad, "1,2,3,0.5", "3,2,1,1", "1,2,3,0.5",
+                                               bad, "3,2,1,1"]
+        path = self.write(tmp_path, "a,b,c,x\n" + "\n".join(good) + "\n")
+        where = re.sub(r"\d+", lambda m: str(int(m[0]) + before), where)
+        with pytest.raises(error, match=where):
+            read_ranking_csv(path, space3, ["a", "b", "c"],
+                             [CovariateDecl("x", "continuous")])
+
+    @pytest.mark.parametrize("cells, want", [
+        (["0", "-0", "1", "1.0"], [0.0, 1.0]), (["-0", "0", "1.0", "1"], [-0.0, 1.0]),
+    ])
+    def test_a_sets_continuous_value_is_its_first_rows(self, tmp_path, space3, cells,
+                                                       want):
+        # equal values read from different text are one set, reported as
+        # the first row reads it: 0 and -0 print apart
+        lines = [f"{r},{x}" for r, x in zip(["1,2,3", "2,1,3", "3,2,1", "1,3,2"], cells)]
+        path = self.write(tmp_path, "a,b,c,x\n" + "\n".join(lines * 2) + "\n")
+        data = read_ranking_csv(path, space3, ["a", "b", "c"],
+                                [CovariateDecl("x", "continuous")]).data
+        got = [s.continuous_values[0] for s in data.covariate_sets]
+        assert got == want and [math.copysign(1, v) for v in got] == [
+            math.copysign(1, v) for v in want]
+        assert data.cell_counts.tolist() == [2, 2, 2, 2]
+
+    def test_a_record_of_rejected_rows_only_makes_no_cell(self, tmp_path, space3):
+        # the blank-cell records come first and repeat: the accepted rows'
+        # records are renumbered, and no set, cell or category is left over
+        path = self.write(tmp_path, "a,b,c,g,e\n2,1,3,,FR\n1,2,3,x,AT\n2,1,3,,FR\n"
+                                    ",,,y,FR\n3,2,1,y,IT\n1,2,3,x,IT\n,,,y,FR\n")
+        res = read_ranking_csv(path, space3, ["a", "b", "c"],
+                               [CovariateDecl("g", "factor")], extra_columns=("e",))
+        data = res.data
+        assert [s.factor_levels for s in data.covariate_sets] == [("x",), ("y",)]
+        assert data.cell_counts.tolist() == [2, 1]
+        assert data.row_cells.tolist() == [0, 1, 0]
+        assert res.n_rejected == data.n_rejected == 4
+        assert res.extra_columns == {"e": ["AT", "IT", "IT"]}
+        labels, codes = res._coded_columns["e"]
+        want = rankmix.posthoc._category_codes(data, res.extra_columns["e"])
+        assert labels.tolist() == want[0].tolist() == ["AT", "IT"]
+        assert codes.tolist() == want[1].tolist()
+
 
 # CSV text for the reader property: the header names the items a, b, c, the
 # factors g (declared levels y, x) and h, the continuous x and the extra e;
@@ -346,27 +402,36 @@ CSV_QUOTED = ['"x,y"', '"say ""u"""', '"two\nlines"', '"two\r\nlines"', '"2"', '
 CSV_TAILS = ["", "", "", '"', '"open', '2,1,"3', '3,2,1,"x\ny']
 
 
+def _csv_record(draw, header):
+    ranks = draw(st.permutations(["1", "2", "3"]))
+    cells = dict(zip("abc", ranks), g=draw(st.sampled_from(["x", "y"])),
+                 h=draw(st.sampled_from(["10", "9", "u"])),
+                 x=draw(st.sampled_from(["0.5", "-1", " 2"])), e="AT", z="z")
+    record = [cells[name] if name not in header[i + 1:] else "q"
+              for i, name in enumerate(header)]
+    for pos in draw(st.lists(st.integers(0, len(record) - 1), max_size=2)):
+        record[pos] = draw(st.sampled_from(CSV_NOISE + CSV_QUOTED))
+    n = len(record)
+    return (record + ["7"])[:draw(st.sampled_from([n, n, n, n - 1, n + 1, 1]))]
+
+
 @st.composite
 def csv_texts(draw):
     header = draw(st.sampled_from(CSV_HEADERS))
-    lines = [",".join(header)]
-    for _ in range(draw(st.integers(0, 12))):
-        if draw(st.integers(0, 9)) == 0:
-            lines.append("")
-            continue
-        ranks = draw(st.permutations(["1", "2", "3"]))
-        cells = dict(zip("abc", ranks), g=draw(st.sampled_from(["x", "y"])),
-                     h=draw(st.sampled_from(["10", "9", "u"])),
-                     x=draw(st.sampled_from(["0.5", "-1", " 2"])), e="AT", z="z")
-        record = [cells[name] if name not in header[i + 1:] else "q"
-                  for i, name in enumerate(header)]
-        for pos in draw(st.lists(st.integers(0, len(record) - 1), max_size=2)):
-            record[pos] = draw(st.sampled_from(CSV_NOISE + CSV_QUOTED))
-        n = len(record)
-        record = (record + ["7"])[:draw(st.sampled_from([n, n, n, n - 1, n + 1, 1]))]
-        lines.append(",".join(record))
+    lines = ["" if draw(st.integers(0, 9)) == 0 else ",".join(_csv_record(draw, header))
+             for _ in range(draw(st.integers(0, 12)))]
+    if lines and draw(st.booleans()):
+        # duplicate-heavy: rows with a blank item cell join the lines, and
+        # each line repeats up to five times, shuffled among the others
+        for _ in range(draw(st.integers(0, 3))):
+            record = _csv_record(draw, header)
+            pos = len(header) - 1 - header[::-1].index(draw(st.sampled_from("abc")))
+            lines.append(",".join(record[:pos] + [""] + record[pos + 1:]))
+        lines = draw(st.permutations([line for line in lines
+                                      for _ in range(draw(st.integers(1, 5)))]))
     endings = st.sampled_from(["\n", "\n", "\r\n", "\r"])
-    return "".join(line + draw(endings) for line in lines) + draw(st.sampled_from(CSV_TAILS))
+    return "".join(line + draw(endings) for line in [",".join(header), *lines]) + draw(
+        st.sampled_from(CSV_TAILS))
 
 
 def _csv_reference(path, space, items, decls, ranking_format, extra_columns):

@@ -631,6 +631,27 @@ class TestObservedCells:
             assert -0.5 * summary["minus_two_loglik"] == pytest.approx(
                 alone.loglik, abs=1e-9)
 
+    @pytest.mark.parametrize("n_items, n_classes, seed", [
+        (3, 2, 0), (3, 3, 1), (4, 2, 2), (4, 3, 3), (3, 2, 4), (4, 2, 5),
+    ])
+    def test_a_chains_bits_do_not_depend_on_its_stack(self, n_items, n_classes, seed):
+        # five starts on a design of three sets, run as one stack and each
+        # alone: every chain's log-likelihood, deviance and deviance trace
+        # are the same floats, not merely close ones
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 8, size=(3, math.factorial(n_items)))
+        data = make_data(n_items, counts, factor_levels=("a", "b", "c"))
+        labels = ("A", "B", "C", "D")[:n_items]
+        design = Design(ModelSpec(labels, ("g",), n_classes), data)
+        config = FitConfig(n_starts=5, seed=seed, max_iter=60)
+        starts = [init_start(s, design) for s in chain_seeds(config.seed, 5)]
+        assert fitting._stack_size(design) >= len(starts)
+        for start, chain in zip(starts, run_chains(design, data, starts, config)):
+            (alone,) = run_chains(design, data, [start], config)
+            assert chain.n_iterations == alone.n_iterations
+            assert (chain.loglik, chain.deviance) == (alone.loglik, alone.deviance)
+            assert chain.trace == alone.trace
+
     @pytest.mark.parametrize("options", [
         {}, {"degenerate_mass": 0.2}, {"degenerate_mass": 0.3},
         {"degenerate_offset": 2.0}, {"max_iter": 7}, {"max_iter": 0},
