@@ -16,6 +16,8 @@ import os
 import tempfile
 from dataclasses import asdict
 
+import numpy as np
+
 from .data import AggregatedData
 from .fitting import FitConfig, FitResult, SearchResult
 
@@ -54,13 +56,16 @@ def write_csv(path, header, rows):
 
 def write_classes_csv(path, data: AggregatedData, assigned, posterior):
     """One line per respondent row: its cell's set, pattern, hard class and
-    posterior. ``assigned`` and ``posterior`` are per observed cell, and each
-    cell's text is formatted once, as ``csv.writer`` would write it."""
-    cell_text = [f"{k},{l},{a},{p:.10g}\n" for k, l, a, p in zip(
+    posterior. ``assigned`` and ``posterior`` are per observed cell; each cell's
+    text is formatted once, as ``csv.writer`` would, and per row only the
+    respondent number is, by one ``%`` over all rows."""
+    parts = np.empty((data.row_cells.size, 2), dtype=object)
+    parts[:, 0] = range(1, len(parts) + 1)
+    parts[:, 1] = np.array([f",{k},{l},{a},{p:.10g}\n" for k, l, a, p in zip(
         data.cell_set.tolist(), data.cell_pattern.tolist(),
-        assigned.tolist(), posterior.tolist())]
-    _atomic_write(path, "respondent,set,pattern,assigned_class,posterior\n" + "".join(
-        [f"{i},{cell_text[c]}" for i, c in enumerate(data.row_cells.tolist(), 1)]))
+        assigned.tolist(), posterior.tolist())], dtype=object)[data.row_cells]
+    _atomic_write(path, "respondent,set,pattern,assigned_class,posterior\n"
+                  + "%d%s" * len(parts) % tuple(parts.ravel().tolist()))
 
 
 def data_summary(data: AggregatedData) -> dict:

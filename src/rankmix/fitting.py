@@ -23,15 +23,14 @@ the score, n X_c X_d Cov[s]_ij to the information entry of (c, i) and
 (d, j), and t . a - n log Z to the expected-count log-likelihood, with
 Cov[s] = E[s s'] - E[s] E[s]'; the score and information kernels are
 those of ``rankmix.model``. The pattern space enters only through the
-design's enumeration kernel, ``design.enumeration`` (a
-``model._Enumeration``): its ``log_normalizer`` gives each block's
-log Z, its pattern weights (proportional to p) and log P at the cells in
-one pass over the patterns; a step-halving trial needs log Z alone, the
-accepted trial's weights give E[s] and Cov[s] (``score_moments``, one
-product with the kernel's moment table [1 | s | s_i s_j]), and its log P
-gives the E step, so no normalizer runs between M steps. In the loop,
-log P, the posterior weights and the expected counts are class-major
-(B, R, nnz) arrays:
+design's enumeration kernel, ``design.enumeration.moments`` (a
+``model._Enumeration``): one pass over the patterns gives each block's
+log Z, E[s] and Cov[s] and log P at the cells, and no array over the
+patterns outlives it. Each Newton trial is one such pass: its log Z gives
+the trial's deviance, and, if the trial is accepted, its moments the next
+Newton iteration and its log P the E step, so no pass runs between M
+steps. In the loop, log P, the posterior weights and the expected counts
+are class-major (B, R, nnz) arrays:
 sums over classes run over a short leading axis, sums over cells over
 contiguous runs. Chains leave the stack with (nnz, R) rows aligned with
 ``Design.cell_set`` / ``Design.cell_pattern`` (``FitResult.posteriors``).
@@ -55,14 +54,13 @@ is the loop's one exit, where a chain leaves as the record of that
 completed iteration (the start is iteration 0): when its solve failed or
 its class offsets ran away, when it converges or hits ``max_iter``, or
 else when a class mass of its next M step fell below ``degenerate_mass``.
-Each kernel call (block effects, the normalizer, the moments and
-information, the Cholesky test, the Newton solve) serves the whole stack,
-while every chain keeps its own Newton steps, step halving, convergence
-test and iteration count, so each chain takes exactly the iterations it
-takes alone. A stack holds as many chains as keep its pattern weights
-and the information's column products within ``_STACK_ENTRIES`` entries.
-A stack whose starts are all the uniform model takes their normalizer,
-and the first Newton iteration their moments, in closed form
+Each kernel call (block effects, the moments, the information, the
+Cholesky test, the Newton solve) serves the whole stack, while every
+chain keeps its own Newton steps, step halving, convergence test and
+iteration count, so each chain takes exactly the iterations it takes
+alone. A stack holds as many chains as keep the information's column
+products and their cell arrays within ``_STACK_ENTRIES`` entries. A stack
+whose starts are all the uniform model takes their moments in closed form
 (``_Enumeration.uniform``), with no pass over the patterns.
 
 A one-class chain starts at the uniform model (all coefficients zero),
@@ -250,30 +248,26 @@ _SINGULAR = ("the information went singular at {}: effects are running off, "
              "or a class is emptying")
 
 
-def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
+def _newton(m, design: Design, beta, start, tol: float, max_iter: int):
     """Maximize sum m[b, r, cell] log P over the coefficients of B chains.
 
     ``m`` (B, R, nnz) holds each chain's expected counts, class-major, and
-    ``beta`` (B, P) its start. ``start`` is the list [a, log Z, pattern
-    weights] of the kernel ``design.enumeration.log_normalizer`` at
-    ``beta``, with None for the weights when ``beta`` is zero: the first
-    iteration then takes the uniform model's moments in closed form. The
-    list is emptied, so that the weights are freed by the first moment
-    product, before the first trial allocates its own. Each chain takes
-    its own Newton steps with its own step halving and stops by its own
-    deviance change; the stack shrinks as chains stop. A chain whose
-    information fails the Cholesky test, or whose solve numpy finds
-    singular, takes a zero step and leaves with its error.
+    ``beta`` (B, P) its start. ``start`` holds the item effects at ``beta``
+    and the first three arrays of ``design.enumeration.moments`` there. Each
+    trial is one pass of that kernel, whose moments serve the next iteration
+    if the trial is accepted. Each chain takes its own Newton steps with its
+    own step halving and stops by its own deviance change; the stack shrinks
+    as chains stop. A chain whose information fails the Cholesky test, or
+    whose solve numpy finds singular, takes a zero step and leaves with its
+    error.
 
-    Returns the coefficients (B, P), and the normalizer's arrays there (the
-    accepted trial's, so the caller needs no further normalizer): the item
-    effects (B, K, R, J), log Z (B, K, R), the pattern weights
-    (B, K * R, L) and the cells' log P (B, R, nnz); per chain None or the
-    ``FitError`` that stopped it; and per chain whether its last step met
-    ``tol``, which a chain stopped by ``max_iter`` has not.
+    Returns the coefficients (B, P) and, there, the item effects and the
+    kernel's four arrays (the accepted trial's, so the caller needs no
+    further pass); per chain None or the ``FitError`` that stopped it; and
+    per chain whether its last step met ``tol``, which a chain stopped by
+    ``max_iter`` has not.
     """
-    a, log_z, w = start
-    start.clear()
+    a, log_z, mean, cov = start
     n = len(beta)
     m_plus, observed = design.block_totals(m)
     # sum m log(m / m_plus) over the cells, where 0 log 0 = 0
@@ -286,11 +280,10 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
         loglik = _row_dots(observed, a) - _row_dots(m_plus, log_z)
         return 2.0 * (saturated - loglik)
 
-    def trial_at(b, observed, m_plus, saturated):
-        """Deviances at coefficients ``b``, with the normalizer's arrays there."""
+    def trial_at(b, observed, m_plus, saturated):  # with the kernel's arrays
         a = design.block_effects(b)
-        log_z, w, logp = design.enumeration.log_normalizer(a)
-        return deviance(a, log_z, observed, m_plus, saturated), a, log_z, w, logp
+        log_z, mean, cov, logp = design.enumeration.moments(a)
+        return deviance(a, log_z, observed, m_plus, saturated), a, log_z, mean, cov, logp
 
     errors: list[FitError | None] = [None] * n
     met = np.zeros(n, dtype=bool)
@@ -300,10 +293,7 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
     dev = deviance(a, log_z, observed, m_plus, saturated)
     out = None  # per chain, where it stopped, once a chain has stopped
     for iteration in range(1, max_iter + 1):
-        mean, cov = (design.enumeration.uniform_moments(len(chains)) if w is None
-                     else design.enumeration.score_moments(w))
         info = _structural_information(cov, design, products)
-        del w, cov  # freed before the trials allocate theirs
         score = _coefficient_score(design.X, observed, m_plus, mean)
         # the failing chains take a zero step and leave
         direction, failed = _solve(info, score, _cholesky_failures(info))
@@ -313,21 +303,16 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
         # every chain still rising after h halvings has step 2^-h
         bound = dev + 1e-10 * (np.abs(dev) + 1.0)
         trial = beta + direction
-        dev_try, a, log_z, w, logp = trial_at(trial, observed, m_plus,
-                                              saturated)
+        dev_try, *state = trial_at(trial, observed, m_plus, saturated)
         rising = ~(dev_try <= bound)
         for halvings in range(1, 40):
             if not np.count_nonzero(rising):
                 break
             j = np.nonzero(rising)[0]
             trial[j] = beta[j] + 0.5 ** halvings * direction[j]
-            if len(j) == len(chains):
-                del w  # every trial was rejected: free its weights first
-                dev_try, a, log_z, w, logp = trial_at(trial, observed, m_plus,
-                                                      saturated)
-            else:
-                dev_try[j], a[j], log_z[j], w[j], logp[j] = trial_at(
-                    trial[j], observed[j], m_plus[j], saturated[j])
+            dev_try[j], *at_j = trial_at(trial[j], observed[j], m_plus[j], saturated[j])
+            for x, new in zip(state, at_j):
+                x[j] = new
             rising[j] = ~(dev_try[j] <= bound[j])
         stop = np.abs(dev - dev_try) <= tol * np.maximum(np.abs(dev_try), 1.0)
         met[chains[stop]] = True
@@ -340,19 +325,19 @@ def _newton(m, design: Design, beta, start: list, tol: float, max_iter: int):
         beta, dev = trial, dev_try
         stopped = np.count_nonzero(stop)
         if stopped == n:  # the whole stack stops at once: no copies
-            return beta, a, log_z, w, logp, errors, met
+            return beta, *state, errors, met
+        mean, cov = state[2:4]
         if stopped:
-            state = (beta, a, log_z, w, logp)
             if out is None:
-                out = [np.empty((n,) + x.shape[1:]) for x in state]
+                out = [np.empty((n,) + x.shape[1:]) for x in (beta, *state)]
             done = chains[stop]
-            for kept, new in zip(out, state):
+            for kept, new in zip(out, (beta, *state)):
                 kept[done] = new[stop]
             if stopped == len(chains):
                 break
             going = ~stop
-            chains, beta, dev, w, m_plus, observed, saturated, products = (
-                x[going] for x in (chains, beta, dev, w, m_plus, observed,
+            chains, beta, dev, mean, cov, m_plus, observed, saturated, products = (
+                x[going] for x in (chains, beta, dev, mean, cov, m_plus, observed,
                                    saturated, products))
     return (*out, errors, met)
 
@@ -396,20 +381,15 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, callback):
     b = np.array([s.coefficients for s in starts], dtype=np.float64)
     q = np.array([s.mixing for s in starts], dtype=np.float64)
     a = design.block_effects(b)
-    if b.any():
-        *at_b, logp = a, *design.enumeration.log_normalizer(a)
-    else:
-        log_z, logp = design.enumeration.uniform(B)
-        at_b = [a, log_z, None]
+    *at_b, logp = a, *(design.enumeration.moments(a) if b.any()
+                       else design.enumeration.uniform(B))
     # the running chains' state, one row per chain: the coefficients, the
     # expected counts and masses of the next M step, the deviance, and the
-    # item effects, log Z and pattern weights at the coefficients, where the
-    # next Newton solve starts (and frees the weights). Starts that are all
-    # the uniform model have their normalizer in closed form, and no weights.
+    # item effects, log Z, E[s] and Cov[s] where the next Newton solve starts
+    # (in closed form, if every start is the uniform model)
     state = [np.arange(B), b, None, q, np.full(B, np.inf), *at_b]
     for iteration in range(config.max_iter + 1):
         chains, b, m, q, last, *at_b = state
-        del state  # at_b holds the only reference to the pattern weights
         n = len(chains)
         errors, solved, offsets = [None] * n, np.zeros(n, dtype=bool), np.zeros(n)
         if iteration:  # M step: the coefficients, as q came with the E step
@@ -452,7 +432,7 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, callback):
             break
         state = [chains, b, m, next_q, dev, *at_b]
         if leave.any():
-            state = [None if x is None else x[~leave] for x in state]
+            state = [x[~leave] for x in state]
         if callback is not None:  # a lone chain: the weights of its next M step
             dense_w = _mixture(design.log_pattern_probs(b[0]).transpose(0, 2, 1),
                                np.log(q[0])[:, None])[1].transpose(0, 2, 1)
@@ -460,11 +440,9 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, callback):
 
 
 def _stack_size(design: Design) -> int:
-    """Chains per stack: their pattern weights, and the information's column
-    products (see ``model._column_products``), keep within ``_STACK_ENTRIES``."""
-    Q = design.X.shape[-1]
-    block_entries = design.n_sets * design.n_classes * max(design.n_patterns, Q * Q)
-    return max(1, _STACK_ENTRIES // block_entries)
+    """Chains per stack: column products and cell arrays within ``_STACK_ENTRIES``."""
+    K, R, Q = design.X.shape
+    return max(1, _STACK_ENTRIES // max(K * R * Q * Q, R * design.cell_set.size))
 
 
 def run_chains(

@@ -59,26 +59,29 @@ class StandardErrorReport:
 
 def raw_em_standard_errors(fit: FitResult, data: AggregatedData) -> np.ndarray:
     """SEs from the final scoring pass with posterior weights held fixed."""
-    design = fit.design
-    design.check_data(data)
+    fit.design.check_data(data)
+    return _raw_errors(_information(fit.params, fit.design)[1], fit.design)
+
+
+def _raw_errors(complete: np.ndarray, design) -> np.ndarray:
+    """:func:`raw_em_standard_errors` from the complete-data information."""
     p = design.n_coefficients
-    cov = np.linalg.inv(_information(fit.params, design)[1][:p, :p])
-    diag = np.diag(cov)
+    diag = np.diag(np.linalg.inv(complete[:p, :p]))
     if np.any(diag <= 0):
         raise StandardErrorError("final-pass information is not positive definite")
     return np.sqrt(diag)
 
 
 def _constrained_refits(fit: FitResult, data: AggregatedData, coefficients,
-                        config: FitConfig | None):
+                        config: FitConfig | None, complete: np.ndarray):
     """Corrected SEs of the listed coefficient indices, one refit each.
 
     Each refit holds its own coefficient at zero. It starts at the fit
     with that coefficient set to zero and the other coordinates moved by
     the conditional step in the complete-data information's metric,
     theta - (I_c^-1)[:, i] / (I_c^-1)[i, i] * beta_i, one matrix inverse
-    for all refits, and climbs by damped Newton steps on its free
-    coordinates; the refits run as one stack of
+    for all refits (``complete`` is I_c at the fit), and climbs by damped
+    Newton steps on its free coordinates; the refits run as one stack of
     :func:`rankmix.fitting._damped_newton`, with at most
     ``_MAX_REFIT_ITER`` steps each. Returns, per coefficient, either
     (se, drop in 2 log L, capped), where ``capped`` says the refit stopped
@@ -101,7 +104,7 @@ def _constrained_refits(fit: FitResult, data: AggregatedData, coefficients,
     theta = fit.params.theta
     starts = np.tile(theta, (len(refit), 1))
     if refit:
-        cov = np.linalg.inv(_information(fit.params, design)[1])[:, refit]
+        cov = np.linalg.inv(complete)[:, refit]
         starts -= (cov / cov[refit, np.arange(len(refit))] * theta[refit]).T
         starts[np.arange(len(refit)), refit] = 0.0
     chains = _damped_newton(design, starts, refit, _MAX_REFIT_ITER,
@@ -150,7 +153,8 @@ def corrected_se(
     """
     if isinstance(coefficient, str):
         coefficient = fit.design.name_to_index[coefficient]
-    (result,) = _constrained_refits(fit, data, [coefficient], config)
+    (result,) = _constrained_refits(fit, data, [coefficient], config,
+                                    _information(fit.params, fit.design)[1])
     if isinstance(result, Exception):
         raise result
     se, drop, _ = result
@@ -169,9 +173,12 @@ def hessian_standard_errors(fit: FitResult, data: AggregatedData):
     the information is not positive definite, listing the flat or
     negative directions (label-switching symmetry usually shows up here).
     """
-    design = fit.design
-    design.check_data(data)
-    info = _information(fit.params, design)[2]
+    fit.design.check_data(data)
+    return _hessian_errors(_information(fit.params, fit.design)[2], fit.design)
+
+
+def _hessian_errors(info: np.ndarray, design):
+    """:func:`hessian_standard_errors` from the observed information."""
     eigvals, eigvecs = np.linalg.eigh(info)
     if eigvals.min() <= 0:
         names = [c.name for c in design.coefficients] + [
@@ -205,7 +212,8 @@ def standard_error_report(
     constrained refit that stopped at its step cap: its drop is kept,
     but the refit had not reached the constrained maximum, so the drop is
     too large and the corrected SE a lower bound. The refits of all
-    coefficients run as one stack.
+    coefficients run as one stack. One information call at the fit's
+    parameters serves all three methods.
     """
     design = fit.design
     methods = set(methods)
@@ -215,20 +223,23 @@ def standard_error_report(
         CoefficientSE(name=c.name, estimate=float(fit.params.coefficients[i]))
         for i, c in enumerate(design.coefficients)
     ]
+    if methods:
+        design.check_data(data)
+        _, complete, observed = _information(fit.params, design)
     if "raw" in methods:
-        raw = raw_em_standard_errors(fit, data)
+        raw = _raw_errors(complete, design)
         for i, row in enumerate(rows):
             row.se_raw = float(raw[i])
     if "hessian" in methods:
         try:
-            hess, _, _ = hessian_standard_errors(fit, data)
+            hess, _, _ = _hessian_errors(observed, design)
             for i, row in enumerate(rows):
                 row.se_hessian = float(hess[i])
         except StandardErrorError as exc:
             for row in rows:
                 _add_note(row, f"hessian: {exc}")
     if "corrected" in methods:
-        refits = _constrained_refits(fit, data, range(len(rows)), config)
+        refits = _constrained_refits(fit, data, range(len(rows)), config, complete)
         for row, result in zip(rows, refits):
             if isinstance(result, Exception):
                 _add_note(row, str(result))

@@ -32,18 +32,17 @@ and ``Design`` takes as they are. At a cell,
 log P_lkr = s_l . a_kr - log Z_kr, so the J! pattern space enters only
 through each (set, class) block's log-normalizer log Z_kr and its score
 moments. One class, ``_Enumeration`` (``Design.enumeration``), enumerates
-the patterns and holds every array over them: its ``log_normalizer``
-gives log Z, the pattern weights (unnormalized) and log P at the
-observed cells from one product, one ``exp`` and one row sum, and its
-``score_moments`` gives every block's E[s] and Cov[s] from one product
-of those weights with its moment table. At zero effects, the uniform
-model, ``uniform`` and ``uniform_moments`` give the same in closed form
-without visiting the patterns. ``Design`` keeps the rest: the
-block design matrix X and the coefficients, and the observed cells with
-their counts, their rows [1 | s | s_i s_j] and each set's run of cells,
-from which ``block_totals`` and the missing information read the
-observed score totals. Inside the fit, log P, posterior weights and
-expected counts are class-major (R, nnz) arrays, columns in
+the patterns and holds every array over them, and its one kernel,
+``moments``, gives every block's log Z, E[s] and Cov[s] and log P at the
+observed cells from one pass over the patterns: chunk by chunk of block
+rows, one product with the score matrix, one ``exp`` and one product
+with its moment table; no array over the patterns outlives the call.
+``uniform`` gives the same at zero effects, in closed form. ``Design``
+keeps the rest: the block design matrix X and the coefficients, and the
+observed cells with their counts, their rows [1 | s | s_i s_j] and each
+set's run of cells, from which ``block_totals`` and the missing
+information read the observed score totals. Inside the fit, log P,
+posterior weights and expected counts are class-major (R, nnz) arrays, columns in
 ``Design.cell_set`` / ``Design.cell_pattern`` order; the public
 functions give (nnz, R) rows. One softmax, ``_mixture``, gives the log
 mixture log sum_r q_r P_r and the posterior weights to the EM loop,
@@ -61,11 +60,11 @@ class) sums over each set's run of cells. It works on theta =
 refits read it over a stack, and the raw and Hessian SEs and
 ``mixture_score`` read it for one chain (``_information``).
 
-The kernels of the fit (``block_effects``, ``log_normalizer``,
-``score_moments``, ``set_sums``, ``block_totals``) also take a leading
-stack of chains: coefficients (B, P) give item effects (B, K, R, J),
-cell arrays are (B, R, nnz), and so on, so that several EM chains of one
-design advance with one call per kernel.
+The kernels of the fit (``block_effects``, ``moments``, ``set_sums``,
+``block_totals``) also take a leading stack of chains: coefficients
+(B, P) give item effects (B, K, R, J), cell arrays are (B, R, nnz), and
+so on, so that several EM chains of one design advance with one call per
+kernel.
 """
 
 from __future__ import annotations
@@ -94,12 +93,16 @@ class RankDeficientDesignError(FitError):
         )
 
 
-# Chains of one design advance as one stack while their pattern weights,
-# B x K x R x L doubles, and the information's column products,
-# B x K x R x Q^2, stay within this many entries (8 MB); a design whose
-# blocks alone exceed it runs one chain at a time. The missing
-# information's temporaries keep within it too.
+# Chains of one design advance as one stack while the information's column
+# products, B x K x R x Q^2 doubles, and their cell arrays, B x R x nnz,
+# stay within this many entries (8 MB); a design whose blocks alone exceed
+# it runs one chain at a time. The missing information's temporaries keep
+# within it too.
 _STACK_ENTRIES = 1_000_000
+# The moment kernel walks the block rows in chunks of at most this many
+# pattern weights (220 KB): on a 2-vCPU Xeon with 2 MB L2 per core, 38-row
+# chunks of 720 patterns ran in 0.72 of the two-pass time, one chunk in 0.84.
+_CHUNK_ENTRIES = 28_000
 
 
 @dataclass(frozen=True)
@@ -184,13 +187,13 @@ class Parameters:
 
 
 def _moment_rows(s: np.ndarray) -> np.ndarray:
-    """[1 | s | s_i s_j over the non-reference items] per score row s.
-
-    ``s`` is (n, J); the result is (n, 1 + J + (J-1)^2).
-    """
-    free = s[:, :-1]
-    return np.hstack([np.ones((len(s), 1)), s,
-                      (free[:, :, None] * free[:, None, :]).reshape(len(s), -1)])
+    """[1 | s | s_i s_j for i <= j < J] per score row s, (n, J): one column
+    per pair, as a product costs by its columns, and zero columns to a
+    multiple of 8, with which BLAS gives a row of a product the same bits
+    wherever it sits (with 11, say, it does not)."""
+    i, j = np.triu_indices(s.shape[1] - 1)
+    rows = np.hstack([np.ones((len(s), 1)), s, s[:, i] * s[:, j]])
+    return np.pad(rows, ((0, 0), (0, -rows.shape[1] % 8)))
 
 
 class _Enumeration:
@@ -198,10 +201,9 @@ class _Enumeration:
 
     It holds every array with one entry per pattern: [S'; 1] over the
     patterns' net-win scores S (L, J), the moment table [1 | s | s_i s_j]
-    (L, 1 + J + (J-1)^2), and the places of the observed cells among a
-    stack's pattern weights. Two of its methods are the only computations
-    of the fit that visit every pattern: the log-normalizer and the score
-    moments of each (set, class) block. The other two give both at zero
+    (:func:`_moment_rows`), and the places of the observed cells among a
+    chain's pattern weights. Its :meth:`moments` is the only computation of
+    the fit that visits every pattern; :meth:`uniform` gives the same at zero
     effects in closed form.
     """
 
@@ -214,88 +216,96 @@ class _Enumeration:
         # the largest s . a over all J! patterns pairs the sorted effects
         # with the sorted scores 1 - J, 3 - J, ..., J - 1
         self._score_ramp = np.arange(1.0 - J, J, 2.0)
-        # one product with the pattern weights gives every block's total,
-        # first and second score moments
+        # the moment table, and its column of each (i, j) of a flattened
+        # (J-1, J-1) matrix
         self._moment_table = _moment_rows(scores)
+        upper = np.triu_indices(J - 1)
+        pairs = np.empty((J - 1, J - 1), dtype=np.intp)
+        pairs[upper] = pairs.T[upper] = J + 1 + np.arange(upper[0].size)
+        self._pair_columns = pairs.ravel()
         # per class and observed cell, class-major (R, nnz): the cell's block
-        # row in a chain's (K * R, L) pattern weights, and its entry there
+        # row among a chain's K * R rows
         self._cell_blocks = data.cell_set * n_classes + np.arange(n_classes)[:, None]
-        self._cell_entries = self._cell_blocks * L + data.cell_pattern
+        # A chain's K * R block rows are cut into parts within _CHUNK_ENTRIES
+        # (a last part of one row joins the one before), the same whatever
+        # its stack; a chunk is a part of one chain, or as many whole chains
+        # as keep within it. Per part: its rows, the cells in them (flat
+        # class-major indices; a slice, which writes without an index, when a
+        # chain is one part) and their entries in its (rows, L) weights.
+        blocks = data.n_sets * n_classes
+        step = max(2, _CHUNK_ENTRIES // L)
+        cuts = [*range(0, max(blocks - 1, 1), step), blocks]
+        cell_blocks = self._cell_blocks.ravel()
+        entries = cell_blocks * L + np.tile(data.cell_pattern, n_classes)
+        self._parts = [(0, blocks, slice(None), entries)] if len(cuts) == 2 else [
+            (lo, hi, cells, entries[cells] - lo * L)
+            for lo, hi in zip(cuts, cuts[1:])
+            for cells in [np.flatnonzero((cell_blocks >= lo) & (cell_blocks < hi))]]
+        self._chains_per_chunk = max(1, step // blocks)
+        self._chunk_rows = max(2, self._chains_per_chunk * max(np.diff(cuts)))
 
-    def log_normalizer(self, a: np.ndarray):
-        """Per-block log-normalizers, pattern weights, and log P at the cells.
+    def moments(self, a: np.ndarray):
+        """log Z, E[s] and Cov[s] per block, and log P at the cells, from one pass.
 
         ``a`` holds the item effects (..., K, R, J). Returns log Z
-        (..., K, R), with Z_kr = sum_l exp(s_l . a_kr); the pattern weights
-        exp(s_l . a_kr - shift_kr), proportional to the pattern
-        probabilities, as one row of L patterns per block, (..., K * R, L),
-        in (set, class) order; and log P = s_l . a_kr - log Z_kr at the
-        observed cells, class-major, (..., R, nnz). The shift is the largest
-        s_l . a_kr: the space holds every ranking, so it is the sorted
-        effects times the sorted scores. All blocks of all chains are rows
-        of one product with the score matrix, which subtracts the shift
-        too; the cells' log P is gathered from it before an ``exp`` in
-        place (so it stays exact where the weights underflow) and one row
-        sum.
+        (..., K, R), with Z_kr = sum_l exp(s_l . a_kr); E[s] (..., K, R, J);
+        Cov[s] over the non-reference items, one flattened row per block,
+        (..., K, R, (J-1)^2); and log P = s_l . a_kr - log Z_kr at the
+        observed cells, class-major, (..., R, nnz). The blocks of all chains
+        are rows [a_kr, -shift_kr], the shift being the largest s_l . a_kr,
+        the sorted effects times the sorted scores. Per chunk of rows, one
+        product with [S'; 1] gives s_l . a_kr - shift_kr, the cells' log P is
+        gathered from it before an ``exp`` in place (so it stays exact where
+        the weights underflow), and one product of the weights with the
+        moment table gives each block's total (its first column) and
+        moments. A chunk of one row takes a spare row of zeros, so that every
+        row goes through the same matrix kernel whatever the stack.
         """
-        K, R, J = a.shape[-3:]
-        lead = a.shape[:-3]
-        rows = np.empty((a.size // J, J + 1))
-        rows[:, :J] = a.reshape(-1, J)
+        lead, (K, R, J) = a.shape[:-3], a.shape[-3:]
+        n, L = a.size // J, self._shifted_scores.shape[1]
+        rows = np.zeros((n + 1, J + 1))
+        rows[:n, :J] = a.reshape(-1, J)
         shift = np.sort(rows[:, :J], axis=1) @ self._score_ramp
         rows[:, J] = -shift
-        w = rows @ self._shifted_scores
-        logp = np.take(w.reshape(-1, K * R * w.shape[1]), self._cell_entries,
-                       axis=1)
-        np.exp(w, out=w)
-        log_total = np.log(w.sum(axis=1))
-        logp -= np.take(log_total.reshape(-1, K * R), self._cell_blocks, axis=1)
-        return ((log_total + shift).reshape(lead + (K, R)),
-                w.reshape(lead + (K * R, -1)),
-                logp.reshape(lead + logp.shape[1:]))
-
-    def score_moments(self, w: np.ndarray):
-        """Per-block score moments from the pattern weights (..., K * R, L).
-
-        Returns E[s] (..., K, R, J) and Cov[s] over the non-reference
-        items, one flattened row per block, (N, (J-1)^2) with N all blocks
-        of all chains: one product of the weights of
-        :meth:`log_normalizer` with the moment table, divided by its first
-        column, the weights' total, gives E[s] and E[s s'], and
-        Cov[s] = E[s s'] - E[s] E[s]'.
-        """
-        J = self._score_ramp.size
-        sums = w.reshape(-1, w.shape[-1]) @ self._moment_table
+        chains, step = n // (K * R), self._chains_per_chunk
+        logp = np.empty((chains, self._cell_blocks.size))
+        sums = np.empty((n + 1, self._moment_table.shape[1]))
+        chunk = np.empty((min(self._chunk_rows, n + 1), L))
+        for b in range(0, chains, step):
+            c = min(chains - b, step)
+            for first, last, cells, entries in self._parts:
+                lo = b * K * R + first
+                hi = max((b + c - 1) * K * R + last, lo + 2)
+                w = np.matmul(rows[lo:hi], self._shifted_scores, out=chunk[:hi - lo])
+                logp[b:b + c, cells] = np.take(w.reshape(c, -1), entries, axis=1)
+                np.exp(w, out=w)
+                np.matmul(w, self._moment_table, out=sums[lo:hi])
+        sums = sums[:n]
+        log_total = np.log(sums[:, 0])
         sums /= sums[:, :1]
-        free = sums[:, 1:J]
-        cov = sums[:, J + 1:] - (free[:, :, None] * free[:, None, :]).reshape(
-            len(sums), -1)
-        # a copy, so that the means do not keep the whole product alive
-        return sums[:, 1:J + 1].reshape(w.shape[:-2] + self._blocks + (J,)).copy(), cov
+        free = sums[:, 1:J, None]
+        cov = sums[:, self._pair_columns] - (free * free.swapaxes(1, 2)).reshape(n, -1)
+        logp = logp.reshape(lead + self._cell_blocks.shape)
+        logp -= np.take(log_total.reshape(lead + (K * R,)), self._cell_blocks, axis=-1)
+        return ((log_total + shift[:n]).reshape(lead + (K, R)),
+                sums[:, 1:J + 1].reshape(lead + (K, R, J)),
+                cov.reshape(lead + (K, R, -1)), logp)
 
     def uniform(self, n: int):
-        """log Z (n, K, R) and log P at the cells (n, R, nnz) of n chains at zero effects.
+        """:meth:`moments` of n chains at zero effects, the uniform model.
 
-        At a = 0 every block is the uniform model, so no pattern is visited:
-        each of the J! patterns has probability 1 / J!, log Z = log J! and
-        log P = -log J!.
-        """
-        log_z = math.log(math.factorial(self._score_ramp.size))
-        return (np.full((n,) + self._blocks, log_z),
-                np.full((n,) + self._cell_blocks.shape, -log_z))
-
-    def uniform_moments(self, n: int):
-        """:meth:`score_moments` of n chains at zero effects, without the product.
-
-        E[s] = 0, as each item's net wins run uniformly over 1 - J, 3 - J,
-        ..., J - 1, whose variance is (J^2 - 1) / 3; the scores sum to zero,
-        so Cov[s]_ij = (J + 1) / 3 (J delta_ij - 1).
+        Each of the J! patterns has probability 1 / J!, so log Z = log J! and
+        log P = -log J!. E[s] = 0, as each item's net wins run uniformly over
+        1 - J, 3 - J, ..., J - 1, whose variance is (J^2 - 1) / 3; the scores
+        sum to zero, so Cov[s]_ij = (J + 1) / 3 (J delta_ij - 1).
         """
         J = self._score_ramp.size
+        log_z = math.log(math.factorial(J))
         cov = (J + 1) / 3.0 * (J * np.eye(J - 1) - 1.0)
-        blocks = n * self._blocks[0] * self._blocks[1]
-        return (np.zeros((n,) + self._blocks + (J,)),
-                np.broadcast_to(cov.ravel(), (blocks, cov.size)))
+        return (np.full((n,) + self._blocks, log_z),
+                np.zeros((n,) + self._blocks + (J,)),
+                np.broadcast_to(cov.ravel(), (n,) + self._blocks + (cov.size,)),
+                np.full((n,) + self._cell_blocks.shape, -log_z))
 
 
 class Design:
@@ -411,10 +421,6 @@ class Design:
     def n_classes(self) -> int:
         return self.spec.n_classes
 
-    @property
-    def n_patterns(self) -> int:
-        return self.data.space.size
-
     def coefficient_matrix(self, coefficients: np.ndarray) -> np.ndarray:
         """The coefficient vector as B, one row per design column, (..., Q, J - 1)."""
         coefficients = np.asarray(coefficients)
@@ -473,7 +479,7 @@ class Design:
     def check_data(self, data: AggregatedData):
         """Raise unless ``data`` holds the count table the design was built on."""
         if data is not self.data and not (
-                (data.n_sets, data.space.size) == (self.n_sets, self.n_patterns)
+                (data.n_sets, data.space.size) == (self.n_sets, self.data.space.size)
                 and all(np.array_equal(getattr(data, a), getattr(self.data, a))
                         for a in ("cell_set", "cell_pattern", "cell_counts"))):
             raise DataError("data do not match the count table of the design")
@@ -545,7 +551,7 @@ def _mixture(logp: np.ndarray, log_mixing: np.ndarray):
     """log sum_r q_r P_r and the posterior class weights, from one softmax.
 
     ``logp`` holds log P class-major, (..., R, nnz), as
-    :meth:`_Enumeration.log_normalizer` gives it; it is overwritten by the
+    :meth:`_Enumeration.moments` gives it; it is overwritten by the
     posterior weights. ``log_mixing`` holds log q and broadcasts against
     it: (R, 1) for one chain, (B, R, 1) for a stack. Returns the log
     mixture (..., nnz) and the weights (..., R, nnz): one shift, one
@@ -585,7 +591,7 @@ def _column_products(design: Design, m_plus: np.ndarray) -> np.ndarray:
 def _structural_information(cov: np.ndarray, design: Design, products: np.ndarray):
     """The information (B, P, P) over the coefficients of B chains.
 
-    ``cov`` holds the block covariances as :meth:`_Enumeration.score_moments`
+    ``cov`` holds the block covariances as :meth:`_Enumeration.moments`
     returns them, and ``products`` the :func:`_column_products` of the
     block totals. The entry for coefficients (c, i) and (d, j) is
     sum_kr m_plus[k, r] X_krc X_krd Cov_kr[s]_ij over the non-reference
@@ -627,10 +633,10 @@ def _information_stack(coefficients: np.ndarray, log_mixing: np.ndarray,
     ``coefficients`` is (B, P) and ``log_mixing`` (B, R). The score and
     informations are over theta = (coefficients, design column outer and item
     inner, then the R - 1 mass log-ratios log(q_r / q_R)), shaped (B, D) and
-    (B, D, D) with D = P + R - 1, all from one normalizer call: its log P
-    gives the posterior weights w and the log-likelihood (one dot product per
-    chain, which rounds as it does for the chain alone), its pattern weights
-    the structural information at the expected counts m = n w, to which the
+    (B, D, D) with D = P + R - 1, all from one :meth:`_Enumeration.moments`
+    call: its log P gives the posterior weights w and the log-likelihood (one
+    dot product per chain, which rounds as it does for the chain alone), its
+    Cov[s] the structural information at the expected counts m = n w, to which the
     complete-data information adds the mass block N (diag(q~) - q~ q~'), q~
     the first R - 1 masses. The score is the posterior mean of the
     complete-data score (Fisher's identity), and the observed information
@@ -642,13 +648,11 @@ def _information_stack(coefficients: np.ndarray, log_mixing: np.ndarray,
     B, p = coefficients.shape
     R = design.n_classes
     n = design.cell_counts
-    _, weights, logp = design.enumeration.log_normalizer(
+    _, mean, cov, logp = design.enumeration.moments(
         design.block_effects(coefficients))
     log_mixture, w = _mixture(logp, log_mixing[:, :, None])
     m = w * n
     m_plus = design.set_sums(m, axis=-1).swapaxes(1, 2)  # (B, K, R)
-    mean, cov = design.enumeration.score_moments(weights)
-    del weights
     structural = _structural_information(cov, design,
                                          _column_products(design, m_plus))
     q = np.exp(log_mixing[:, :-1])
@@ -704,7 +708,7 @@ def _missing_information(w: np.ndarray, mean: np.ndarray, design: Design):
     mu = mean[..., :-1].transpose(0, 2, 1, 3)  # (B, R, K, J1)
     # sum C (s - mu_r), and sum C (s - mu_r)(s - mu_r')'
     E = A[..., 1:J1 + 1] - A[..., :1] * mu[:, :, None]
-    D = (A[..., J1 + 2:].reshape(E.shape + (J1,))
+    D = (A[..., design.enumeration._pair_columns].reshape(E.shape + (J1,))
          - mu[:, :, None, :, :, None] * A[..., None, 1:J1 + 1]
          - E[..., :, None] * mu[:, None, :, :, None, :])
     # the coefficient block sums the (class, class', set) products of the
@@ -733,8 +737,7 @@ def _missing_information(w: np.ndarray, mean: np.ndarray, design: Design):
 
 def posterior_weights(params: Parameters, design: Design) -> np.ndarray:
     """Posterior class probabilities at the observed cells, shaped (nnz, R)."""
-    logp = design.enumeration.log_normalizer(
-        design.block_effects(params.coefficients))[2]
+    logp = design.enumeration.moments(design.block_effects(params.coefficients))[3]
     return _mixture(logp, np.log(params.mixing)[:, None])[1].T.copy()
 
 
@@ -749,8 +752,7 @@ def mixture_loglik(
     likelihood-ratio statistics.
     """
     design.check_data(data)
-    logp = design.enumeration.log_normalizer(
-        design.block_effects(params.coefficients))[2]
+    logp = design.enumeration.moments(design.block_effects(params.coefficients))[3]
     loglik = float(_mixture(logp, np.log(params.mixing)[:, None])[0]
                    @ design.cell_counts)
     return loglik, 2.0 * (design.saturated_loglik - loglik)

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import rankmix.inference as inference
 from rankmix.data import CovariateDecl, aggregate
 from rankmix.fitting import FitConfig, _damped_newton, fit
 from rankmix.inference import (
@@ -218,15 +219,37 @@ class TestHessianSE:
         # patterns at the fit's parameters
         result, data = two_class_two_set_fit()
         calls = []
-        normalizer = _Enumeration.log_normalizer
+        moments = _Enumeration.moments
 
         def counted(self, a):
             calls.append(1)
-            return normalizer(self, a)
+            return moments(self, a)
 
-        monkeypatch.setattr(_Enumeration, "log_normalizer", counted)
+        monkeypatch.setattr(_Enumeration, "moments", counted)
         call(result, data)
         assert len(calls) == 1
+
+    def test_report_takes_one_pass_before_the_refits(self, monkeypatch):
+        # the raw SEs, the Hessian SEs and the refit starts share one
+        # information at the fit's parameters
+        result, data = two_class_two_set_fit()
+        calls = []
+        moments, refits = _Enumeration.moments, inference._damped_newton
+
+        def counted(self, a):
+            calls.append("pass")
+            return moments(self, a)
+
+        def refit(*args):
+            calls.append("refit")
+            return refits(*args)
+
+        monkeypatch.setattr(_Enumeration, "moments", counted)
+        monkeypatch.setattr(inference, "_damped_newton", refit)
+        report = standard_error_report(result, data, methods=("all",))
+        assert calls[:calls.index("refit")] == ["pass"]
+        assert all(row.se_raw and row.se_hessian and row.se_corrected
+                   for row in report.rows)
 
     def test_identical_classes_reported_as_flat(self):
         rng = np.random.default_rng(8)

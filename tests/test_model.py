@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from rankmix.data import AggregatedData, CovariateDecl, CovariateSet, DataError, aggregate
+import rankmix.model as model
 from rankmix.fitting import FitConfig
 from rankmix.model import (
     Design,
@@ -223,18 +225,59 @@ class TestLogNormalizer:
             np.linspace(-50.0, 50.0, n_items),
         ])
         # a stack of blocks, each its own chain of one set and one class
-        log_z, w, _ = design.enumeration.log_normalizer(blocks[:, None, None, :])
-        mean, cov = design.enumeration.score_moments(w)
+        log_z, mean, cov, _ = design.enumeration.moments(blocks[:, None, None, :])
         assert np.isfinite(log_z).all()
-        # the shift is the largest s . a, so each block's top weight is 1
-        assert w.max(axis=-1) == pytest.approx(np.ones((len(blocks), 1)),
-                                               rel=1e-12)
         for b, effects in enumerate(blocks):
             want_log_z, want_mean, want_cov = self.enumerated(effects)
             assert log_z[b, 0, 0] == pytest.approx(want_log_z, rel=1e-12,
                                                    abs=1e-12)
             assert mean[b, 0, 0] == pytest.approx(want_mean, abs=1e-12)
-            assert cov[b] == pytest.approx(want_cov, abs=1e-12)
+            assert cov[b, 0, 0] == pytest.approx(want_cov, abs=1e-12)
+
+    @staticmethod
+    def two_pass(data, a):
+        """log Z, E[s], Cov[s] and the cells' log P at effects ``a`` (B, K, R, J),
+        over the dense score matrix: the shifted products, one ``exp`` and a
+        row sum give log Z, and the normalized weights the moments."""
+        scores = data.space.score_matrix()
+        e = a @ scores.T  # (B, K, R, L)
+        shift = e.max(axis=-1, keepdims=True)
+        w = np.exp(e - shift)
+        total = w.sum(axis=-1)
+        p = w / total[..., None]
+        mean = p @ scores
+        free = scores[:, :-1]
+        cov = (np.einsum("...l,li,lj->...ij", p, free, free)
+               - mean[..., :-1, None] * mean[..., None, :-1])
+        log_z = np.log(total) + shift[..., 0]
+        logp = (e - log_z[..., None]).transpose(0, 2, 1, 3)
+        return (log_z, mean, cov.reshape(cov.shape[:-2] + (-1,)),
+                logp[:, :, data.cell_set, data.cell_pattern])
+
+    @given(n_items=st.sampled_from([3, 4, 5]), n_sets=st.integers(1, 4),
+           n_classes=st.integers(1, 3), stack=st.integers(1, 5),
+           chunk_rows=st.integers(1, 9), seed=st.integers(0, 2 ** 16),
+           underflow=st.booleans())
+    def test_one_pass_matches_two_passes(self, n_items, n_sets, n_classes, stack,
+                                         chunk_rows, seed, underflow):
+        # chunks of a few rows: a chain whose K * R block rows outnumber a
+        # chunk's is cut inside, and chains that fit share chunks
+        L = math.factorial(n_items)
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 3, (n_sets, L)) * (rng.random((n_sets, L)) < 0.5)
+        counts[:, 0] += 1
+        levels = [f"l{k}" for k in range(n_sets)] if n_sets > 1 else None
+        data = make_data(n_items, counts, factor_levels=levels)
+        with mock.patch.object(model, "_CHUNK_ENTRIES", chunk_rows * L):
+            enumeration = model._Enumeration(data, n_classes)
+        a = rng.normal(0.0, 1.0, (stack, n_sets, n_classes, n_items))
+        a[..., -1] = 0.0
+        if underflow:  # a block whose weights mostly underflow
+            a[-1, -1, -1, :-1] = 200.0 * rng.choice([-1.0, 1.0], n_items - 1)
+        for got, want in zip(enumeration.moments(a), self.two_pass(data, a)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * max(np.abs(want).max(), 1.0))
 
     @pytest.mark.parametrize("n_items", [2, 3, 4, 5, 6, 7])
     def test_uniform_closed_form_is_the_pass_at_zero(self, n_items):
@@ -245,9 +288,9 @@ class TestLogNormalizer:
         design = Design(ModelSpec(tuple("ABCDEFG"[:n_items]), ("g",), 2),
                         make_data(n_items, counts, factor_levels=["a", "b", "c"]))
         enumeration = design.enumeration
-        log_z, w, logp = enumeration.log_normalizer(np.zeros((2, 3, 2, n_items)))
-        passes = (log_z, logp, *enumeration.score_moments(w))
-        closed = (*enumeration.uniform(2), *enumeration.uniform_moments(2))
+        passes = enumeration.moments(np.zeros((2, 3, 2, n_items)))
+        closed = enumeration.uniform(2)
+        assert len(closed) == len(passes) == 4
         for got, want in zip(closed, passes):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
@@ -269,18 +312,17 @@ class TestLogNormalizer:
         edge = 0.995 * FitConfig().degenerate_offset
         signs = np.where(np.arange(n_items - 1) < n_items // 2, 1.0, -1.0)
         coefficients[-1] = np.tile(edge * signs, design.X.shape[-1])
-        _, w, logp = design.enumeration.log_normalizer(
-            design.block_effects(coefficients))
+        logp = design.enumeration.moments(design.block_effects(coefficients))[3]
         assert logp.shape == (stack, n_classes, design.cell_set.size)
         for b in range(stack):
             dense = design.log_pattern_probs(coefficients[b])
             want = dense[design.cell_set, design.cell_pattern].T
             assert np.abs(logp[b] - want).max() < 1e-12
         if n_items == 6:
-            # exp underflows many of the extreme chain's pattern weights (most
-            # of them in a block with a class offset), while its cells' log P
-            # stays finite
-            underflow = np.mean(w[-1] == 0.0, axis=-1).max()
+            # exp underflows many of the extreme chain's pattern probabilities
+            # (most of them in a block with a class offset), while its cells'
+            # log P stays finite
+            underflow = np.mean(np.exp(dense) == 0.0, axis=1).max()
             assert underflow > (0.5 if n_classes > 1 else 0.4)
         assert np.isfinite(logp).all()
 
@@ -575,10 +617,8 @@ class TestInformation:
         assert score.shape == (p + n_classes - 1,)
         m = (design.cell_counts[:, None] * posterior_weights(params, design)).T
         m_plus, t = design.block_totals(m)
-        weights = design.enumeration.log_normalizer(
-            design.block_effects(params.coefficients))[1]
-        newton = _coefficient_score(design.X, t, m_plus,
-                                    design.enumeration.score_moments(weights)[0])
+        mean = design.enumeration.moments(design.block_effects(params.coefficients))[1]
+        newton = _coefficient_score(design.X, t, m_plus, mean)
         assert np.abs(score[:p] - newton).max() <= 1e-12 * np.abs(newton).max()
         shares = m.sum(axis=1)[:-1] - design.n_respondents * params.mixing[:-1]
         assert np.abs(score[p:] - shares).max(initial=0.0) <= (
