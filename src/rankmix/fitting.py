@@ -15,14 +15,15 @@ deviance by at most ``_IRLS_TOL`` relative to it.
 Because the pattern model is log-linear in the net-win score vector s,
 the data enter each fit only through the observed cells (the (set,
 pattern) pairs with a nonzero count, as the data store them). The item
-effects of a (set, class) block are a = X B, with X the block's row of
-the design matrix (see ``Design``), so each coefficient is one (design
-column c, item i) pair. A block with expected total n, observed score
-total t and pattern probabilities p contributes X_c (t - n E[s])_i to
-the score, n X_c X_d Cov[s]_ij to the information entry of (c, i) and
-(d, j), and t . a - n log Z to the expected-count log-likelihood, with
-Cov[s] = E[s s'] - E[s] E[s]'; the score and information kernels are
-those of ``rankmix.model``. The pattern space enters only through the
+effects of a (set k, class r) block are a = x_k B_x + o_r = X B, with
+X = [x_k, e_r] the block's design row (see ``Design``), so each
+coefficient is one (design column c, item i) pair. A block with
+expected total n, observed score total t and pattern probabilities p
+contributes X_c (t - n E[s])_i to the score, n X_c X_d Cov[s]_ij to the
+information entry of (c, i) and (d, j), and t . a - n log Z to the
+expected-count log-likelihood, with Cov[s] = E[s s'] - E[s] E[s]'; the
+score and information kernels of ``rankmix.model`` sum these over the
+nonzero entries of X alone. The pattern space enters only through the
 design's enumeration kernel, ``design.enumeration.moments`` (a
 ``model._Enumeration``): one pass over the patterns gives each block's
 log Z, E[s] and Cov[s] and log P at the cells, and no array over the
@@ -58,10 +59,10 @@ Each kernel call (block effects, the moments, the information, the
 Cholesky test, the Newton solve) serves the whole stack, while every
 chain keeps its own Newton steps, step halving, convergence test and
 iteration count, so each chain takes exactly the iterations it takes
-alone. A stack holds as many chains as keep the information's column
-products and their cell arrays within ``_STACK_ENTRIES`` entries. A stack
-whose starts are all the uniform model takes their moments in closed form
-(``_Enumeration.uniform``), with no pass over the patterns.
+alone. A stack holds as many chains as keep their cell arrays within
+``_STACK_ENTRIES`` entries. A stack whose starts are all the uniform
+model takes their moments in closed form (``_Enumeration.uniform``),
+with no pass over the patterns.
 
 A one-class chain starts at the uniform model (all coefficients zero),
 its likelihood being concave, and is the exception to the loop's
@@ -96,7 +97,6 @@ from .model import (
     RankDeficientDesignError,  # noqa: F401 (re-exported; Design raises it)
     _STACK_ENTRIES,
     _coefficient_score,
-    _column_products,
     _information_stack,
     _mixture,
     _structural_information,
@@ -289,12 +289,11 @@ def _newton(m, design: Design, beta, start, tol: float, max_iter: int):
     met = np.zeros(n, dtype=bool)
     # the chains still stepping; every array below has one row per chain
     chains = np.arange(n)
-    products = _column_products(design, m_plus)
     dev = deviance(a, log_z, observed, m_plus, saturated)
     out = None  # per chain, where it stopped, once a chain has stopped
     for iteration in range(1, max_iter + 1):
-        info = _structural_information(cov, design, products)
-        score = _coefficient_score(design.X, observed, m_plus, mean)
+        info = _structural_information(cov, m_plus, design)
+        score = _coefficient_score(design.x, observed, m_plus, mean)
         # the failing chains take a zero step and leave
         direction, failed = _solve(info, score, _cholesky_failures(info))
         for j in failed:
@@ -336,9 +335,8 @@ def _newton(m, design: Design, beta, start, tol: float, max_iter: int):
             if stopped == len(chains):
                 break
             going = ~stop
-            chains, beta, dev, mean, cov, m_plus, observed, saturated, products = (
-                x[going] for x in (chains, beta, dev, mean, cov, m_plus, observed,
-                                   saturated, products))
+            chains, beta, dev, mean, cov, m_plus, observed, saturated = (x[going] for x in (
+                chains, beta, dev, mean, cov, m_plus, observed, saturated))
     return (*out, errors, met)
 
 
@@ -395,8 +393,7 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, callback):
         if iteration:  # M step: the coefficients, as q came with the E step
             b, *at_b, logp, errors, solved = _newton(m, design, b, at_b, _IRLS_TOL,
                                                      config.irls_max_iter)
-            offsets = np.abs(design.coefficient_matrix(b)[:, design.n_covariate_columns:])
-            offsets = offsets.max(axis=(1, 2), initial=0.0)
+            offsets = np.abs(design.class_offsets(b)).max(axis=(1, 2))
         # E step: one softmax gives the log-likelihood and the posterior
         # weights, and these the next M step's expected counts and masses
         log_mixture, w = _mixture(logp, np.log(q)[:, :, None])
@@ -440,9 +437,8 @@ def _run_stack(design: Design, starts, config: FitConfig, labels, callback):
 
 
 def _stack_size(design: Design) -> int:
-    """Chains per stack: column products and cell arrays within ``_STACK_ENTRIES``."""
-    K, R, Q = design.X.shape
-    return max(1, _STACK_ENTRIES // max(K * R * Q * Q, R * design.cell_set.size))
+    """Chains per stack: their cell arrays, B x R x nnz, within ``_STACK_ENTRIES``."""
+    return max(1, _STACK_ENTRIES // (design.n_classes * design.cell_set.size))
 
 
 def run_chains(
@@ -697,10 +693,8 @@ def split_largest_class(result: FitResult, jitter: float = 0.0,
     n_cov = design.n_covariate_columns
     offsets = design.class_offsets(result.params.coefficients)[:-1].T  # (R, J-1)
     shift = offsets[c]
-    beta = np.vstack([
-        design.coefficient_matrix(result.params.coefficients)[:n_cov],
-        offsets - shift,
-    ])
+    beta = np.vstack([design.coefficient_matrix(result.params.coefficients)[:n_cov],
+                      offsets - shift])
     beta[0] += shift  # the intercept column holds the item mains
     if jitter > 0:
         rng = np.random.default_rng(seed)

@@ -117,8 +117,7 @@ def _constrained_refits(fit: FitResult, data: AggregatedData, coefficients,
         point, loglik, converged = chain
         coefficients_at, log_mixing = _unpack_theta(point[None], design)
         mass = float(np.exp(log_mixing.min()))
-        offset = np.abs(design.coefficient_matrix(coefficients_at[0])[
-            design.n_covariate_columns:]).max(initial=0.0)
+        offset = np.abs(design.class_offsets(coefficients_at[0])).max()
         if mass < config.degenerate_mass or offset > config.degenerate_offset:
             results[i] = StandardErrorError(
                 f"constrained refit for {name!r} degenerated: class mass "

@@ -14,17 +14,18 @@ sets k and latent classes r as
 
 with the last item as reference (all its coefficients fixed at 0), the
 first factor level as reference, and the last class as reference
-(offset 0). In matrix form a_kr = X_kr B over the non-reference items:
-row (k, r) of the block design matrix X holds the set's covariate
-columns and the class indicators, and B holds one row of item
-coefficients per column. Class r carries mixing weight q_r; the
-observed-data likelihood multiplies sum_r q_r P_lkr over cells to the
-power n_lk. ``Design`` refuses, once, a covariate set with no respondents
-and each column of X that adds no rank to the columns before it over the
-block rows X_kr: with every Cov_kr[s] positive definite, the information
-sum_kr m_kr (X_kr X_kr') (x) Cov_kr[s] is singular exactly when those
-rows fail to span the columns (Fienberg & Rinaldo 2012, Ann. Statist.
-40:996).
+(offset 0). In matrix form a_kr = x_k B_x + o_r = X_kr B over the
+non-reference items: row k of the covariate matrix x holds set k's
+intercept, continuous and factor columns, B one row of item coefficients
+per column of x and then the class offsets o_r, o_R = 0, and the block
+row X_kr = [x_k, e_r], e_R = 0, is never formed. Class r carries mixing
+weight q_r; the observed-data likelihood multiplies sum_r q_r P_lkr over
+cells to the power n_lk. ``Design`` refuses, once, a covariate set with
+no respondents and each column of x that adds no rank to the columns
+before it: with every Cov_kr[s] positive definite, the information
+sum_kr m_kr (X_kr X_kr') (x) Cov_kr[s] is singular exactly when the
+block rows fail to span the columns (Fienberg & Rinaldo 2012, Ann.
+Statist. 40:996), which a class column never does.
 
 The fit works on the observed cells, the (set, pattern) pairs with a
 nonzero count, which ``AggregatedData`` stores sorted by (set, pattern)
@@ -38,7 +39,7 @@ observed cells from one pass over the patterns: chunk by chunk of block
 rows, one product with the score matrix, one ``exp`` and one product
 with its moment table; no array over the patterns outlives the call.
 ``uniform`` gives the same at zero effects, in closed form. ``Design``
-keeps the rest: the block design matrix X and the coefficients, and the
+keeps the rest: the covariate rows x and the coefficients, and the
 observed cells with their counts, their rows [1 | s | s_i s_j] and each
 set's run of cells, from which ``block_totals`` and the missing
 information read the observed score totals. Inside the fit, log P,
@@ -55,7 +56,9 @@ the Newton solve, and ``_information_stack``, the log-likelihood, score,
 complete-data and observed information of the mixture likelihood by
 Louis's identity (Louis 1982, JRSS-B 44:226) for a stack of chains, at
 per-block cost: its missing information comes from per-(set, class,
-class) sums over each set's run of cells. It works on theta =
+class) sums over each set's run of cells. Both informations are sums of
+(X_kr X_kr') (x) weights, which ``_factored_information`` forms from
+the nonzero blocks of X_kr X_kr'' alone. It works on theta =
 (coefficients, log(q_r / q_R)), ``Parameters.theta``; the damped Newton
 refits read it over a stack, and the raw and Hessian SEs and
 ``mixture_score`` read it for one chain (``_information``).
@@ -93,11 +96,11 @@ class RankDeficientDesignError(FitError):
         )
 
 
-# Chains of one design advance as one stack while the information's column
-# products, B x K x R x Q^2 doubles, and their cell arrays, B x R x nnz,
-# stay within this many entries (8 MB); a design whose blocks alone exceed
-# it runs one chain at a time. The missing information's temporaries keep
-# within it too.
+# Chains of one design advance as one stack while their cell arrays,
+# B x R x nnz doubles, stay within this many entries (8 MB); their block
+# arrays, B x K x R x (J-1)^2, are at most (J-1)^2 times that, as each set
+# has a cell. A design whose cells alone exceed it runs one chain at a
+# time. The missing information's temporaries keep within it too.
 _STACK_ENTRIES = 1_000_000
 # The moment kernel walks the block rows in chunks of at most this many
 # pattern weights (220 KB): on a 2-vCPU Xeon with 2 MB L2 per core, 38-row
@@ -312,14 +315,14 @@ class Design:
     """Resolved design linking a ModelSpec to an aggregated data set.
 
     The item effects of each (covariate set k, class r) block are
-    a_kr = X_kr B: ``X`` is the (K, R, Q) block design matrix and B the
-    (Q, J - 1) coefficient matrix, with the reference item's effect fixed
-    at 0. The first ``n_covariate_columns`` columns of ``X`` are the
-    covariate columns (the intercept, each continuous term's standardized
-    values, each factor or interaction level's indicator); the last R - 1
-    are the class indicators, whose rows of B are the class offsets. The
-    coefficient vector is B in row-major order (design column outer, item
-    inner).
+    a_kr = x_k B_x + o_r, with the reference item's effect fixed at 0.
+    ``x`` is the (K, Q_c) covariate matrix, Q_c = ``n_covariate_columns``:
+    the intercept, each continuous term's standardized values, each factor
+    or interaction level's indicator. B is the (Q_c + R - 1, J - 1)
+    coefficient matrix: its first Q_c rows are B_x, its last R - 1 the
+    class offsets o_r, o_R = 0, so a_kr = X_kr B for the block row
+    X_kr = [x_k, e_r]. The coefficient vector is B in row-major order
+    (design column outer, item inner).
 
     Also built: for the data's observed cells (sorted by set, then
     pattern), their counts as floats, their rows [1 | s | s_i s_j] and the
@@ -349,9 +352,9 @@ class Design:
         self._cell_moments = _moment_rows(
             (J + 1 - 2 * data.space.rankings[self.cell_pattern]).astype(np.float64))
         self.coefficients: list[Coefficient] = []
-        columns: list[np.ndarray] = []  # each broadcasts to (K, R)
+        columns: list[np.ndarray] = []  # the columns of x, each (K,)
 
-        def add_column(values: np.ndarray, kind: str, suffix: str, **fields):
+        def add_column(values: np.ndarray | None, kind: str, suffix: str, **fields):
             columns.append(values)
             self.coefficients.extend(
                 Coefficient(name=label + suffix, kind=kind, item=j, **fields)
@@ -361,7 +364,7 @@ class Design:
         factor_names = data.covariate_names("factor")
         cont_names = data.covariate_names("continuous")
 
-        add_column(np.ones((K, 1)), "item", "")
+        add_column(np.ones(K), "item", "")
         for term in spec.terms:
             parts = term.split(":")
             kinds = []
@@ -373,8 +376,8 @@ class Design:
                 else:
                     raise DataError(f"term {term!r}: no covariate named {part!r}")
             if kinds == ["continuous"]:
-                z = data.standardized_continuous(parts[0])
-                add_column(z[:, None], "continuous", f":{parts[0]}", term=term)
+                add_column(data.standardized_continuous(parts[0]), "continuous",
+                           f":{parts[0]}", term=term)
             elif all(k == "factor" for k in kinds):
                 level_orders = [data.factor_level_order(p) for p in parts]
                 positions = [factor_names.index(p) for p in parts]
@@ -388,21 +391,21 @@ class Design:
                     label = ":".join(
                         f"{p}={lev}" for p, lev in zip(parts, combo)
                     )
-                    add_column(mask[:, None], "factor", f":{label}", term=term,
-                               levels=combo)
+                    add_column(mask, "factor", f":{label}", term=term, levels=combo)
             else:
                 raise DataError(
                     f"term {term!r}: interactions may only combine factors"
                 )
+        self.x = np.column_stack(columns)
         self.n_covariate_columns = len(columns)
-        for r in range(R - 1):
-            add_column(np.eye(R)[r], "class", f":class{r + 1}", class_index=r)
-
-        self.X = np.stack([np.broadcast_to(c, (K, R)) for c in columns], axis=-1)
-        if aliased := _aliased_columns(self.X.reshape(K * R, -1)):
+        # No class column is aliased: a combination of the columns of X_kr =
+        # [x_k, e_r] that is 0 on every row has its x part 0 at r = R, e_R = 0.
+        if aliased := _aliased_columns(self.x):
             raise RankDeficientDesignError(
                 c.name for j in aliased
                 for c in self.coefficients[j * (J - 1):(j + 1) * (J - 1)])
+        for r in range(R - 1):  # the class offsets, B's last R - 1 rows
+            add_column(None, "class", f":class{r + 1}", class_index=r)
         self.name_to_index = {c.name: i for i, c in enumerate(self.coefficients)}
 
     @property
@@ -422,19 +425,18 @@ class Design:
         return self.spec.n_classes
 
     def coefficient_matrix(self, coefficients: np.ndarray) -> np.ndarray:
-        """The coefficient vector as B, one row per design column, (..., Q, J - 1)."""
+        """The coefficient vector as B, one row per column of x, then one per
+        class offset, (..., Q_c + R - 1, J - 1)."""
         coefficients = np.asarray(coefficients)
-        return coefficients.reshape(
-            coefficients.shape[:-1] + (self.X.shape[-1], self.n_items - 1)
-        )
+        return coefficients.reshape(coefficients.shape[:-1] + (-1, self.n_items - 1))
 
     def block_effects(self, coefficients: np.ndarray) -> np.ndarray:
-        """Item effects a_kr = X_kr B per block, shaped (..., K, R, J)."""
-        K, R, Q = self.X.shape
+        """Item effects a_kr = x_k B_x + o_r per block, o_R = 0, shaped (..., K, R, J)."""
         B = self.coefficient_matrix(coefficients)
-        lead = B.shape[:-2]
-        a = np.zeros(lead + (K, R, self.n_items))
-        a[..., :-1] = (self.X.reshape(K * R, Q) @ B).reshape(lead + (K, R, -1))
+        Q = self.n_covariate_columns
+        a = np.zeros(B.shape[:-2] + (self.n_sets, self.n_classes, self.n_items))
+        a[..., :-1] = (self.x @ B[..., :Q, :])[..., None, :]
+        a[..., :-1, :-1] += B[..., None, Q:, :]
         return a
 
     def item_effects(self, coefficients: np.ndarray) -> np.ndarray:
@@ -485,14 +487,15 @@ class Design:
             raise DataError("data do not match the count table of the design")
 
     def class_offsets(self, coefficients: np.ndarray) -> np.ndarray:
-        """Offset matrix (J, R); reference item row and reference class column are 0.
+        """Offset matrix (..., J, R); reference item row and reference class column are 0.
 
-        Any per-coefficient vector (estimates, standard errors) maps this
-        way: the class rows of its coefficient matrix, transposed.
+        Any per-coefficient vector (estimates, standard errors), or a stack
+        of them, maps this way: the class rows of its coefficient matrix,
+        transposed.
         """
-        out = np.zeros((self.n_items, self.n_classes))
-        out[:-1, :-1] = self.coefficient_matrix(coefficients)[
-            self.n_covariate_columns:].T
+        B = self.coefficient_matrix(coefficients)
+        out = np.zeros(B.shape[:-2] + (self.n_items, self.n_classes))
+        out[..., :-1, :-1] = B[..., self.n_covariate_columns:, :].swapaxes(-1, -2)
         return out
 
 
@@ -566,42 +569,56 @@ def _mixture(logp: np.ndarray, log_mixing: np.ndarray):
     return (np.log(total) + shift)[..., 0, :], logp
 
 
-def _coefficient_score(X: np.ndarray, t: np.ndarray, m_plus: np.ndarray,
+def _coefficient_score(x: np.ndarray, t: np.ndarray, m_plus: np.ndarray,
                        mean: np.ndarray) -> np.ndarray:
     """Score over all coefficients: sum_kr X_kr' (t_kr - m_plus_kr E_kr[s]).
 
-    The (Q, J - 1) result of each chain keeps the non-reference items and
-    is returned flat in coefficient order, (..., P).
+    As X_kr = [x_k, e_r], the rows of x take the sum over the classes, and
+    each class offset the sum over the sets of its class. The (Q, J - 1)
+    result of each chain is returned flat in coefficient order, (..., P).
     """
-    resid = (t - m_plus[..., None] * mean)[..., :-1]
-    lead = resid.shape[:-3]
-    Q = X.shape[-1]
-    score = X.reshape(-1, Q).T @ resid.reshape(lead + (-1, resid.shape[-1]))
-    return score.reshape(lead + (-1,))
+    resid = (t - m_plus[..., None] * mean)[..., :-1]  # (..., K, R, J - 1)
+    score = np.concatenate([x.T @ resid.sum(axis=-2),
+                            resid[..., :-1, :].sum(axis=-3)], axis=-2)
+    return score.reshape(score.shape[:-2] + (-1,))
 
 
-def _column_products(design: Design, m_plus: np.ndarray) -> np.ndarray:
-    """The information's block weights m_plus[k, r] X_krc X_krd, (B, K * R, Q * Q)."""
-    K, R, Q = design.X.shape
-    X = design.X.reshape(K * R, Q)
-    return ((m_plus.reshape(-1, K * R, 1) * X)[..., :, None]
-            * X[:, None, :]).reshape(-1, K * R, Q * Q)
+def _factored_information(x: np.ndarray, both: np.ndarray, column: np.ndarray,
+                          classes: np.ndarray) -> np.ndarray:
+    """sum_krr' (X_kr X_kr'') (x) G_krr' over the coefficients, (B, P, P).
+
+    X_kr = [x_k, e_r] is block (k, r)'s design row, e_R = 0, and G_krr' a
+    (J-1, J-1) weight, given summed over the class pair wherever the rows
+    do not depend on it: ``both`` (B, K, (J-1)^2) over r and r' for the
+    x x' block; ``column`` (B, K, R - 1, (J-1)^2) over r for the x e_r''
+    block and its transpose; ``classes`` (B, R - 1, R - 1, (J-1)^2) over
+    the sets for the e_r e_r'' block.
+    """
+    (B, K, R1, JJ), Q = column.shape, x.shape[1]
+    J1 = math.isqrt(JJ)
+    info = np.empty((B, Q + R1, J1, Q + R1, J1))  # (row c, i, column d, j)
+    xx = (x[:, :, None] * x[:, None, :]).reshape(K, -1)
+    info[:, :Q, :, :Q] = (xx.T @ both).reshape(B, Q, Q, J1, J1).swapaxes(2, 3)
+    info[:, :Q, :, Q:] = (x.T @ column.reshape(B, K, -1)).reshape(
+        B, Q, R1, J1, J1).swapaxes(2, 3)
+    info[:, Q:, :, :Q] = info[:, :Q, :, Q:].transpose(0, 3, 4, 1, 2)
+    info[:, Q:, :, Q:] = classes.reshape(B, R1, R1, J1, J1).swapaxes(2, 3)
+    return info.reshape(B, (Q + R1) * J1, -1)
 
 
-def _structural_information(cov: np.ndarray, design: Design, products: np.ndarray):
+def _structural_information(cov: np.ndarray, m_plus: np.ndarray, design: Design):
     """The information (B, P, P) over the coefficients of B chains.
 
     ``cov`` holds the block covariances as :meth:`_Enumeration.moments`
-    returns them, and ``products`` the :func:`_column_products` of the
-    block totals. The entry for coefficients (c, i) and (d, j) is
-    sum_kr m_plus[k, r] X_krc X_krd Cov_kr[s]_ij over the non-reference
-    items, one matrix product of the column products with the covariances.
+    returns them and ``m_plus`` the block totals (B, K, R). The information
+    is sum_kr (X_kr X_kr') (x) m_plus[k, r] Cov_kr[s] over the non-reference
+    items, whose class block is block-diagonal (:func:`_factored_information`).
     """
-    J1 = design.n_items - 1
-    Q = design.X.shape[-1]
-    info = np.swapaxes(products, 1, 2) @ cov.reshape(products.shape[:2] + (-1,))
-    info = info.reshape(-1, Q, Q, J1, J1).transpose(0, 1, 3, 2, 4)
-    return info.reshape(-1, Q * J1, Q * J1)
+    W = m_plus[..., None] * cov  # (B, K, R, (J-1)^2)
+    B, _, R, JJ = W.shape
+    classes = np.zeros((B, (R - 1) ** 2, JJ))
+    classes[:, ::R] = W[:, :, :-1].sum(axis=1)  # the diagonal (r, r)
+    return _factored_information(design.x, W.sum(axis=2), W[:, :, :-1], classes)
 
 
 def _unpack_theta(theta: np.ndarray, design: Design):
@@ -653,8 +670,7 @@ def _information_stack(coefficients: np.ndarray, log_mixing: np.ndarray,
     log_mixture, w = _mixture(logp, log_mixing[:, :, None])
     m = w * n
     m_plus = design.set_sums(m, axis=-1).swapaxes(1, 2)  # (B, K, R)
-    structural = _structural_information(cov, design,
-                                         _column_products(design, m_plus))
+    structural = _structural_information(cov, m_plus, design)
     q = np.exp(log_mixing[:, :-1])
     score = np.empty((B, p + R - 1))
     score[:, p:] = m.sum(axis=-1)[:, :-1] - design.n_respondents * q
@@ -668,7 +684,7 @@ def _information_stack(coefficients: np.ndarray, log_mixing: np.ndarray,
     for lo in range(0, B, group):
         chains = slice(lo, lo + group)
         t = design.block_totals(m[chains])[1]
-        score[chains, :p] = _coefficient_score(design.X, t, m_plus[chains],
+        score[chains, :p] = _coefficient_score(design.x, t, m_plus[chains],
                                                mean[chains])
         if R > 1:
             observed[chains] -= _missing_information(w[chains], mean[chains],
@@ -687,14 +703,16 @@ def _missing_information(w: np.ndarray, mean: np.ndarray, design: Design):
     sum_rr' C_rr' g_r g_r', C_rr' = n (w_r delta_rr' - w_r w_r'). Each of
     its blocks comes from per-(chain, set, r, r') sums of C_rr' [1, s, s s']
     over the set's run of cells: the coefficient block is
-    sum_krr' (X_kr X_kr') (x) sum C_rr' d_r d_r', the coefficient-mass
-    block sum_kr X_kr (x) sum C_rr' d_r in column r', and the mass block
-    sum C_rr' over r, r' < R. The rows and the columns of C sum to zero,
-    so only the sums over r, r' < R are formed, and the reference class's
-    follow from them.
+    sum_krr' (X_kr X_kr') (x) D_krr', D_krr' = sum C_rr' d_r d_r'
+    (:func:`_factored_information`), the coefficient-mass block
+    sum_kr X_kr (x) sum C_rr' d_r in column r', whose rows of x take the sum
+    over r and whose class rows their own r, and the mass block sum C_rr'
+    over r, r' < R. The rows and the columns of C sum to zero, so only the
+    sums over r, r' < R are formed, and the reference class's follow from
+    them.
     """
     B, R, _ = w.shape
-    K, _, Q = design.X.shape
+    K, Q = design.x.shape
     J1 = design.n_items - 1
     p = design.n_coefficients
     v = w[:, :-1] * design.cell_counts  # n w_r, r < R
@@ -710,27 +728,16 @@ def _missing_information(w: np.ndarray, mean: np.ndarray, design: Design):
     E = A[..., 1:J1 + 1] - A[..., :1] * mu[:, :, None]
     D = (A[..., design.enumeration._pair_columns].reshape(E.shape + (J1,))
          - mu[:, :, None, :, :, None] * A[..., None, 1:J1 + 1]
-         - E[..., :, None] * mu[:, None, :, :, None, :])
-    # the coefficient block sums the (class, class', set) products of the
-    # design rows (R * R * K, Q * Q) times D, over runs of those rows whose
-    # products keep within _STACK_ENTRIES entries
-    X = design.X.transpose(1, 0, 2)  # (R, K, Q)
-    D = D.reshape(B, -1, J1 * J1)
-    rows = np.arange(D.shape[1])
-    run = max(1, _STACK_ENTRIES // (Q * Q))
-
-    def coefficient_block(lo):
-        r, r2, k = np.unravel_index(rows[lo:lo + run], (R, R, K))
-        pairs = (X[r, k, :, None] * X[r2, k, None, :]).reshape(-1, Q * Q)
-        return pairs.T @ D[:, lo:lo + run]
-
-    coef = sum(coefficient_block(lo) for lo in range(0, rows.size, run))
+         - E[..., :, None] * mu[:, None, :, :, None, :]).reshape(B, R, R, K, -1)
     missing = np.empty((B, p + R - 1, p + R - 1))
-    missing[:, :p, :p] = coef.reshape(B, Q, Q, J1, J1).transpose(
-        0, 1, 3, 2, 4).reshape(B, p, p)
-    cross = np.einsum("krq,brskj->bqjs", design.X, E[:, :, :-1]).reshape(B, p, -1)
-    missing[:, :p, p:] = cross
-    missing[:, p:, :p] = cross.swapaxes(1, 2)
+    missing[:, :p, :p] = _factored_information(
+        design.x, D.sum(axis=(1, 2)), D[:, :, :-1].sum(axis=1).swapaxes(1, 2),
+        D[:, :-1, :-1].sum(axis=3))
+    E = E[:, :, :-1].transpose(0, 3, 1, 4, 2)  # (B, K, R, J1, R - 1)
+    missing[:, :Q * J1, p:] = (design.x.T @ E.sum(axis=2).reshape(B, K, -1)).reshape(
+        B, Q * J1, R - 1)
+    missing[:, Q * J1:p, p:] = E[:, :, :-1].sum(axis=1).reshape(B, -1, R - 1)
+    missing[:, p:, :p] = missing[:, :p, p:].swapaxes(1, 2)
     missing[:, p:, p:] = A[:, :-1, :-1, :, 0].sum(axis=-1)
     return missing
 

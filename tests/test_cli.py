@@ -248,6 +248,32 @@ class TestFit:
             for name in ("fit.json", "worths.csv", "classes.csv", "se.csv"):
                 assert (tmp_path / "out" / name).exists(), name
 
+    def test_one_hundred_classes_end_by_the_contract(self, tmp_path, capsys):
+        # 60 rows, J = 4, a factor and a continuous covariate with a value of
+        # its own per row (60 sets), 100 classes, one start, Hessian SEs: a
+        # fit with its artifacts (exit 0 or 2) or one error line (exit 1),
+        # never a traceback
+        rng = np.random.default_rng(17)
+        rows = [",".join([*map(str, rng.permutation(4) + 1), "xy"[i % 2],
+                          f"{rng.normal():.3f}"]) for i in range(60)]
+        (tmp_path / "many.csv").write_text("a,b,c,d,g,x\n" + "\n".join(rows) + "\n")
+        cfg = fit_config(
+            tmp_path, tmp_path / "many.csv", items=["a", "b", "c", "d"],
+            covariates=[{"name": "g", "type": "factor"},
+                        {"name": "x", "type": "continuous"}],
+            terms=["g", "x"], classes=100, fit={"n_starts": 1, "seed": 0},
+            se_method="hessian",
+        )
+        code = main(["fit", "--config", cfg])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == 1:
+            assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        else:
+            assert code in (0, 2)
+            for name in ("fit.json", "worths.csv", "classes.csv", "se.csv"):
+                assert (tmp_path / "out" / name).exists(), name
+
     def test_full_rank_design_is_not_called_rank_deficient(self, tmp_path, capsys):
         # four rows and nine classes: every chain's information goes singular
         # as its classes empty, though the design has full rank; a declared

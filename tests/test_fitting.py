@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import rankmix.fitting as fitting
-import rankmix.model as model
 from rankmix.data import CovariateDecl, DataError, aggregate
 from rankmix.fitting import (
     FitConfig,
@@ -301,7 +300,11 @@ def louis_by_cells(params, design):
     mean = design.enumeration.moments(effects)[1]
     resid = (design.data.space.score_matrix()[design.cell_pattern][:, None, :]
              - mean[design.cell_set])[..., :-1]
-    X = design.X[design.cell_set]  # (nnz, R, Q)
+    # the dense block rows X_kr = [x_k, e_r], e_R = 0, of each cell's set
+    K, Q = design.x.shape
+    X = np.concatenate([np.broadcast_to(design.x[:, None], (K, R, Q)),
+                        np.broadcast_to(np.eye(R)[:, :-1], (K, R, R - 1))],
+                       axis=-1)[design.cell_set]  # (nnz, R, Q + R - 1)
     g = np.concatenate([(X[..., :, None] * resid[..., None, :]).reshape(nnz, R, p),
                         np.broadcast_to(np.eye(R)[:, :-1] - q, (nnz, R, R - 1))],
                        axis=-1)
@@ -330,13 +333,24 @@ class TestInformationStack:
                          factor_levels=["a", "b"])
         return Design(ModelSpec(("A", "B", "C"), ("g",), 2), data)
 
+    @staticmethod
+    def continuous_design():
+        # J=3, one continuous term with a value of its own for each of 12 sets
+        rng = np.random.default_rng(31)
+        rows = [(rng.permutation(3) + 1, {"x": float(i % 12) ** 1.5})
+                for i in range(48)]
+        data = aggregate(shared_space(3), rows, [CovariateDecl("x", "continuous")])
+        return Design(ModelSpec(("A", "B", "C"), ("x",), 1), data)
+
     @pytest.mark.parametrize("which, n_classes", [
         ("observed_cells", 1), ("observed_cells", 2), ("observed_cells", 3),
-        ("criterion_7", 2),
+        ("observed_cells", 5), ("criterion_7", 2), ("continuous", 1),
+        ("continuous", 4),
     ])
     def test_stack_equals_single_calls_and_the_cell_sum(self, which, n_classes):
-        design = (self.criterion_7_design() if which == "criterion_7"
-                  else TestObservedCells.instance()[0])
+        design = {"criterion_7": self.criterion_7_design,
+                  "continuous": self.continuous_design,
+                  "observed_cells": lambda: TestObservedCells.instance()[0]}[which]()
         design = Design(design.spec.with_classes(n_classes), design.data)
         rng = np.random.default_rng(7 + n_classes)
         p = design.n_coefficients
@@ -353,22 +367,6 @@ class TestInformationStack:
             assert stack[0][b] == pytest.approx(loglik, rel=1e-12)
             for x, y in zip(stack[1::2], louis_by_cells(params, design)):
                 assert np.abs(x[b] - y).max() <= 1e-10 * np.abs(y).max()
-
-    def test_missing_information_in_runs_within_the_stack_bound(self, monkeypatch):
-        # with the bound lowered, the coefficient block of the missing
-        # information sums the (class, class', set) rows in several runs
-        design = TestObservedCells.instance()[0]
-        design = Design(design.spec.with_classes(3), design.data)
-        rng = np.random.default_rng(29)
-        p = design.n_coefficients
-        theta = np.hstack([rng.normal(0.0, 0.7, (3, p)), rng.normal(0.0, 1.0, (3, 2))])
-        whole = _information_stack(*_unpack_theta(theta, design), design)
-        Q = design.X.shape[-1]
-        # runs of 4 of the 3 * 3 * K rows, one chain at a time
-        monkeypatch.setattr(model, "_STACK_ENTRIES", 4 * Q * Q)
-        runs = _information_stack(*_unpack_theta(theta, design), design)
-        for x, y in zip(whole, runs):
-            assert np.abs(x - y).max() <= 1e-12 * np.abs(x).max()
 
     def test_parameters_pack_to_theta(self):
         design = self.criterion_7_design()
@@ -608,10 +606,9 @@ class TestObservedCells:
                                                    options):
         design, data = self.instance()
         config = FitConfig(n_starts=4, seed=0, **options)
-        # the column products of a chain outweigh its cell arrays here
-        blocks = design.n_sets * design.n_classes * design.X.shape[-1] ** 2
-        assert blocks > design.n_classes * design.cell_set.size
-        monkeypatch.setattr(fitting, "_STACK_ENTRIES", stack * blocks)
+        # a stack is budgeted by its chains' cell arrays
+        cells = design.n_classes * design.cell_set.size
+        monkeypatch.setattr(fitting, "_STACK_ENTRIES", stack * cells)
         stacks = []
         run_stack = fitting._run_stack
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from rankmix.model import (
     _coefficient_score,
     _information,
     _logsumexp,
+    _structural_information,
     ModelSpec,
     Parameters,
     bic,
@@ -311,7 +313,7 @@ class TestLogNormalizer:
         coefficients = rng.normal(0.0, 1.0, (stack, design.n_coefficients))
         edge = 0.995 * FitConfig().degenerate_offset
         signs = np.where(np.arange(n_items - 1) < n_items // 2, 1.0, -1.0)
-        coefficients[-1] = np.tile(edge * signs, design.X.shape[-1])
+        coefficients[-1] = np.tile(edge * signs, design.n_coefficients // (n_items - 1))
         logp = design.enumeration.moments(design.block_effects(coefficients))[3]
         assert logp.shape == (stack, n_classes, design.cell_set.size)
         for b in range(stack):
@@ -618,11 +620,42 @@ class TestInformation:
         m = (design.cell_counts[:, None] * posterior_weights(params, design)).T
         m_plus, t = design.block_totals(m)
         mean = design.enumeration.moments(design.block_effects(params.coefficients))[1]
-        newton = _coefficient_score(design.X, t, m_plus, mean)
+        newton = _coefficient_score(design.x, t, m_plus, mean)
         assert np.abs(score[:p] - newton).max() <= 1e-12 * np.abs(newton).max()
         shares = m.sum(axis=1)[:-1] - design.n_respondents * params.mixing[:-1]
         assert np.abs(score[p:] - shares).max(initial=0.0) <= (
             1e-12 * np.abs(shares).max(initial=1.0))
+
+
+    def test_structural_information_of_many_classes_is_the_sum_of_its_nonzero_blocks(self):
+        # 60 sets (a factor and a distinct continuous value each), J = 4,
+        # R = 30: the information is sum_kr (X_kr X_kr') (x) m_plus Cov_kr over
+        # the dense block rows X_kr = [x_k, e_r], and is formed within 2 MB,
+        # as the class-by-class products of a block with a class are zero
+        rng = np.random.default_rng(8)
+        rows = [(rng.permutation(4) + 1, {"g": "ab"[i % 2], "x": float(i)})
+                for i in range(60)]
+        data = aggregate(shared_space(4), rows, [CovariateDecl("g", "factor"),
+                                                 CovariateDecl("x", "continuous")])
+        design = Design(ModelSpec(("A", "B", "C", "D"), ("g", "x"), 30), data)
+        K, R = design.n_sets, design.n_classes
+        assert K == 60
+        coefficients = rng.normal(0.0, 0.3, (1, design.n_coefficients))
+        cov = design.enumeration.moments(design.block_effects(coefficients))[2]
+        m_plus = rng.uniform(0.0, 2.0, (1, K, R))
+        tracemalloc.start()
+        try:
+            info = _structural_information(cov, m_plus, design)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        X = np.concatenate([np.broadcast_to(design.x[:, None], (K, R, 3)),
+                            np.broadcast_to(np.eye(R)[:, :-1], (K, R, R - 1))], axis=-1)
+        W = m_plus[0, ..., None, None] * cov[0].reshape(K, R, 3, 3)
+        dense = sum(np.einsum("kc,kd,kij->cidj", X[:, r], X[:, r], W[:, r])
+                    for r in range(R)).reshape(info.shape[1:])
+        assert np.abs(info[0] - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 class TestParameterCount:
